@@ -47,15 +47,7 @@ class TrapezoidSet:
             raise ValueError(f"set {self.label!r} has zero width")
 
     def membership(self, x: float) -> float:
-        if x < self.a:
-            return 0.0
-        if x < self.b:
-            return (x - self.a) / (self.b - self.a)
-        if x <= self.c:
-            return 1.0
-        if x < self.d:
-            return (self.d - x) / (self.d - self.c)
-        return 0.0
+        return float(kernels.trapezoid_memberships(x, *self.params))
 
     @property
     def params(self) -> tuple[float, float, float, float]:
@@ -266,17 +258,13 @@ class FuzzySystem:
 
     def explain(self, inputs: Mapping[str, float]) -> list[FiringRecord]:
         """Per-rule truth degrees for one input, skipping silent rules."""
-        row = np.clip(self._row_from_mapping(inputs), self._lo, self._hi)
-        records = []
-        for ri, rule in enumerate(self.rules):
-            degree = 1.0
-            for var_name, label in rule.antecedents:
-                vi = [v.name for v in self.input_vars].index(var_name)
-                s = self.input_vars[vi].get(label)
-                degree = min(degree, s.membership(float(row[vi])))
-            if degree > 0.0:
-                records.append(FiringRecord(ri, degree, rule.consequent[1]))
-        return records
+        row = self._as_matrix(self._row_from_mapping(inputs).reshape(1, -1))
+        degrees = kernels.rule_degrees(row, self._trap, self._var_of_set, self._ant)
+        return [
+            FiringRecord(ri, float(t[0]), rule.consequent[1])
+            for ri, (rule, t) in enumerate(zip(self.rules, degrees))
+            if t[0] > 0.0
+        ]
 
     def _row_from_mapping(self, inputs: Mapping[str, float]) -> np.ndarray:
         row = np.empty(len(self.input_vars))
@@ -296,8 +284,7 @@ def global_position(positions: Sequence[float], aux: FuzzySystem) -> float:
     pos = np.asarray(list(positions), dtype=np.float64)
     if pos.size == 0:
         raise EmptyPositions("term has no occurrence positions")
-    scores = aux.infer_batch(pos.reshape(-1, 1))
-    return float(scores.max())
+    return float(global_position_batch(pos, np.array([0, pos.size]), aux)[0])
 
 
 def global_position_batch(

@@ -1,98 +1,16 @@
 """Numeric kernels for batched rule firing.
 
-Two interchangeable implementations live here: numba-compiled loops and a
-vectorized numpy fallback.  The environment variable FUZZTERM_DISABLE_NUMBA
-(set to 1/true/yes) forces the fallback; it is also used automatically when
-numba is not importable.  Both paths share the same branch arithmetic so
-results agree to the last ulp in practice.
+One vectorized numpy implementation serves batch inference, the
+completeness check and per-rule audits: `trapezoid_memberships` is the only
+trapezoid formula, `rule_degrees` the only min conjunction, and
+`batch_infer` the only centroid accumulation.
 """
-
-import os
 
 import numpy as np
 
-
-def _numba_disabled_by_env() -> bool:
-    return os.environ.get("FUZZTERM_DISABLE_NUMBA", "").strip().lower() in {
-        "1",
-        "true",
-        "yes",
-    }
-
-
+# There is no compiled backend; the flag stays for callers that record which
+# kernel backend produced a run.
 NUMBA_ENABLED = False
-if not _numba_disabled_by_env():
-    try:
-        from numba import njit
-
-        NUMBA_ENABLED = True
-    except ImportError:  # pragma: no cover - depends on environment
-        NUMBA_ENABLED = False
-
-if not NUMBA_ENABLED:
-
-    def njit(*args, **kwargs):
-        """No-op stand-in so the kernel definitions below import cleanly."""
-
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-@njit(cache=True)
-def _trap_scalar(x, a, b, c, d):
-    if x < a:
-        return 0.0
-    if x < b:
-        return (x - a) / (b - a)
-    if x <= c:
-        return 1.0
-    if x < d:
-        return (d - x) / (d - c)
-    return 0.0
-
-
-@njit(cache=True)
-def _infer_loop(X, trap, ant, cons, m0, m1, out, fired):
-    n, n_vars = X.shape
-    n_rules = ant.shape[0]
-    for i in range(n):
-        num = 0.0
-        den = 0.0
-        for r in range(n_rules):
-            t = 1.0
-            for v in range(n_vars):
-                s = ant[r, v]
-                if s >= 0:
-                    m = _trap_scalar(X[i, v], trap[s, 0], trap[s, 1], trap[s, 2], trap[s, 3])
-                    if m < t:
-                        t = m
-                    if t == 0.0:
-                        break
-            if t > 0.0:
-                num += t * m1[cons[r]]
-                den += t * m0[cons[r]]
-        if den > 0.0:
-            out[i] = num / den
-            fired[i] = True
-        else:
-            out[i] = 0.0
-            fired[i] = False
-
-
-@njit(cache=True)
-def _segment_max_loop(values, offsets, out):
-    for i in range(offsets.shape[0] - 1):
-        lo = offsets[i]
-        hi = offsets[i + 1]
-        m = values[lo]
-        for j in range(lo + 1, hi):
-            if values[j] > m:
-                m = values[j]
-        out[i] = m
 
 
 def trapezoid_memberships(x, a, b, c, d):
@@ -109,26 +27,25 @@ def trapezoid_memberships(x, a, b, c, d):
     return out
 
 
-def _infer_numpy(X, trap, var_of_set, ant, cons, m0, m1):
-    n = X.shape[0]
+def rule_degrees(X, trap, var_of_set, ant):
+    """Yield each rule's min-conjunction degree per row of X, in rule order.
+
+    Set memberships are computed once; the degrees come one rule at a time,
+    as arrays of shape (n,), so a large X never needs an (n, n_rules)
+    matrix.  A yielded array may be a view into the membership table.
+    """
     n_sets = trap.shape[0]
-    memberships = np.empty((n, n_sets), dtype=np.float64)
+    memberships = np.empty((X.shape[0], n_sets), dtype=np.float64)
     for s in range(n_sets):
         memberships[:, s] = trapezoid_memberships(
             X[:, var_of_set[s]], trap[s, 0], trap[s, 1], trap[s, 2], trap[s, 3]
         )
-    num = np.zeros(n, dtype=np.float64)
-    den = np.zeros(n, dtype=np.float64)
     for r in range(ant.shape[0]):
         sets = ant[r][ant[r] >= 0]
         t = memberships[:, sets[0]]
         for s in sets[1:]:
             t = np.minimum(t, memberships[:, s])
-        num += t * m1[cons[r]]
-        den += t * m0[cons[r]]
-    fired = den > 0.0
-    out = np.where(fired, num / np.where(fired, den, 1.0), 0.0)
-    return out, fired
+        yield t
 
 
 def batch_infer(X, trap, var_of_set, ant, cons, m0, m1):
@@ -140,12 +57,21 @@ def batch_infer(X, trap, var_of_set, ant, cons, m0, m1):
     fired=False; raising is the caller's call.
     """
     X = np.ascontiguousarray(X, dtype=np.float64)
-    if NUMBA_ENABLED:
-        out = np.empty(X.shape[0], dtype=np.float64)
-        fired = np.empty(X.shape[0], dtype=np.bool_)
-        _infer_loop(X, trap, ant, cons, m0, m1, out, fired)
-        return out, fired
-    return _infer_numpy(X, trap, var_of_set, ant, cons, m0, m1)
+    num = np.zeros(X.shape[0], dtype=np.float64)
+    den = np.zeros(X.shape[0], dtype=np.float64)
+    # Accumulate rule by rule, in rule order: a matmul or an axis-1 sum would
+    # reorder the additions and change the weights in the last bits.  Each
+    # rule's degrees are released before the next rule's are computed; a
+    # for loop over the generator would hold two arrays of n at a time.
+    degrees = rule_degrees(X, trap, var_of_set, ant)
+    for c in cons:
+        t = next(degrees)
+        num += t * m1[c]
+        den += t * m0[c]
+        del t
+    fired = den > 0.0
+    out = np.where(fired, num / np.where(fired, den, 1.0), 0.0)
+    return out, fired
 
 
 def segment_max(values, offsets):
@@ -153,12 +79,8 @@ def segment_max(values, offsets):
     values = np.ascontiguousarray(values, dtype=np.float64)
     offsets = np.ascontiguousarray(offsets, dtype=np.int64)
     n = offsets.shape[0] - 1
-    out = np.empty(n, dtype=np.float64)
     if n == 0:
-        return out
+        return np.empty(0, dtype=np.float64)
     if (offsets[1:] <= offsets[:-1]).any():
         raise ValueError("empty or unsorted segment")
-    if NUMBA_ENABLED:
-        _segment_max_loop(values, offsets, out)
-        return out
     return np.maximum.reduceat(values[: offsets[-1]], offsets[:-1])

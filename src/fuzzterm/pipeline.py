@@ -36,7 +36,7 @@ from .ingest import (
 from .kb import KnowledgeBase, dump_kb, load_bundled, profile_criterion, tune_afcc
 from .reduction import FeatureSet, dump_features, mft_order, project
 from .stats import TTestResult, paired_ttest
-from .weighting import CorpusStats, DocVector, dump_vectors, tf_idf, weigh_fuzzy
+from .weighting import CorpusStats, DocVector, apply_idf, dump_vectors, tf_idf, weigh_fuzzy
 
 log = logging.getLogger(__name__)
 
@@ -222,15 +222,6 @@ def build_profiles(criteria_by_doc) -> dict:
     return profiles
 
 
-def _apply_idf(vec: DocVector, stats: CorpusStats) -> DocVector:
-    weights = {}
-    for term, w in vec.weights.items():
-        scaled = w * stats.idf(term)
-        if scaled != 0.0:
-            weights[term] = scaled
-    return DocVector(vec.doc_id, weights)
-
-
 class _Weigher:
     """Builds per-representation document vectors, caching what is corpus
     independent (plain fuzzy weights) across sub-corpora."""
@@ -256,7 +247,7 @@ class _Weigher:
         if representation == "efcc-idf":
             stats = CorpusStats.from_criteria(subset)
             fuzzy = self._fuzzy_all("efcc")
-            return [_apply_idf(fuzzy[d], stats) for d in doc_ids], None
+            return [apply_idf(fuzzy[d], stats) for d in doc_ids], None
         if representation == "afcc":
             kb = tune_afcc(load_bundled("efcc"), build_profiles(subset))
             return [weigh_fuzzy(d, subset[d], kb) for d in doc_ids], kb

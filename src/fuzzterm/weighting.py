@@ -108,13 +108,17 @@ def efcc_idf(
     stats: CorpusStats,
 ) -> DocVector:
     """Fuzzy weight scaled by IDF; zero products are dropped."""
-    fuzzy = weigh_fuzzy(doc_id, criteria, kb)
+    return apply_idf(weigh_fuzzy(doc_id, criteria, kb), stats)
+
+
+def apply_idf(vec: DocVector, stats: CorpusStats) -> DocVector:
+    """Scale every weight of `vec` by its term's IDF; zero products are dropped."""
     weights: dict[str, float] = {}
-    for term, fw in fuzzy.weights.items():
-        w = fw * stats.idf(term)
-        if w != 0.0:
-            weights[term] = w
-    return DocVector(doc_id, weights)
+    for term, w in vec.weights.items():
+        scaled = w * stats.idf(term)
+        if scaled != 0.0:
+            weights[term] = scaled
+    return DocVector(vec.doc_id, weights)
 
 
 def dump_vectors(vectors, path) -> None:

@@ -5,17 +5,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from fuzzterm import generate_corpus, load_bundled
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    # first inference triggers JIT compilation; keep it out of timed tests
-    kb = load_bundled("emph")
-    kb.system().infer(
-        {"Frequency": 0.5, "Title": 0.5, "Emphasis": 0.5, "Position": 0.5}
-    )
-    kb.aux_system().infer({"TermPosition": 0.5})
+from fuzzterm import generate_corpus
 
 
 @pytest.fixture(scope="session")
