@@ -4,7 +4,9 @@ and stratified corpus subsampling.
 The clustering mirrors a k-way repeated-bisections scheme: split the least
 cohesive cluster with 2-means (10 seeded restarts, cosine similarity), keep
 the split maximizing the sum of cluster-vector-sum norms, and finish with a
-single global pass of single-document moves.
+single global pass of single-document moves.  The restarts run side by side,
+so each 2-means round is two matrix products over the cluster's rows, and
+the final pass scores all k candidate clusters of a document at once.
 """
 
 from __future__ import annotations
@@ -78,44 +80,54 @@ def clustering_criterion(X: np.ndarray, labels: np.ndarray) -> float:
 
 
 def _bisect(Xs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Split rows of Xs (L2-normalized) in two; returns a boolean side mask."""
-    m = Xs.shape[0]
-    best_side = None
-    best_score = -math.inf
-    for _ in range(_RESTARTS):
-        i, j = rng.choice(m, size=2, replace=False)
-        c0, c1 = Xs[i], Xs[j]
-        side = np.zeros(m, dtype=bool)
-        for _ in range(_MAX_ITER):
-            s0 = Xs @ c0
-            s1 = Xs @ c1
-            new_side = s1 > s0
-            if new_side.all():
-                new_side[int(np.argmax(s0 - s1))] = False
-            elif not new_side.any():
-                new_side[int(np.argmin(s0 - s1))] = True
-            if (new_side == side).all():
-                break
-            side = new_side
-            v0 = Xs[~side].sum(axis=0)
-            v1 = Xs[side].sum(axis=0)
-            n0 = np.linalg.norm(v0)
-            n1 = np.linalg.norm(v1)
-            c0 = v0 / n0 if n0 > 0 else Xs[0]
-            c1 = v1 / n1 if n1 > 0 else Xs[-1]
-        score = float(
-            np.linalg.norm(Xs[~side].sum(axis=0)) + np.linalg.norm(Xs[side].sum(axis=0))
-        )
-        if score > best_score + 1e-12:
-            best_score = score
-            best_side = side.copy()
-    return best_side
+    """Split rows of Xs (L2-normalized) in two; returns a boolean side mask.
+
+    The restarts run side by side: C[r] holds restart r's two centroids, and
+    one 2-means round of every restart still moving costs one product for
+    the similarities and one for the side sums.
+    """
+    m, d = Xs.shape
+    seeds = np.array([rng.choice(m, size=2, replace=False) for _ in range(_RESTARTS)])
+    C = Xs[seeds]
+    sides = np.zeros((_RESTARTS, m), dtype=bool)
+    scores = np.empty(_RESTARTS)
+    active = np.arange(_RESTARTS)
+    for _ in range(_MAX_ITER):
+        S = Xs @ C[active].reshape(-1, d).T
+        s0, s1 = S[:, 0::2].T, S[:, 1::2].T
+        new_sides = s1 > s0
+        diff = s0 - s1
+        full = np.flatnonzero(new_sides.all(axis=1))
+        empty = np.flatnonzero(~new_sides.any(axis=1))
+        new_sides[full, diff[full].argmax(axis=1)] = False
+        new_sides[empty, diff[empty].argmin(axis=1)] = True
+        moved = (new_sides != sides[active]).any(axis=1)
+        active, new_sides = active[moved], new_sides[moved]
+        if active.size == 0:
+            break
+        sides[active] = new_sides
+        ind = np.stack([~new_sides, new_sides], axis=1).reshape(-1, m)
+        V = (ind.astype(np.float64) @ Xs).reshape(-1, 2, d)
+        norms = np.linalg.norm(V, axis=2)
+        scores[active] = norms[:, 0] + norms[:, 1]
+        # a side whose rows sum to zero takes row 0 (c0) or row m-1 (c1)
+        nonzero = (norms > 0)[..., None]
+        unit = V / np.where(nonzero, norms[..., None], 1.0)
+        C[active] = np.where(nonzero, unit, Xs[[0, -1]])
+    best = 0
+    for r in range(1, _RESTARTS):
+        if scores[r] > scores[best] + 1e-12:
+            best = r
+    return sides[best]
 
 
 def _refine(X: np.ndarray, labels: np.ndarray, k: int) -> None:
-    """One pass of greedy single-document moves; never lowers the criterion."""
-    sums = np.zeros((k, X.shape[1]))
-    np.add.at(sums, labels, X)
+    """One pass of greedy single-document moves; never lowers the criterion.
+
+    Each document scores every candidate cluster at once and moves to the
+    first one of largest gain, if that gain exceeds _MOVE_TOL.
+    """
+    sums = np.stack([X[labels == c].sum(axis=0) for c in range(k)])
     norms = np.linalg.norm(sums, axis=1)
     counts = np.bincount(labels, minlength=k)
     for i in range(X.shape[0]):
@@ -124,26 +136,19 @@ def _refine(X: np.ndarray, labels: np.ndarray, k: int) -> None:
             continue
         va = sums[a] - X[i]
         na = float(np.linalg.norm(va))
-        best_b = -1
-        best_delta = _MOVE_TOL
-        best_nb = 0.0
-        for b in range(k):
-            if b == a:
-                continue
-            nb = float(np.linalg.norm(sums[b] + X[i]))
-            delta = na + nb - norms[a] - norms[b]
-            if delta > best_delta:
-                best_delta = delta
-                best_b = b
-                best_nb = nb
-        if best_b >= 0:
-            labels[i] = best_b
+        gained = sums + X[i]
+        nb = np.linalg.norm(gained, axis=1)
+        delta = na + nb - norms[a] - norms
+        delta[a] = -math.inf
+        b = int(np.argmax(delta))
+        if delta[b] > _MOVE_TOL:
+            labels[i] = b
             sums[a] = va
             norms[a] = na
-            sums[best_b] += X[i]
-            norms[best_b] = best_nb
+            sums[b] = gained[b]
+            norms[b] = nb[b]
             counts[a] -= 1
-            counts[best_b] += 1
+            counts[b] += 1
 
 
 def bisect_labels(X: np.ndarray, k: int, seed) -> np.ndarray:

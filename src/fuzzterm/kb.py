@@ -52,6 +52,9 @@ BUNDLED_NAMES = ("fcc", "addfcc", "efcc", "emph")
 DEFAULT_PRECONDITION_THRESHOLD = 0.55
 DEFAULT_PRECONDITION_CUT = 0.2
 _EDGE_EPS = 1e-6
+# Mesh rows checked per fired_mask call in check_completeness; bounds the
+# memory of a KB load instead of building the 21^4-row mesh at once.
+_GRID_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -290,18 +293,24 @@ def check_completeness(kb: KnowledgeBase, grid_per_axis: int = 21) -> None:
 
     The main system is checked on a grid_per_axis^4 mesh, the auxiliary
     system on a 1-D grid.  Raises CompletenessError naming the first
-    uncovered point.
+    uncovered point.  The mesh is walked in row-major order, _GRID_CHUNK rows
+    at a time, so the rule degrees of the whole mesh are never held at once.
     """
     axes = [np.linspace(v.lo, v.hi, grid_per_axis) for v in kb.input_vars()]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    grid = np.stack([m.ravel() for m in mesh], axis=1)
-    fired = kb.system().fired_mask(grid)
-    if not fired.all():
-        i = int(np.flatnonzero(~fired)[0])
-        point = ", ".join(
-            f"{name}={val:g}" for name, val in zip(MAIN_INPUT_ORDER, grid[i])
-        )
-        raise CompletenessError(f"kb {kb.name!r}: no rule fires at ({point})")
+    shape = (grid_per_axis,) * len(axes)
+    total = grid_per_axis ** len(axes)
+    system = kb.system()
+    for start in range(0, total, _GRID_CHUNK):
+        rows = np.arange(start, min(start + _GRID_CHUNK, total))
+        index = np.unravel_index(rows, shape)
+        grid = np.stack([ax[i] for ax, i in zip(axes, index)], axis=1)
+        fired = system.fired_mask(grid)
+        if not fired.all():
+            i = int(np.flatnonzero(~fired)[0])
+            point = ", ".join(
+                f"{name}={val:g}" for name, val in zip(MAIN_INPUT_ORDER, grid[i])
+            )
+            raise CompletenessError(f"kb {kb.name!r}: no rule fires at ({point})")
     aux_grid = np.linspace(kb.term_position.lo, kb.term_position.hi, grid_per_axis)
     aux_fired = kb.aux_system().fired_mask(aux_grid.reshape(-1, 1))
     if not aux_fired.all():

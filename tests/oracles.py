@@ -1,12 +1,21 @@
 """Independent reference implementations used to freeze expected values.
 
 Everything here is deliberately written from first principles (closed-form
-integrals, brute-force searches) rather than by calling the package, so the
-tests compare two separate derivations.
+integrals, brute-force searches, the plain loops that vectorized package code
+replaced) rather than by calling the package, so the tests compare two
+separate derivations.
 """
 
 import itertools
 import math
+
+import numpy as np
+
+# The repeated-bisections constants: 10 seeded restarts, at most 100 2-means
+# rounds each, and the smallest criterion gain that moves a document.
+_RESTARTS = 10
+_MAX_ITER = 100
+_MOVE_TOL = 1e-10
 
 
 def trapezoid_membership(x, a, b, c, d):
@@ -153,3 +162,74 @@ def weighted_f1_reference(cluster_of, category_of):
             best = max(best, f1)
         overall += best * len(docs) / n
     return overall
+
+
+def bisect_reference(Xs, rng):
+    """Restart-by-restart 2-means split: the loop `cluster._bisect` runs in
+    lockstep.  Returns the boolean side mask of the best restart."""
+    m = Xs.shape[0]
+    best_side = None
+    best_score = -math.inf
+    for _ in range(_RESTARTS):
+        i, j = rng.choice(m, size=2, replace=False)
+        c0, c1 = Xs[i], Xs[j]
+        side = np.zeros(m, dtype=bool)
+        for _ in range(_MAX_ITER):
+            s0 = Xs @ c0
+            s1 = Xs @ c1
+            new_side = s1 > s0
+            if new_side.all():
+                new_side[int(np.argmax(s0 - s1))] = False
+            elif not new_side.any():
+                new_side[int(np.argmin(s0 - s1))] = True
+            if (new_side == side).all():
+                break
+            side = new_side
+            v0 = Xs[~side].sum(axis=0)
+            v1 = Xs[side].sum(axis=0)
+            n0 = np.linalg.norm(v0)
+            n1 = np.linalg.norm(v1)
+            c0 = v0 / n0 if n0 > 0 else Xs[0]
+            c1 = v1 / n1 if n1 > 0 else Xs[-1]
+        score = float(
+            np.linalg.norm(Xs[~side].sum(axis=0)) + np.linalg.norm(Xs[side].sum(axis=0))
+        )
+        if score > best_score + 1e-12:
+            best_score = score
+            best_side = side.copy()
+    return best_side
+
+
+def refine_reference(X, labels, k):
+    """One pass of greedy single-document moves, scoring each candidate
+    cluster in turn: the loop `cluster._refine` vectorizes."""
+    sums = np.zeros((k, X.shape[1]))
+    np.add.at(sums, labels, X)
+    norms = np.linalg.norm(sums, axis=1)
+    counts = np.bincount(labels, minlength=k)
+    for i in range(X.shape[0]):
+        a = int(labels[i])
+        if counts[a] <= 1:
+            continue
+        va = sums[a] - X[i]
+        na = float(np.linalg.norm(va))
+        best_b = -1
+        best_delta = _MOVE_TOL
+        best_nb = 0.0
+        for b in range(k):
+            if b == a:
+                continue
+            nb = float(np.linalg.norm(sums[b] + X[i]))
+            delta = na + nb - norms[a] - norms[b]
+            if delta > best_delta:
+                best_delta = delta
+                best_b = b
+                best_nb = nb
+        if best_b >= 0:
+            labels[i] = best_b
+            sums[a] = va
+            norms[a] = na
+            sums[best_b] += X[i]
+            norms[best_b] = best_nb
+            counts[a] -= 1
+            counts[best_b] += 1

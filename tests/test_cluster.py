@@ -2,19 +2,30 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fuzzterm import repeated_bisections, stratified_subsample, weighted_f1
 from fuzzterm.cluster import (
     Clustering,
+    bisect_labels,
     build_matrix,
     clustering_criterion,
+    _bisect,
     _refine,
 )
 from fuzzterm.errors import CategoryTooSmall, InsufficientDocs
 from fuzzterm.ingest import CorpusManifest, ManifestEntry
 from fuzzterm.weighting import DocVector
 
-from oracles import best_partition_criterion, weighted_f1_reference
+from oracles import (
+    best_partition_criterion,
+    bisect_reference,
+    refine_reference,
+    weighted_f1_reference,
+)
+
+properties = settings(deadline=None, database=None)
 
 
 def bundle(prefix, n, vocab, rng, start=0):
@@ -133,6 +144,99 @@ class TestRefinement:
         labels[0] = 1  # plant one wrong assignment
         _refine(Xn, labels, 2)
         assert labels[0] == 0
+
+
+@st.composite
+def sparse_rows(draw, four_valued=False):
+    """A nonnegative matrix with no zero rows and some duplicated rows.
+
+    Entries are continuous, or, with four_valued, drawn from {0, 1, 2, 3},
+    which makes exact similarity ties common.
+    """
+    m = draw(st.integers(2, 40))
+    d = draw(st.integers(1, 25))
+    density = draw(st.floats(0.05, 1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if four_valued:
+        X = rng.integers(0, 4, size=(m, d)).astype(np.float64)
+    else:
+        X = rng.random((m, d))
+    X *= rng.random((m, d)) < density
+    zero = ~X.any(axis=1)
+    X[zero, rng.integers(0, d, size=int(zero.sum()))] = 1.0
+    n_dup = draw(st.integers(0, m // 2))
+    X[rng.integers(0, m, size=n_dup)] = X[rng.integers(0, m, size=n_dup)]
+    return X
+
+
+any_rows = st.one_of(sparse_rows(), sparse_rows(four_valued=True))
+
+
+def normalized(X):
+    return X / np.linalg.norm(X, axis=1)[:, None]
+
+
+class TestLoopReferences:
+    """The vectorized split and refine pass equal the plain loops exactly on
+    continuous data, where similarity ties do not occur."""
+
+    @properties
+    @given(X=sparse_rows(), seed=st.integers(0, 2**32 - 1))
+    def test_bisect_matches_reference(self, X, seed):
+        Xs = normalized(X)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        np.testing.assert_array_equal(_bisect(Xs, rng), bisect_reference(Xs, ref_rng))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @properties
+    @given(X=sparse_rows(), k=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_refine_matches_reference(self, X, k, seed):
+        Xn = normalized(X)
+        labels = np.random.default_rng(seed).integers(0, k, size=X.shape[0])
+        want = labels.copy()
+        _refine(Xn, labels, k)
+        refine_reference(Xn, want, k)
+        np.testing.assert_array_equal(labels, want)
+
+
+class TestClusteringProperties:
+    @properties
+    @given(X=any_rows, k=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_bisect_labels_fill_every_cluster(self, X, k, seed):
+        k = min(k, X.shape[0])
+        labels = bisect_labels(X, k, seed)
+        assert labels.min() >= 0 and labels.max() < k
+        assert (np.bincount(labels, minlength=k) > 0).all()
+        np.testing.assert_array_equal(bisect_labels(X, k, seed), labels)
+
+    @properties
+    @given(X=any_rows, k=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_refine_never_lowers_criterion(self, X, k, seed):
+        Xn = normalized(X)
+        labels = np.random.default_rng(seed).integers(0, k, size=X.shape[0])
+        before = clustering_criterion(Xn, labels)
+        _refine(Xn, labels, k)
+        assert clustering_criterion(Xn, labels) >= before - 1e-12
+
+    @properties
+    @given(
+        X=any_rows,
+        n_zero=st.integers(1, 4),
+        k=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_zero_rows_land_in_leftover(self, X, n_zero, k, seed):
+        k = min(k, X.shape[0])
+        vectors = [
+            DocVector(f"d{i}", {f"t{j}": float(w) for j, w in enumerate(row) if w})
+            for i, row in enumerate(X)
+        ]
+        zeros = [DocVector(f"z{i}", {}) for i in range(n_zero)]
+        clustering = repeated_bisections(zeros[:1] + vectors + zeros[1:], k, seed)
+        assert clustering.k == k + 1
+        assert clustering.leftover == {z.doc_id for z in zeros}
+        assert all(clustering.assignment[z.doc_id] == k for z in zeros)
+        assert all(clustering.assignment[v.doc_id] < k for v in vectors)
 
 
 class TestWeightedF1:

@@ -1,8 +1,14 @@
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from fuzzterm import check_completeness, dumps_kb, load_bundled, load_kb, loads_kb
+from fuzzterm.engine import Rule
 from fuzzterm.errors import CompletenessError, ParseError
+from fuzzterm import kb as kb_module
+from fuzzterm.kb import _GRID_CHUNK, MAIN_INPUT_ORDER
 
 VARIABLES = """\
 [variable Frequency domain 0 1]
@@ -254,6 +260,36 @@ class TestParser:
         )
         with pytest.raises(CompletenessError, match="no rule fires"):
             loads_kb(text)
+
+    @pytest.mark.parametrize("chunk", [_GRID_CHUNK, 100_000])
+    def test_first_hole_matches_full_mesh(self, chunk, monkeypatch):
+        # With Frequency high and Emphasis not high, no rule fires where
+        # Title is low and Position preferential, or the other way round.
+        # The first such mesh row lies well past one default chunk, and in
+        # the last chunk at 100,000 rows; the first hole in column-major
+        # order is a different point.
+        F, T, P = "Frequency", "Title", "Position"
+        rules = (
+            Rule(((F, "low"),), ("Importance", "no")),
+            Rule(((F, "medium"),), ("Importance", "low")),
+            Rule(((F, "high"), (T, "low"), (P, "standard")), ("Importance", "high")),
+            Rule(
+                ((F, "high"), (T, "high"), (P, "preferential")), ("Importance", "high")
+            ),
+            Rule((("Emphasis", "high"),), ("Importance", "very-high")),
+        )
+        kb = replace(loads_kb(make_text()), rules=rules)
+        axes = [np.linspace(v.lo, v.hi, 21) for v in kb.input_vars()]
+        mesh = np.meshgrid(*axes, indexing="ij")
+        grid = np.stack([m.ravel() for m in mesh], axis=1)
+        first = int(np.flatnonzero(~kb.system().fired_mask(grid))[0])
+        assert first > 100_000
+        point = ", ".join(
+            f"{name}={val:g}" for name, val in zip(MAIN_INPUT_ORDER, grid[first])
+        )
+        monkeypatch.setattr(kb_module, "_GRID_CHUNK", chunk)
+        with pytest.raises(CompletenessError, match=re.escape(f"at ({point})")):
+            check_completeness(kb)
 
     def test_incomplete_aux_block_rejected(self):
         text = make_text(
