@@ -7,6 +7,12 @@ the split maximizing the sum of cluster-vector-sum norms, and finish with a
 single global pass of single-document moves.  The restarts run side by side,
 so each 2-means round is two matrix products over the cluster's rows, and
 the final pass scores all k candidate clusters of a document at once.
+
+A clustering holds two dense (n, d) arrays at most: the doc-term matrix and
+its row-normalized copy.  Row norms are taken in blocks of rows and the
+first split works on the normalized matrix itself, so no other array of
+that size is made, and a run's peak memory does not depend on where the
+allocator puts such copies.
 """
 
 from __future__ import annotations
@@ -24,6 +30,8 @@ from .weighting import DocVector
 _RESTARTS = 10
 _MAX_ITER = 100
 _MOVE_TOL = 1e-10
+# Rows per np.linalg.norm call in _row_norms.
+_NORM_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -69,6 +77,16 @@ def build_matrix(vectors: Sequence[DocVector]) -> tuple[np.ndarray, list[str]]:
         for t, w in vec.weights.items():
             X[row, index[t]] = w
     return X, terms
+
+
+def _row_norms(X: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(X, axis=1), bit for bit, _NORM_ROWS rows at a time:
+    the squares it sums never fill an array the size of X."""
+    out = np.empty(X.shape[0])
+    for start in range(0, X.shape[0], _NORM_ROWS):
+        block = slice(start, start + _NORM_ROWS)
+        out[block] = np.linalg.norm(X[block], axis=1)
+    return out
 
 
 def clustering_criterion(X: np.ndarray, labels: np.ndarray) -> float:
@@ -137,7 +155,9 @@ def _refine(X: np.ndarray, labels: np.ndarray, k: int) -> None:
         va = sums[a] - X[i]
         na = float(np.linalg.norm(va))
         gained = sums + X[i]
-        nb = np.linalg.norm(gained, axis=1)
+        # each row's own dot product, as np.linalg.norm takes it of one
+        # vector; norm(axis=1) sums the squares in another order
+        nb = np.sqrt((gained[:, None] @ gained[..., None]).ravel())
         delta = na + nb - norms[a] - norms
         delta[a] = -math.inf
         b = int(np.argmax(delta))
@@ -151,12 +171,17 @@ def _refine(X: np.ndarray, labels: np.ndarray, k: int) -> None:
             counts[b] += 1
 
 
+def _rows(Xn: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Xn[idx] for sorted row indices idx; Xn itself when idx takes every row."""
+    return Xn if idx.size == Xn.shape[0] else Xn[idx]
+
+
 def bisect_labels(X: np.ndarray, k: int, seed) -> np.ndarray:
     """Cluster rows of X (unnormalized ok, no zero rows) into k clusters."""
     n = X.shape[0]
     if n < k:
         raise InsufficientDocs(f"{n} documents cannot fill {k} clusters")
-    norms = np.linalg.norm(X, axis=1)
+    norms = _row_norms(X)
     if (norms == 0).any():
         raise ValueError("zero rows must be diverted before clustering")
     Xn = X / norms[:, None]
@@ -170,12 +195,12 @@ def bisect_labels(X: np.ndarray, k: int, seed) -> np.ndarray:
             idx = np.flatnonzero(labels == cid)
             if idx.size < 2:
                 continue
-            score = idx.size - float(np.linalg.norm(Xn[idx].sum(axis=0)))
+            score = idx.size - float(np.linalg.norm(_rows(Xn, idx).sum(axis=0)))
             if score > best_score + 1e-12:
                 best_score = score
                 best_cid = cid
         idx = np.flatnonzero(labels == best_cid)
-        side = _bisect(Xn[idx], rng)
+        side = _bisect(_rows(Xn, idx), rng)
         labels[idx[side]] = next_id
     if k > 1:
         _refine(Xn, labels, k)
@@ -188,13 +213,15 @@ def repeated_bisections(vectors: Sequence[DocVector], k: int, seed) -> Clusterin
     if k < 1:
         raise ValueError("k must be at least 1")
     X, _ = build_matrix(vectors)
-    norms = np.linalg.norm(X, axis=1)
+    norms = _row_norms(X)
     nonzero = np.flatnonzero(norms > 0)
     if nonzero.size < k:
         raise InsufficientDocs(
             f"only {nonzero.size} non-zero documents for k={k}"
         )
-    labels = bisect_labels(X[nonzero], k, seed)
+    if nonzero.size < X.shape[0]:
+        X = X[nonzero]
+    labels = bisect_labels(X, k, seed)
     assignment: dict[str, int] = {}
     leftover = []
     pos = {int(row): lab for row, lab in zip(nonzero, labels)}

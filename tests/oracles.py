@@ -233,3 +233,31 @@ def refine_reference(X, labels, k):
             norms[best_b] = best_nb
             counts[a] -= 1
             counts[best_b] += 1
+
+
+def bisect_labels_reference(X, k, seed):
+    """Repeated bisections that norm the whole matrix at once and copy each
+    cluster's rows before scoring or splitting it, with the loop references
+    for the split and the refine pass: the steps `cluster.bisect_labels`
+    takes without those copies."""
+    n = X.shape[0]
+    Xn = X / np.linalg.norm(X, axis=1)[:, None]
+    rng = np.random.default_rng(seed)
+    labels = np.zeros(n, dtype=np.int64)
+    for next_id in range(1, k):
+        best_cid = -1
+        best_score = -math.inf
+        for cid in range(next_id):
+            idx = np.flatnonzero(labels == cid)
+            if idx.size < 2:
+                continue
+            score = idx.size - float(np.linalg.norm(Xn[idx].sum(axis=0)))
+            if score > best_score + 1e-12:
+                best_score = score
+                best_cid = cid
+        idx = np.flatnonzero(labels == best_cid)
+        side = bisect_reference(Xn[idx], rng)
+        labels[idx[side]] = next_id
+    if k > 1:
+        refine_reference(Xn, labels, k)
+    return labels

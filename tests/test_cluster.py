@@ -1,3 +1,4 @@
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from fuzzterm.cluster import (
     clustering_criterion,
     _bisect,
     _refine,
+    _row_norms,
 )
 from fuzzterm.errors import CategoryTooSmall, InsufficientDocs
 from fuzzterm.ingest import CorpusManifest, ManifestEntry
@@ -20,6 +22,7 @@ from fuzzterm.weighting import DocVector
 
 from oracles import (
     best_partition_criterion,
+    bisect_labels_reference,
     bisect_reference,
     refine_reference,
     weighted_f1_reference,
@@ -147,13 +150,13 @@ class TestRefinement:
 
 
 @st.composite
-def sparse_rows(draw, four_valued=False):
+def sparse_rows(draw, four_valued=False, max_rows=40):
     """A nonnegative matrix with no zero rows and some duplicated rows.
 
     Entries are continuous, or, with four_valued, drawn from {0, 1, 2, 3},
     which makes exact similarity ties common.
     """
-    m = draw(st.integers(2, 40))
+    m = draw(st.integers(2, max_rows))
     d = draw(st.integers(1, 25))
     density = draw(st.floats(0.05, 1.0))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -197,6 +200,49 @@ class TestLoopReferences:
         _refine(Xn, labels, k)
         refine_reference(Xn, want, k)
         np.testing.assert_array_equal(labels, want)
+
+    @properties
+    @given(X=sparse_rows(max_rows=150), k=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_bisect_labels_matches_reference(self, X, k, seed):
+        k = min(k, X.shape[0])
+        np.testing.assert_array_equal(
+            bisect_labels(X, k, seed), bisect_labels_reference(X, k, seed)
+        )
+
+
+class TestMatrixCopies:
+    @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 200])
+    def test_row_norms_equal_linalg_norm(self, n):
+        rng = np.random.default_rng(n)
+        X = rng.random((n, 37)) * 10.0 ** rng.integers(-8, 8, size=(n, 1))
+        X[::7] = 0.0
+        np.testing.assert_array_equal(_row_norms(X), np.linalg.norm(X, axis=1))
+
+    def test_row_norms_make_no_full_temporary(self):
+        X = np.random.default_rng(3).random((1000, 200))
+        tracemalloc.start()
+        try:
+            _row_norms(X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * X.nbytes
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bisect_labels_makes_no_second_full_copy(self, seed):
+        # The normalized copy plus one cluster's rows at a time peak near
+        # 2.0 X; a full copy for the first split or a full temporary for
+        # the row norms pushes the traced peak past 2.4 X.
+        rng = np.random.default_rng(seed)
+        X = rng.random((300, 400)) * (rng.random((300, 400)) < 0.1)
+        X[:, 0] += 0.01
+        tracemalloc.start()
+        try:
+            bisect_labels(X, 6, seed)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.25 * X.nbytes
 
 
 class TestClusteringProperties:
