@@ -9,7 +9,7 @@ from pathlib import Path
 
 from .errors import FuzztermError, StageError
 from .kb import BUNDLED_NAMES, check_completeness, dump_kb, load_bundled, load_kb, tune_afcc
-from .pipeline import _stage, build_profiles, load_config, run
+from .pipeline import _stage, build_corpus, corpus_profiles, load_config, run
 from .ingest import load_manifest
 from .synth import generate_corpus
 
@@ -66,11 +66,11 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_tune(args) -> int:
-    from .pipeline import RunConfig, _build_criteria
+    from .pipeline import RunConfig
 
     manifest = load_manifest(args.manifest)
-    criteria = _build_criteria(manifest, RunConfig(manifest=args.manifest))
-    tuned = tune_afcc(load_bundled(args.base), build_profiles(criteria))
+    corpus = build_corpus(manifest, RunConfig(manifest=args.manifest))
+    tuned = tune_afcc(load_bundled(args.base), corpus_profiles(corpus))
     dump_kb(tuned, args.out)
     print(f"wrote {args.out}")
     return 0
@@ -119,7 +119,7 @@ def main(argv=None) -> int:
     try:
         return commands[args.command](args)
     except StageError as exc:
-        print(f"error[{exc.stage}]: {exc.original}", file=sys.stderr)
+        print(f"error[{exc.stage}]: {exc.detail}", file=sys.stderr)
         return 1
     except (FuzztermError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

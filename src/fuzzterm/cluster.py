@@ -13,6 +13,10 @@ its row-normalized copy.  Row norms are taken in blocks of rows and the
 first split works on the normalized matrix itself, so no other array of
 that size is made, and a run's peak memory does not depend on where the
 allocator puts such copies.
+
+The pipeline hands `cluster_matrix` the matrix `reduction.project_rows`
+writes; `repeated_bisections` takes DocVectors and lays them out with
+`build_matrix` first.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import numpy as np
 
 from .errors import CategoryTooSmall, InsufficientDocs
 from .ingest import CorpusManifest
-from .weighting import DocVector
+from .weighting import DocVector, pack_vectors
 
 _RESTARTS = 10
 _MAX_ITER = 100
@@ -70,13 +74,8 @@ class F1Report:
 
 def build_matrix(vectors: Sequence[DocVector]) -> tuple[np.ndarray, list[str]]:
     """Dense doc-term matrix over the union vocabulary (sorted for determinism)."""
-    terms = sorted({t for vec in vectors for t in vec.weights})
-    index = {t: i for i, t in enumerate(terms)}
-    X = np.zeros((len(vectors), len(terms)), dtype=np.float64)
-    for row, vec in enumerate(vectors):
-        for t, w in vec.weights.items():
-            X[row, index[t]] = w
-    return X, terms
+    rows, vocab = pack_vectors(vectors)
+    return rows.to_dense(), vocab
 
 
 def _row_norms(X: np.ndarray) -> np.ndarray:
@@ -210,9 +209,14 @@ def bisect_labels(X: np.ndarray, k: int, seed) -> np.ndarray:
 def repeated_bisections(vectors: Sequence[DocVector], k: int, seed) -> Clustering:
     """Cluster documents into k groups; zero vectors land in an extra
     leftover cluster so every document stays assigned."""
+    X, _ = build_matrix(vectors)
+    return cluster_matrix(X, [vec.doc_id for vec in vectors], k, seed)
+
+
+def cluster_matrix(X: np.ndarray, doc_ids: Sequence[str], k: int, seed) -> Clustering:
+    """repeated_bisections on the doc-term matrix X, row i being doc_ids[i]."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    X, _ = build_matrix(vectors)
     norms = _row_norms(X)
     nonzero = np.flatnonzero(norms > 0)
     if nonzero.size < k:
@@ -225,12 +229,12 @@ def repeated_bisections(vectors: Sequence[DocVector], k: int, seed) -> Clusterin
     assignment: dict[str, int] = {}
     leftover = []
     pos = {int(row): lab for row, lab in zip(nonzero, labels)}
-    for row, vec in enumerate(vectors):
+    for row, doc_id in enumerate(doc_ids):
         if row in pos:
-            assignment[vec.doc_id] = int(pos[row])
+            assignment[doc_id] = int(pos[row])
         else:
-            assignment[vec.doc_id] = k
-            leftover.append(vec.doc_id)
+            assignment[doc_id] = k
+            leftover.append(doc_id)
     return Clustering(assignment, k + 1 if leftover else k, frozenset(leftover))
 
 

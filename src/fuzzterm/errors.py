@@ -68,9 +68,11 @@ class LengthMismatch(FuzztermError):
 
 
 class StageError(FuzztermError):
-    """A pipeline stage failed; wraps the original error with a stage tag."""
+    """A pipeline stage failed; wraps the original error with a stage tag
+    and, when one input is to blame, `where` names it."""
 
-    def __init__(self, stage, original):
+    def __init__(self, stage, original, where=None):
         self.stage = stage
         self.original = original
-        super().__init__(f"[{stage}] {original}")
+        self.detail = f"{where}: {original}" if where else str(original)
+        super().__init__(f"[{stage}] {self.detail}")

@@ -4,7 +4,15 @@ Stages run in order: ingest -> criteria -> weigh (tuning first for the
 self-adjusting representation) -> reduce -> cluster -> score, optionally a
 significance stage over stratified sub-corpora, then emission of a results
 file (JSON lines) and a human-readable table.  Any stage failure surfaces
-as a StageError tagged with the stage name.
+as a StageError tagged with the stage name; a criteria failure also names
+the document.
+
+The criteria stage packs each document into one columnar `corpus.Corpus`
+as soon as it is read.  From there every step works on arrays: a
+sub-corpus is a selection of document rows, each rule base weighs a
+selection in chunked batches (bundled bases once per corpus, afcc once per
+tuning), `reduction.mft_rank` ranks the weighted rows and
+`reduction.project_rows` writes the matrix `cluster.cluster_matrix` splits.
 """
 
 from __future__ import annotations
@@ -20,23 +28,25 @@ import numpy as np
 from .cluster import (
     Clustering,
     F1Report,
-    repeated_bisections,
+    cluster_matrix,
     stratified_subsample,
     weighted_f1,
 )
-from .errors import EmptyProfile, FuzztermError, StageError
+from .corpus import Corpus, CorpusBuilder, SparseRows
+from .errors import FuzztermError, StageError
 from .ingest import (
     CorpusManifest,
+    ManifestEntry,
     apply_anchor_variant,
     extract_criteria,
     load_manifest,
     parse_html,
     read_anchor_texts,
 )
-from .kb import KnowledgeBase, dump_kb, load_bundled, profile_criterion, tune_afcc
-from .reduction import FeatureSet, dump_features, mft_order, project
+from .kb import DistributionProfile, KnowledgeBase, dump_kb, load_bundled, tune_afcc
+from .reduction import FeatureSet, dump_features, mft_rank, project_rows
 from .stats import TTestResult, paired_ttest
-from .weighting import CorpusStats, DocVector, apply_idf, dump_vectors, tf_idf, weigh_fuzzy
+from .weighting import dump_vectors, fuzzy_rows, idf_rows, tfidf_rows, unpack_rows
 
 log = logging.getLogger(__name__)
 
@@ -197,75 +207,93 @@ def _stage(name: str):
     log.info("stage %s: done", name)
 
 
-def _build_criteria(manifest: CorpusManifest, config: RunConfig):
-    criteria_by_doc = {}
-    for entry in manifest.entries:
+def _doc_criteria(entry: ManifestEntry, manifest: CorpusManifest, config: RunConfig) -> dict:
+    """One document's criteria map; a failure is raised as a criteria
+    StageError naming the document."""
+    try:
         stream = parse_html(entry.path.read_bytes())
         if config.anchor_variant:
             anchors = read_anchor_texts(
                 config.anchors_dir or manifest.anchors_dir, entry.doc_id
             )
             stream = apply_anchor_variant(stream, anchors, config.anchor_variant)
-        criteria_by_doc[entry.doc_id] = extract_criteria(stream)
-    return criteria_by_doc
+        return extract_criteria(stream)
+    except (FuzztermError, ValueError, OSError) as exc:
+        raise StageError("criteria", exc, f"{entry.doc_id} ({entry.path})") from exc
 
 
-def build_profiles(criteria_by_doc) -> dict:
-    """Distribution profiles per criterion; None where the corpus has no
-    nonzero values (the tuner then keeps the base sets)."""
+def build_corpus(manifest: CorpusManifest, config: RunConfig) -> Corpus:
+    """The columnar corpus.  Each document's criteria map (and its token
+    stream) is dropped once packed, before the next document is read."""
+    builder = CorpusBuilder()
+    for entry in manifest.entries:
+        builder.add(entry.doc_id, _doc_criteria(entry, manifest, config))
+    return builder.build()
+
+
+def _build_criteria(manifest: CorpusManifest, config: RunConfig) -> dict:
+    """doc_id -> criteria map for the whole corpus, for the dict API."""
+    return {e.doc_id: _doc_criteria(e, manifest, config) for e in manifest.entries}
+
+
+def corpus_profiles(corpus: Corpus, docs: np.ndarray | None = None) -> dict:
+    """Distribution profiles per criterion over the pairs of the selected
+    documents (all when docs is None); None where they have no nonzero
+    values (the tuner then keeps the base sets)."""
+    pairs = slice(None) if docs is None else corpus.select(docs)[0]
+    columns = {"frequency": corpus.freq, "emphasis": corpus.emph, "title": corpus.title}
     profiles = {}
     for criterion in PROFILE_CRITERIA:
-        try:
-            profiles[criterion] = profile_criterion(criteria_by_doc, criterion)
-        except EmptyProfile:
-            profiles[criterion] = None
+        values = columns[criterion][pairs]
+        values = values[values > 0.0]
+        profiles[criterion] = DistributionProfile(criterion, values) if values.size else None
     return profiles
 
 
-class _Weigher:
-    """Builds per-representation document vectors, caching what is corpus
-    independent (plain fuzzy weights) across sub-corpora."""
+def build_profiles(criteria_by_doc) -> dict:
+    """corpus_profiles over every document of a doc_id -> criteria mapping."""
+    return corpus_profiles(Corpus.from_criteria(criteria_by_doc))
 
-    def __init__(self, full_criteria: dict):
-        self.full_criteria = full_criteria
-        self._fuzzy_cache: dict[str, dict[str, DocVector]] = {}
 
-    def _fuzzy_all(self, kb_name: str) -> dict[str, DocVector]:
-        if kb_name not in self._fuzzy_cache:
-            kb = load_bundled(kb_name)
-            self._fuzzy_cache[kb_name] = {
-                doc_id: weigh_fuzzy(doc_id, crit, kb)
-                for doc_id, crit in self.full_criteria.items()
-            }
-        return self._fuzzy_cache[kb_name]
+class _Representations:
+    """Weighs selections of the corpus per representation.  The bundled
+    bases weigh the whole corpus once; a selection takes its rows."""
 
-    def vectors(self, representation: str, doc_ids: list[str]) -> tuple[list[DocVector], KnowledgeBase | None]:
-        subset = {d: self.full_criteria[d] for d in doc_ids}
+    def __init__(self, corpus: Corpus):
+        self.corpus = corpus
+        self._fuzzy: dict[str, SparseRows] = {}
+
+    def _bundled(self, kb_name: str) -> SparseRows:
+        if kb_name not in self._fuzzy:
+            every = np.arange(self.corpus.n_docs)
+            self._fuzzy[kb_name] = fuzzy_rows(self.corpus, every, load_bundled(kb_name))
+        return self._fuzzy[kb_name]
+
+    def rows(self, representation: str, docs: np.ndarray) -> tuple[SparseRows, KnowledgeBase | None]:
+        corpus = self.corpus
         if representation == "tfidf":
-            stats = CorpusStats.from_criteria(subset)
-            return [tf_idf(d, subset[d], stats) for d in doc_ids], None
-        if representation == "efcc-idf":
-            stats = CorpusStats.from_criteria(subset)
-            fuzzy = self._fuzzy_all("efcc")
-            return [apply_idf(fuzzy[d], stats) for d in doc_ids], None
+            return tfidf_rows(corpus, docs), None
         if representation == "afcc":
-            kb = tune_afcc(load_bundled("efcc"), build_profiles(subset))
-            return [weigh_fuzzy(d, subset[d], kb) for d in doc_ids], kb
-        fuzzy = self._fuzzy_all(representation)
-        return [fuzzy[d] for d in doc_ids], None
+            kb = tune_afcc(load_bundled("efcc"), corpus_profiles(corpus, docs))
+            return fuzzy_rows(corpus, docs, kb), kb
+        if representation == "efcc-idf":
+            return idf_rows(self._bundled("efcc").select(docs), corpus, docs), None
+        return self._bundled(representation).select(docs), None
 
 
-def _cluster_and_score(
-    vectors: list[DocVector],
-    features: FeatureSet,
+def _score(
+    rows: SparseRows,
+    features: np.ndarray,
+    n_terms: int,
+    doc_ids: list[str],
     labels: dict[str, str],
     k: int,
     seed,
-) -> tuple[F1Report, Clustering, int]:
-    projected = [project(v, features) for v in vectors]
-    zero_docs = sum(1 for v in projected if not v.weights)
-    clustering = repeated_bisections(projected, k, seed)
-    return weighted_f1(clustering, labels), clustering, zero_docs
+) -> tuple[F1Report, Clustering]:
+    """Cluster the rows projected onto the features and score the result;
+    rows left without a feature go to the leftover cluster."""
+    clustering = cluster_matrix(project_rows(rows, features, n_terms), doc_ids, k, seed)
+    return weighted_f1(clustering, labels), clustering
 
 
 def run(config: RunConfig) -> ExperimentReport:
@@ -285,46 +313,48 @@ def run(config: RunConfig) -> ExperimentReport:
         )
 
     with _stage("criteria"):
-        criteria_by_doc = _build_criteria(manifest, config)
-        n_terms = sum(len(c) for c in criteria_by_doc.values())
-        log.info("criteria: %d (doc, term) pairs", n_terms)
+        corpus = build_corpus(manifest, config)
+        log.info("criteria: %d (doc, term) pairs", corpus.n_pairs)
 
-    weigher = _Weigher(criteria_by_doc)
+    weigher = _Representations(corpus)
     k = config.k if config.k is not None else len(manifest.categories())
     labels = manifest.labels()
-    all_ids = manifest.doc_ids()
+    all_ids = list(corpus.doc_ids)
+    all_docs = np.arange(corpus.n_docs)
+    n_terms = len(corpus.vocab)
     seed_root = np.random.SeedSequence(config.seed)
     size_seeds = seed_root.spawn(len(config.vector_sizes))
 
     with _stage("weigh"):
-        vectors, tuned_kb = weigher.vectors(config.representation, all_ids)
+        rows, tuned_kb = weigher.rows(config.representation, all_docs)
         log.info(
             "weigh[%s]: %d vectors, %d nonzero entries",
             config.representation,
-            len(vectors),
-            sum(len(v) for v in vectors),
+            rows.n_rows,
+            rows.weights.size,
         )
         if tuned_kb is not None:
             report.tuned_kb_path = config.out_dir / "afcc.tuned.kb"
             dump_kb(tuned_kb, report.tuned_kb_path)
         if config.dump_vectors:
-            dump_vectors(vectors, config.out_dir / "vectors.txt")
+            dump_vectors(
+                unpack_rows(rows, all_ids, corpus.vocab), config.out_dir / "vectors.txt"
+            )
 
     with _stage("reduce"):
-        order = mft_order(vectors)
+        order = mft_rank(rows)
         log.info("reduce: vocabulary %d terms", len(order))
-        feature_sets = {
-            size: FeatureSet(tuple(order[:size]), size) for size in config.vector_sizes
-        }
         if config.dump_features:
-            for size, features in feature_sets.items():
+            for size in config.vector_sizes:
+                features = FeatureSet(tuple(corpus.vocab[t] for t in order[:size]), size)
                 dump_features(features, config.out_dir / f"features_{size}.txt")
 
     with _stage("cluster"):
         for size, size_seed in zip(config.vector_sizes, size_seeds):
-            f1, clustering, zero_docs = _cluster_and_score(
-                vectors, feature_sets[size], labels, k, size_seed
+            f1, clustering = _score(
+                rows, order[:size], n_terms, all_ids, labels, k, size_seed
             )
+            zero_docs = len(clustering.leftover)
             report.records.append(
                 RunRecord(
                     config.representation,
@@ -357,7 +387,7 @@ def run(config: RunConfig) -> ExperimentReport:
 
 def _significance(
     report: ExperimentReport,
-    weigher: _Weigher,
+    weigher: _Representations,
     manifest: CorpusManifest,
     k: int,
     config: RunConfig,
@@ -379,16 +409,20 @@ def _significance(
     scores: dict[tuple[str, int], list[float]] = {
         (rep, size): [] for rep in reps for size in config.vector_sizes
     }
+    corpus = weigher.corpus
+    row_of = {doc_id: i for i, doc_id in enumerate(corpus.doc_ids)}
     for si, sub in enumerate(subsets):
         sub_ids = sub.doc_ids()
+        sub_docs = np.array([row_of[d] for d in sub_ids], dtype=np.int64)
         sub_labels = sub.labels()
         for rep in reps:
-            vectors, _ = weigher.vectors(rep, sub_ids)
-            order = mft_order(vectors)
+            rows, _ = weigher.rows(rep, sub_docs)
+            order = mft_rank(rows)
             for zi, size in enumerate(config.vector_sizes):
-                features = FeatureSet(tuple(order[:size]), size)
                 seed = cluster_seeds[si * len(config.vector_sizes) + zi]
-                f1, _, _ = _cluster_and_score(vectors, features, sub_labels, k, seed)
+                f1, _ = _score(
+                    rows, order[:size], len(corpus.vocab), sub_ids, sub_labels, k, seed
+                )
                 scores[(rep, size)].append(f1.overall)
     report.subset_scores = scores
     for baseline in reps[1:]:

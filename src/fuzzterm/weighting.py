@@ -3,6 +3,19 @@
 Three families: the fuzzy combinations (weight = defuzzified Importance),
 TF-IDF (raw count times log inverse document frequency, natural log), and
 EFCC-IDF (fuzzy weight times the same IDF factor).
+
+The pipeline weighs a `corpus.Corpus` selection in arrays and gets
+`corpus.SparseRows` back:
+- `global_positions` defuzzifies every occurrence position once per
+  distinct auxiliary system and keeps each pair's maximum;
+- `fuzzy_rows` runs the main system over the selected pairs, one
+  `FuzzySystem.infer_batch` call per _CHUNK_ROWS rows;
+- `tfidf_rows` and `idf_rows` take document frequencies as a bincount and
+  the IDF once per distinct document frequency.
+
+`weigh_fuzzy`, `tf_idf`, `efcc_idf` and `apply_idf` are the same functions
+for one document's dicts: each packs its input, calls the array code and
+unpacks the result.
 """
 
 from __future__ import annotations
@@ -10,14 +23,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .engine import global_position_batch
+from . import kernels
+from .corpus import Corpus, SparseRows
+from .engine import FuzzySystem
 from .errors import UnknownTerm
 from .ingest import TermCriteria
 from .kb import KnowledgeBase
+
+# Rows per FuzzySystem.infer_batch call when a corpus is weighed: bounds the
+# membership table of one call, as kb._GRID_CHUNK does for the completeness
+# grid.
+_CHUNK_ROWS = 8192
 
 
 @dataclass
@@ -59,46 +79,124 @@ class CorpusStats:
             raise UnknownTerm(f"term {term!r} missing from document-frequency table")
         return math.log(self.n_docs / df)
 
+    def doc_freqs(self, terms: Sequence[str]) -> np.ndarray:
+        """Document frequency of each term; UnknownTerm for a missing one."""
+        try:
+            return np.array([self.doc_freq[t] for t in terms], dtype=np.int64)
+        except KeyError as exc:
+            raise UnknownTerm(
+                f"term {exc.args[0]!r} missing from document-frequency table"
+            ) from None
+
+
+def pack_vectors(vectors: Sequence[DocVector]) -> tuple[SparseRows, list[str]]:
+    """SparseRows of the vectors over their sorted union vocabulary."""
+    vocab = sorted({t for vec in vectors for t in vec.weights})
+    index = {t: i for i, t in enumerate(vocab)}
+    items = [sorted(vec.weights.items()) for vec in vectors]
+    offsets = np.zeros(len(items) + 1, dtype=np.int64)
+    np.cumsum([len(row) for row in items], out=offsets[1:])
+    terms = np.fromiter((index[t] for row in items for t, _ in row), np.int64, offsets[-1])
+    weights = np.fromiter((w for row in items for _, w in row), np.float64, offsets[-1])
+    return SparseRows(offsets, terms, weights), vocab
+
+
+def unpack_rows(rows: SparseRows, doc_ids: Sequence[str], vocab: Sequence[str]) -> list[DocVector]:
+    """One DocVector per row."""
+    out = []
+    for i, doc_id in enumerate(doc_ids):
+        span = slice(rows.offsets[i], rows.offsets[i + 1])
+        out.append(
+            DocVector(
+                doc_id,
+                {vocab[t]: w for t, w in zip(rows.term_ids[span].tolist(), rows.weights[span].tolist())},
+            )
+        )
+    return out
+
+
+def _infer_chunked(system: FuzzySystem, columns, rows=None) -> np.ndarray:
+    """system.infer_batch on the stacked input columns, restricted to the
+    index array `rows` when given, _CHUNK_ROWS rows per call."""
+    n = columns[0].size if rows is None else rows.size
+    out = np.empty(n)
+    for start in range(0, n, _CHUNK_ROWS):
+        chunk = slice(start, start + _CHUNK_ROWS)
+        index = chunk if rows is None else rows[chunk]
+        out[chunk] = system.infer_batch(np.stack([c[index] for c in columns], axis=1))
+    return out
+
+
+def global_positions(corpus: Corpus, kb: KnowledgeBase) -> np.ndarray:
+    """Every pair's global position: the max defuzzified auxiliary score over
+    its occurrences.  Computed once per distinct auxiliary system; tuning
+    leaves that system alone, so re-tuned bases share the result."""
+    key = ("global_positions", kb.term_position, kb.position, kb.aux_rules)
+    if key not in corpus.cache:
+        scores = _infer_chunked(kb.aux_system(), (corpus.positions,))
+        corpus.cache[key] = kernels.segment_max(scores, corpus.pos_offsets)
+    return corpus.cache[key]
+
+
+def fuzzy_rows(corpus: Corpus, docs: np.ndarray, kb: KnowledgeBase) -> SparseRows:
+    """Run every selected pair through the knowledge base's main system.
+
+    Inputs per pair: (freq_norm, title_norm, emph_norm, global position).
+    Pairs weighing exactly 0 are dropped.
+    """
+    pairs, offsets = corpus.select(docs)
+    columns = (corpus.freq, corpus.title, corpus.emph, global_positions(corpus, kb))
+    weights = _infer_chunked(kb.system(), columns, pairs)
+    return SparseRows.nonzero(offsets, corpus.term_ids[pairs], weights)
+
+
+def idf_values(n_docs: int, doc_freq: np.ndarray) -> np.ndarray:
+    """math.log(n_docs / df) for every entry of doc_freq, taken once per
+    distinct df value (np.log can differ from math.log in the last bit)."""
+    distinct, inverse = np.unique(doc_freq, return_inverse=True)
+    table = np.array([math.log(n_docs / df) for df in distinct.tolist()])
+    return table[inverse.reshape(-1)]
+
+
+def _selection_idf(corpus: Corpus, docs: np.ndarray, term_ids: np.ndarray) -> np.ndarray:
+    """IDF of each entry of term_ids within the selected documents."""
+    pairs, _ = corpus.select(docs)
+    df = np.bincount(corpus.term_ids[pairs], minlength=len(corpus.vocab))
+    return idf_values(len(docs), df[term_ids])
+
+
+def tfidf_rows(corpus: Corpus, docs: np.ndarray) -> SparseRows:
+    """weight = raw_tf * ln(|D| / df) over the selected documents; terms in
+    every one of them drop out."""
+    pairs, offsets = corpus.select(docs)
+    terms = corpus.term_ids[pairs]
+    weights = corpus.raw_tf[pairs] * _selection_idf(corpus, docs, terms)
+    return SparseRows.nonzero(offsets, terms, weights)
+
+
+def idf_rows(rows: SparseRows, corpus: Corpus, docs: np.ndarray) -> SparseRows:
+    """Scale rows (weights of the selected documents) by IDF within those
+    documents; zero products are dropped."""
+    weights = rows.weights * _selection_idf(corpus, docs, rows.term_ids)
+    return SparseRows.nonzero(rows.offsets, rows.term_ids, weights)
+
 
 def weigh_fuzzy(doc_id: str, criteria: Mapping[str, TermCriteria], kb: KnowledgeBase) -> DocVector:
-    """Run every term through the knowledge base's main system.
+    """fuzzy_rows for one document's criteria map."""
+    corpus = Corpus.from_criteria({doc_id: criteria})
+    return unpack_rows(fuzzy_rows(corpus, np.arange(1), kb), corpus.doc_ids, corpus.vocab)[0]
 
-    Inputs per term: (freq_norm, title_norm, emph_norm, global position),
-    the last one being the max defuzzified auxiliary score over the term's
-    occurrences.  Terms weighing exactly 0 are dropped.
-    """
-    terms = list(criteria)
-    if not terms:
-        return DocVector(doc_id, {})
-    flat: list[float] = []
-    offsets = np.empty(len(terms) + 1, dtype=np.int64)
-    offsets[0] = 0
-    for i, term in enumerate(terms):
-        pos = criteria[term].positions
-        flat.extend(pos)
-        offsets[i + 1] = offsets[i] + len(pos)
-    gpos = global_position_batch(np.asarray(flat), offsets, kb.aux_system())
 
-    X = np.empty((len(terms), 4))
-    for i, term in enumerate(terms):
-        crit = criteria[term]
-        X[i, 0] = crit.freq_norm
-        X[i, 1] = crit.title_norm
-        X[i, 2] = crit.emph_norm
-        X[i, 3] = gpos[i]
-    out = kb.system().infer_batch(X)
-    weights = {term: float(w) for term, w in zip(terms, out) if w != 0.0}
-    return DocVector(doc_id, weights)
+def _idf_scaled(doc_id: str, values: Mapping[str, float], stats: CorpusStats) -> DocVector:
+    terms = list(values)
+    idf = idf_values(stats.n_docs, stats.doc_freqs(terms))
+    scaled = np.array(list(values.values())) * idf
+    return DocVector(doc_id, {t: w for t, w in zip(terms, scaled.tolist()) if w != 0.0})
 
 
 def tf_idf(doc_id: str, criteria: Mapping[str, TermCriteria], stats: CorpusStats) -> DocVector:
     """weight = raw_tf * ln(|D| / df); terms present in every document drop out."""
-    weights: dict[str, float] = {}
-    for term, crit in criteria.items():
-        w = crit.raw_tf * stats.idf(term)
-        if w != 0.0:
-            weights[term] = w
-    return DocVector(doc_id, weights)
+    return _idf_scaled(doc_id, {t: c.raw_tf for t, c in criteria.items()}, stats)
 
 
 def efcc_idf(
@@ -113,12 +211,7 @@ def efcc_idf(
 
 def apply_idf(vec: DocVector, stats: CorpusStats) -> DocVector:
     """Scale every weight of `vec` by its term's IDF; zero products are dropped."""
-    weights: dict[str, float] = {}
-    for term, w in vec.weights.items():
-        scaled = w * stats.idf(term)
-        if scaled != 0.0:
-            weights[term] = scaled
-    return DocVector(vec.doc_id, weights)
+    return _idf_scaled(vec.doc_id, vec.weights, stats)
 
 
 def dump_vectors(vectors, path) -> None:

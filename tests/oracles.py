@@ -261,3 +261,74 @@ def bisect_labels_reference(X, k, seed):
     if k > 1:
         refine_reference(Xn, labels, k)
     return labels
+
+
+def weigh_fuzzy_reference(criteria, kb):
+    """One document's fuzzy weights, as the per-document weighing computed
+    them: one auxiliary batch over the document's positions, a per-term max,
+    one main batch over its terms; exact zeros dropped.  Only the two
+    inference calls come from the package."""
+    terms = list(criteria)
+    if not terms:
+        return {}
+    flat = np.array([p for t in terms for p in criteria[t].positions])
+    scores = kb.aux_system().infer_batch(flat.reshape(-1, 1))
+    gpos = []
+    start = 0
+    for t in terms:
+        stop = start + len(criteria[t].positions)
+        gpos.append(max(scores[start:stop]))
+        start = stop
+    X = np.array(
+        [
+            [criteria[t].freq_norm, criteria[t].title_norm, criteria[t].emph_norm, g]
+            for t, g in zip(terms, gpos)
+        ]
+    )
+    out = kb.system().infer_batch(X)
+    return {t: float(w) for t, w in zip(terms, out) if w != 0.0}
+
+
+def mft_order_reference(weight_maps):
+    """Full most-frequent-terms ordering from per-rank tallies, the dict
+    loop the array ranking replaced.  weight_maps: {term: weight} dicts."""
+    tallies = []
+    for weights in weight_maps:
+        ranked = sorted(weights.items(), key=lambda kv: (-kv[1], kv[0]))
+        if len(tallies) < len(ranked):
+            tallies.extend({} for _ in range(len(ranked) - len(tallies)))
+        for rank, (term, w) in enumerate(ranked):
+            slot = tallies[rank].get(term)
+            if slot is None:
+                tallies[rank][term] = [1, w]
+            else:
+                slot[0] += 1
+                if w > slot[1]:
+                    slot[1] = w
+    order = []
+    seen = set()
+    for tally in tallies:
+        batch = [
+            (term, count, max_w)
+            for term, (count, max_w) in tally.items()
+            if term not in seen
+        ]
+        batch.sort(key=lambda x: (-x[1], -x[2], x[0]))
+        for term, _, _ in batch:
+            order.append(term)
+            seen.add(term)
+    return order
+
+
+def projected_matrix_reference(weight_maps, features):
+    """Dense doc-term matrix of the weight maps restricted to the features:
+    columns are the sorted union of the terms left, one row per map."""
+    keep = set(features)
+    projected = [{t: w for t, w in m.items() if t in keep} for m in weight_maps]
+    terms = sorted({t for m in projected for t in m})
+    index = {t: i for i, t in enumerate(terms)}
+    X = np.zeros((len(projected), len(terms)), dtype=np.float64)
+    for row, m in enumerate(projected):
+        for t, w in m.items():
+            X[row, index[t]] = w
+    return X, terms

@@ -12,7 +12,7 @@ from fuzzterm import (
     weigh_fuzzy,
 )
 from fuzzterm.cli import main
-from fuzzterm.errors import StageError
+from fuzzterm.errors import EmptyDocument, StageError
 from fuzzterm.pipeline import _build_criteria
 
 
@@ -261,6 +261,41 @@ class TestRun:
         with pytest.raises(StageError) as exc:
             run(config)
         assert exc.value.stage == "cluster"
+
+
+class TestCriteriaErrors:
+    @pytest.fixture
+    def stopword_page(self, tmp_path):
+        corpus = tmp_path / "corpus"
+        generate_corpus(
+            corpus, categories=2, docs_per_category=3, mode="zipf", seed=1, doc_length=(20, 30)
+        )
+        entry = load_manifest(corpus / "manifest.tsv").entries[4]
+        entry.path.write_text(
+            "<html><head><title>The</title></head><body><p>and of the</p></body></html>",
+            encoding="utf-8",
+        )
+        return corpus / "manifest.tsv", entry
+
+    def test_stopword_only_page_names_the_document(self, stopword_page, tmp_path):
+        manifest, entry = stopword_page
+        with pytest.raises(StageError) as exc:
+            run(RunConfig(manifest=manifest, vector_sizes=(10,), out_dir=tmp_path / "out"))
+        assert exc.value.stage == "criteria"
+        assert isinstance(exc.value.original, EmptyDocument)
+        assert str(exc.value) == (
+            f"[criteria] {entry.doc_id} ({entry.path}): "
+            "document yields no tokens after filtering"
+        )
+
+    def test_cli_names_the_document(self, stopword_page, tmp_path, capsys):
+        manifest, entry = stopword_page
+        cfg = write_config(
+            tmp_path / "exp.cfg", [f"manifest = {manifest}", "vector_sizes = 10"]
+        )
+        assert main(["run", str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert f"error[criteria]: {entry.doc_id} ({entry.path}): document yields" in err
 
 
 class TestCli:
