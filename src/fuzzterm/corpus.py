@@ -77,7 +77,8 @@ class Corpus:
 
 
 class CorpusBuilder:
-    """Packs documents into a Corpus one criteria map at a time."""
+    """Packs documents into a Corpus one criteria map at a time.  `build`
+    hands the packed buffers to the Corpus; add no document after it."""
 
     def __init__(self):
         self._doc_ids: list[str] = []
@@ -107,8 +108,9 @@ class CorpusBuilder:
 
     def build(self) -> Corpus:
         vocab = sorted(self._ids)
+        first_seen = np.fromiter((self._ids[t] for t in vocab), np.int64, len(vocab))
         rank = np.empty(len(vocab), dtype=np.int64)
-        rank[np.fromiter((self._ids[t] for t in vocab), np.int64, len(vocab))] = np.arange(len(vocab))
+        rank[first_seen] = np.arange(len(vocab))
         # terms were packed in string order per document, so the sorted ids
         # ascend within each document
         term_ids = rank[np.frombuffer(self._terms, dtype=np.int64)]

@@ -13,9 +13,8 @@ The pipeline weighs a `corpus.Corpus` selection in arrays and gets
 - `tfidf_rows` and `idf_rows` take document frequencies as a bincount and
   the IDF once per distinct document frequency.
 
-`weigh_fuzzy`, `tf_idf`, `efcc_idf` and `apply_idf` are the same functions
-for one document's dicts: each packs its input, calls the array code and
-unpacks the result.
+`weigh_fuzzy`, `tf_idf`, `efcc_idf` and `apply_idf` are the dict forms for
+one document; they run the same array code.
 """
 
 from __future__ import annotations
@@ -106,12 +105,8 @@ def unpack_rows(rows: SparseRows, doc_ids: Sequence[str], vocab: Sequence[str]) 
     out = []
     for i, doc_id in enumerate(doc_ids):
         span = slice(rows.offsets[i], rows.offsets[i + 1])
-        out.append(
-            DocVector(
-                doc_id,
-                {vocab[t]: w for t, w in zip(rows.term_ids[span].tolist(), rows.weights[span].tolist())},
-            )
-        )
+        terms, weights = rows.term_ids[span].tolist(), rows.weights[span].tolist()
+        out.append(DocVector(doc_id, {vocab[t]: w for t, w in zip(terms, weights)}))
     return out
 
 
@@ -182,7 +177,8 @@ def idf_rows(rows: SparseRows, corpus: Corpus, docs: np.ndarray) -> SparseRows:
 
 
 def weigh_fuzzy(doc_id: str, criteria: Mapping[str, TermCriteria], kb: KnowledgeBase) -> DocVector:
-    """fuzzy_rows for one document's criteria map."""
+    """Run every term of one document through the knowledge base's main
+    system (see fuzzy_rows); terms weighing exactly 0 are dropped."""
     corpus = Corpus.from_criteria({doc_id: criteria})
     return unpack_rows(fuzzy_rows(corpus, np.arange(1), kb), corpus.doc_ids, corpus.vocab)[0]
 
