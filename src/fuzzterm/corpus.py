@@ -52,10 +52,6 @@ class Corpus:
     positions: np.ndarray
     pos_offsets: np.ndarray
 
-    def __post_init__(self):
-        # derived per-pair arrays (global positions), keyed by what they depend on
-        object.__setattr__(self, "cache", {})
-
     @classmethod
     def from_criteria(cls, criteria_by_doc: Mapping[str, Mapping[str, TermCriteria]]) -> "Corpus":
         builder = CorpusBuilder()

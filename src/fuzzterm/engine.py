@@ -25,6 +25,9 @@ from . import kernels
 from .errors import EmptyPositions, InvalidRuleBase, NoRuleFired
 
 DEFAULT_GRID_POINTS = 1001
+# Rows per kernel call of FuzzySystem.infer_batch and fired_mask: bounds the
+# membership table (rows x sets) of one call, whatever the batch size.
+BATCH_ROWS = 8192
 
 
 @dataclass(frozen=True)
@@ -229,27 +232,40 @@ class FuzzySystem:
             raise ValueError(
                 f"expected shape (n, {len(self.input_vars)}), got {X.shape}"
             )
+        return X
+
+    def _clip(self, X: np.ndarray) -> np.ndarray:
         return np.clip(X, self._lo, self._hi)
+
+    def _fire(self, X: np.ndarray):
+        """Yield (first row, weights, fired) for X, BATCH_ROWS rows at a time."""
+        for start in range(0, X.shape[0], BATCH_ROWS):
+            chunk = self._clip(X[start:start + BATCH_ROWS])
+            weights, fired = kernels.batch_infer(
+                chunk, self._trap, self._var_of_set, self._ant, self._cons, self._m0, self._m1
+            )
+            yield start, weights, fired
 
     def infer_batch(self, X) -> np.ndarray:
         """Defuzzified output for each row of X.  Raises NoRuleFired if any
         row leaves the aggregate empty."""
         X = self._as_matrix(X)
-        out, fired = kernels.batch_infer(
-            X, self._trap, self._var_of_set, self._ant, self._cons, self._m0, self._m1
-        )
-        if not fired.all():
-            i = int(np.flatnonzero(~fired)[0])
-            raise NoRuleFired(f"no rule fired for input row {i}: {X[i].tolist()}")
+        out = np.empty(X.shape[0])
+        for start, weights, fired in self._fire(X):
+            if not fired.all():
+                i = start + int(np.flatnonzero(~fired)[0])
+                row = self._clip(X[i]).tolist()
+                raise NoRuleFired(f"no rule fired for input row {i}: {row}")
+            out[start:start + weights.size] = weights
         return out
 
     def fired_mask(self, X) -> np.ndarray:
         """Boolean mask of rows for which at least one rule fires."""
         X = self._as_matrix(X)
-        _, fired = kernels.batch_infer(
-            X, self._trap, self._var_of_set, self._ant, self._cons, self._m0, self._m1
-        )
-        return fired
+        mask = np.empty(X.shape[0], dtype=bool)
+        for start, _, fired in self._fire(X):
+            mask[start:start + fired.size] = fired
+        return mask
 
     def infer(self, inputs: Mapping[str, float]) -> float:
         """Single-point inference from a {variable name: value} mapping."""
@@ -258,7 +274,7 @@ class FuzzySystem:
 
     def explain(self, inputs: Mapping[str, float]) -> list[FiringRecord]:
         """Per-rule truth degrees for one input, skipping silent rules."""
-        row = self._as_matrix(self._row_from_mapping(inputs).reshape(1, -1))
+        row = self._clip(self._row_from_mapping(inputs).reshape(1, -1))
         degrees = kernels.rule_degrees(row, self._trap, self._var_of_set, self._ant)
         return [
             FiringRecord(ri, float(t[0]), rule.consequent[1])
@@ -293,10 +309,11 @@ def global_position_batch(
     """global_position for many terms at once.
 
     flat_positions concatenates every term's occurrence positions; term i
-    owns the slice offsets[i]:offsets[i+1] (each slice non-empty).
+    owns the slice offsets[i]:offsets[i+1] (each slice non-empty).  No
+    terms give an empty array.
     """
     flat_positions = np.asarray(flat_positions, dtype=np.float64)
-    if flat_positions.size == 0:
+    if flat_positions.size == 0 and len(offsets) > 1:
         raise EmptyPositions("no occurrence positions given")
     scores = aux.infer_batch(flat_positions.reshape(-1, 1))
     return kernels.segment_max(scores, offsets)

@@ -33,6 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .engine import (
+    BATCH_ROWS,
     DEFAULT_GRID_POINTS,
     FuzzySystem,
     LinguisticVariable,
@@ -52,9 +53,10 @@ BUNDLED_NAMES = ("fcc", "addfcc", "efcc", "emph")
 DEFAULT_PRECONDITION_THRESHOLD = 0.55
 DEFAULT_PRECONDITION_CUT = 0.2
 _EDGE_EPS = 1e-6
-# Mesh rows checked per fired_mask call in check_completeness; bounds the
-# memory of a KB load instead of building the 21^4-row mesh at once.
-_GRID_CHUNK = 8192
+# Mesh rows checked per fired_mask call in check_completeness, one inference
+# batch; bounds the memory of a KB load instead of building the 21^4-row mesh
+# at once.
+_GRID_CHUNK = BATCH_ROWS
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,9 @@ the document.
 The criteria stage packs each document into one columnar `corpus.Corpus`
 as soon as it is read.  From there every step works on arrays: a
 sub-corpus is a selection of document rows, each rule base weighs a
-selection in chunked batches (bundled bases once per corpus, afcc once per
-tuning), `reduction.mft_rank` ranks the weighted rows and
+selection in one batch (bundled bases once per corpus, afcc once per
+tuning; the global positions once per distinct auxiliary system, which
+tuning leaves alone), `reduction.mft_rank` ranks the weighted rows and
 `reduction.project_rows` writes the matrix `cluster.cluster_matrix` splits.
 """
 
@@ -33,7 +34,7 @@ from .cluster import (
     weighted_f1,
 )
 from .corpus import Corpus, CorpusBuilder, SparseRows
-from .errors import FuzztermError, StageError
+from .errors import EmptyProfile, FuzztermError, StageError
 from .ingest import (
     CorpusManifest,
     ManifestEntry,
@@ -43,10 +44,24 @@ from .ingest import (
     parse_html,
     read_anchor_texts,
 )
-from .kb import DistributionProfile, KnowledgeBase, dump_kb, load_bundled, tune_afcc
+from .kb import (
+    DistributionProfile,
+    KnowledgeBase,
+    dump_kb,
+    load_bundled,
+    profile_criterion,
+    tune_afcc,
+)
 from .reduction import FeatureSet, dump_features, mft_rank, project_rows
 from .stats import TTestResult, paired_ttest
-from .weighting import dump_vectors, fuzzy_rows, idf_rows, tfidf_rows, unpack_rows
+from .weighting import (
+    dump_vectors,
+    fuzzy_rows,
+    global_positions,
+    idf_rows,
+    tfidf_rows,
+    unpack_rows,
+)
 
 log = logging.getLogger(__name__)
 
@@ -251,22 +266,37 @@ def corpus_profiles(corpus: Corpus, docs: np.ndarray | None = None) -> dict:
 
 
 def build_profiles(criteria_by_doc) -> dict:
-    """corpus_profiles over every document of a doc_id -> criteria mapping."""
-    return corpus_profiles(Corpus.from_criteria(criteria_by_doc))
+    """Distribution profiles per criterion; None where the corpus has no
+    nonzero values (the tuner then keeps the base sets)."""
+    profiles = {}
+    for criterion in PROFILE_CRITERIA:
+        try:
+            profiles[criterion] = profile_criterion(criteria_by_doc, criterion)
+        except EmptyProfile:
+            profiles[criterion] = None
+    return profiles
 
 
 class _Representations:
     """Weighs selections of the corpus per representation.  The bundled
-    bases weigh the whole corpus once; a selection takes its rows."""
+    bases weigh the whole corpus once; a selection takes its rows.  Global
+    positions are computed once per distinct auxiliary system."""
 
     def __init__(self, corpus: Corpus):
         self.corpus = corpus
         self._fuzzy: dict[str, SparseRows] = {}
+        self._gpos: dict[tuple, np.ndarray] = {}
+
+    def _weigh(self, kb: KnowledgeBase, docs: np.ndarray) -> SparseRows:
+        key = (kb.term_position, kb.position, kb.aux_rules)
+        if key not in self._gpos:
+            self._gpos[key] = global_positions(self.corpus, kb)
+        return fuzzy_rows(self.corpus, docs, kb, self._gpos[key])
 
     def _bundled(self, kb_name: str) -> SparseRows:
         if kb_name not in self._fuzzy:
             every = np.arange(self.corpus.n_docs)
-            self._fuzzy[kb_name] = fuzzy_rows(self.corpus, every, load_bundled(kb_name))
+            self._fuzzy[kb_name] = self._weigh(load_bundled(kb_name), every)
         return self._fuzzy[kb_name]
 
     def rows(self, representation: str, docs: np.ndarray) -> tuple[SparseRows, KnowledgeBase | None]:
@@ -275,7 +305,7 @@ class _Representations:
             return tfidf_rows(corpus, docs), None
         if representation == "afcc":
             kb = tune_afcc(load_bundled("efcc"), corpus_profiles(corpus, docs))
-            return fuzzy_rows(corpus, docs, kb), kb
+            return self._weigh(kb, docs), kb
         if representation == "efcc-idf":
             return idf_rows(self._bundled("efcc").select(docs), corpus, docs), None
         return self._bundled(representation).select(docs), None

@@ -6,15 +6,19 @@ EFCC-IDF (fuzzy weight times the same IDF factor).
 
 The pipeline weighs a `corpus.Corpus` selection in arrays and gets
 `corpus.SparseRows` back:
-- `global_positions` defuzzifies every occurrence position once per
-  distinct auxiliary system and keeps each pair's maximum;
-- `fuzzy_rows` runs the main system over the selected pairs, one
-  `FuzzySystem.infer_batch` call per _CHUNK_ROWS rows;
+- `global_positions` defuzzifies every occurrence position of the corpus
+  through the auxiliary system and keeps each pair's maximum
+  (`engine.global_position_batch`); it depends on that system alone, so
+  the caller keeps one result per distinct auxiliary system;
+- `fuzzy_rows` runs the main system over the selected pairs in one
+  `FuzzySystem.infer_batch` call, which fires the rules
+  `engine.BATCH_ROWS` rows at a time;
 - `tfidf_rows` and `idf_rows` take document frequencies as a bincount and
   the IDF once per distinct document frequency.
 
-`weigh_fuzzy`, `tf_idf`, `efcc_idf` and `apply_idf` are the dict forms for
-one document; they run the same array code.
+`weigh_fuzzy` and `efcc_idf` are the dict forms for one document and run
+the same array code.  `tf_idf` and `apply_idf` scale by `CorpusStats.idf`,
+which `idf_values` equals bit for bit.
 """
 
 from __future__ import annotations
@@ -26,17 +30,11 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import kernels
 from .corpus import Corpus, SparseRows
-from .engine import FuzzySystem
+from .engine import global_position_batch
 from .errors import UnknownTerm
 from .ingest import TermCriteria
 from .kb import KnowledgeBase
-
-# Rows per FuzzySystem.infer_batch call when a corpus is weighed: bounds the
-# membership table of one call, as kb._GRID_CHUNK does for the completeness
-# grid.
-_CHUNK_ROWS = 8192
 
 
 @dataclass
@@ -78,15 +76,6 @@ class CorpusStats:
             raise UnknownTerm(f"term {term!r} missing from document-frequency table")
         return math.log(self.n_docs / df)
 
-    def doc_freqs(self, terms: Sequence[str]) -> np.ndarray:
-        """Document frequency of each term; UnknownTerm for a missing one."""
-        try:
-            return np.array([self.doc_freq[t] for t in terms], dtype=np.int64)
-        except KeyError as exc:
-            raise UnknownTerm(
-                f"term {exc.args[0]!r} missing from document-frequency table"
-            ) from None
-
 
 def pack_vectors(vectors: Sequence[DocVector]) -> tuple[SparseRows, list[str]]:
     """SparseRows of the vectors over their sorted union vocabulary."""
@@ -110,38 +99,30 @@ def unpack_rows(rows: SparseRows, doc_ids: Sequence[str], vocab: Sequence[str]) 
     return out
 
 
-def _infer_chunked(system: FuzzySystem, columns, rows=None) -> np.ndarray:
-    """system.infer_batch on the stacked input columns, restricted to the
-    index array `rows` when given, _CHUNK_ROWS rows per call."""
-    n = columns[0].size if rows is None else rows.size
-    out = np.empty(n)
-    for start in range(0, n, _CHUNK_ROWS):
-        chunk = slice(start, start + _CHUNK_ROWS)
-        index = chunk if rows is None else rows[chunk]
-        out[chunk] = system.infer_batch(np.stack([c[index] for c in columns], axis=1))
-    return out
-
-
 def global_positions(corpus: Corpus, kb: KnowledgeBase) -> np.ndarray:
-    """Every pair's global position: the max defuzzified auxiliary score over
-    its occurrences.  Computed once per distinct auxiliary system; tuning
-    leaves that system alone, so re-tuned bases share the result."""
-    key = ("global_positions", kb.term_position, kb.position, kb.aux_rules)
-    if key not in corpus.cache:
-        scores = _infer_chunked(kb.aux_system(), (corpus.positions,))
-        corpus.cache[key] = kernels.segment_max(scores, corpus.pos_offsets)
-    return corpus.cache[key]
+    """Every pair's global position: the max defuzzified auxiliary score
+    over its occurrences."""
+    return global_position_batch(corpus.positions, corpus.pos_offsets, kb.aux_system())
 
 
-def fuzzy_rows(corpus: Corpus, docs: np.ndarray, kb: KnowledgeBase) -> SparseRows:
+def _main_inputs(corpus: Corpus, pairs: np.ndarray, gpos: np.ndarray) -> np.ndarray:
+    X = np.empty((pairs.size, 4))
+    for j, column in enumerate((corpus.freq, corpus.title, corpus.emph, gpos)):
+        X[:, j] = column[pairs]
+    return X
+
+
+def fuzzy_rows(
+    corpus: Corpus, docs: np.ndarray, kb: KnowledgeBase, gpos: np.ndarray
+) -> SparseRows:
     """Run every selected pair through the knowledge base's main system.
 
-    Inputs per pair: (freq_norm, title_norm, emph_norm, global position).
-    Pairs weighing exactly 0 are dropped.
+    Inputs per pair: (freq_norm, title_norm, emph_norm, global position),
+    the last taken from gpos, the corpus's global_positions under kb's
+    auxiliary system.  Pairs weighing exactly 0 are dropped.
     """
     pairs, offsets = corpus.select(docs)
-    columns = (corpus.freq, corpus.title, corpus.emph, global_positions(corpus, kb))
-    weights = _infer_chunked(kb.system(), columns, pairs)
+    weights = kb.system().infer_batch(_main_inputs(corpus, pairs, gpos))
     return SparseRows.nonzero(offsets, corpus.term_ids[pairs], weights)
 
 
@@ -180,19 +161,18 @@ def weigh_fuzzy(doc_id: str, criteria: Mapping[str, TermCriteria], kb: Knowledge
     """Run every term of one document through the knowledge base's main
     system (see fuzzy_rows); terms weighing exactly 0 are dropped."""
     corpus = Corpus.from_criteria({doc_id: criteria})
-    return unpack_rows(fuzzy_rows(corpus, np.arange(1), kb), corpus.doc_ids, corpus.vocab)[0]
-
-
-def _idf_scaled(doc_id: str, values: Mapping[str, float], stats: CorpusStats) -> DocVector:
-    terms = list(values)
-    idf = idf_values(stats.n_docs, stats.doc_freqs(terms))
-    scaled = np.array(list(values.values())) * idf
-    return DocVector(doc_id, {t: w for t, w in zip(terms, scaled.tolist()) if w != 0.0})
+    rows = fuzzy_rows(corpus, np.arange(1), kb, global_positions(corpus, kb))
+    return unpack_rows(rows, corpus.doc_ids, corpus.vocab)[0]
 
 
 def tf_idf(doc_id: str, criteria: Mapping[str, TermCriteria], stats: CorpusStats) -> DocVector:
     """weight = raw_tf * ln(|D| / df); terms present in every document drop out."""
-    return _idf_scaled(doc_id, {t: c.raw_tf for t, c in criteria.items()}, stats)
+    weights: dict[str, float] = {}
+    for term, crit in criteria.items():
+        w = crit.raw_tf * stats.idf(term)
+        if w != 0.0:
+            weights[term] = w
+    return DocVector(doc_id, weights)
 
 
 def efcc_idf(
@@ -207,7 +187,12 @@ def efcc_idf(
 
 def apply_idf(vec: DocVector, stats: CorpusStats) -> DocVector:
     """Scale every weight of `vec` by its term's IDF; zero products are dropped."""
-    return _idf_scaled(vec.doc_id, vec.weights, stats)
+    weights: dict[str, float] = {}
+    for term, w in vec.weights.items():
+        scaled = w * stats.idf(term)
+        if scaled != 0.0:
+            weights[term] = scaled
+    return DocVector(vec.doc_id, weights)
 
 
 def dump_vectors(vectors, path) -> None:

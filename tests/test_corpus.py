@@ -10,9 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fuzzterm import CorpusStats, TermCriteria, load_bundled, load_manifest, tune_afcc
-from fuzzterm import weighting
+from fuzzterm.errors import NoRuleFired
+from fuzzterm import engine, kernels, pipeline, weighting
 from fuzzterm.corpus import Corpus, SparseRows
-from fuzzterm.pipeline import RunConfig, _build_criteria, build_corpus, corpus_profiles
+from fuzzterm.pipeline import (
+    RunConfig,
+    _build_criteria,
+    _Representations,
+    build_corpus,
+    corpus_profiles,
+)
 from fuzzterm.reduction import mft_order, mft_rank, project_rows
 from fuzzterm.weighting import (
     DocVector,
@@ -65,6 +72,10 @@ def corpus_and_docs(draw):
     return by_doc, np.array(docs, dtype=np.int64)
 
 
+def weigh(corpus, docs, kb):
+    return fuzzy_rows(corpus, docs, kb, global_positions(corpus, kb))
+
+
 def maps_of(rows, corpus, docs):
     vectors = unpack_rows(rows, [corpus.doc_ids[d] for d in docs], corpus.vocab)
     return [vec.weights for vec in vectors]
@@ -109,8 +120,8 @@ class TestWeighing:
         kb = load_bundled(kb_name)
         corpus = Corpus.from_criteria(by_doc)
         with pytest.MonkeyPatch.context() as m:
-            m.setattr(weighting, "_CHUNK_ROWS", chunk)
-            got = maps_of(fuzzy_rows(corpus, docs, kb), corpus, docs)
+            m.setattr(engine, "BATCH_ROWS", chunk)
+            got = maps_of(weigh(corpus, docs, kb), corpus, docs)
         want = [weigh_fuzzy_reference(by_doc[corpus.doc_ids[d]], kb) for d in docs]
         assert got == want
         for d, weights in zip(docs, got):
@@ -122,37 +133,60 @@ class TestWeighing:
     def test_tuned_base_reuses_global_positions(self, data, chunk):
         by_doc, docs = data
         corpus = Corpus.from_criteria(by_doc)
-        efcc = load_bundled("efcc")
-        with warnings.catch_warnings():
+        weigher = _Representations(corpus)
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return global_positions(*args)
+
+        with pytest.MonkeyPatch.context() as m, warnings.catch_warnings():
             warnings.simplefilter("ignore")  # tied tuner edges are nudged
-            tuned = tune_afcc(efcc, corpus_profiles(corpus, docs))
-        gpos = global_positions(corpus, efcc)
-        assert global_positions(corpus, tuned) is gpos
-        with pytest.MonkeyPatch.context() as m:
-            m.setattr(weighting, "_CHUNK_ROWS", chunk)
-            got = maps_of(fuzzy_rows(corpus, docs, tuned), corpus, docs)
+            tuned = tune_afcc(load_bundled("efcc"), corpus_profiles(corpus, docs))
+            m.setattr(engine, "BATCH_ROWS", chunk)
+            m.setattr(pipeline, "global_positions", spy)
+            weigher.rows("efcc", np.arange(corpus.n_docs))
+            got = maps_of(weigher.rows("afcc", docs)[0], corpus, docs)
+            weigher.rows("afcc", docs[::-1])
+        # the afcc tunings weigh with the positions the efcc base computed
+        assert len(calls) == 1
         want = [weigh_fuzzy_reference(by_doc[corpus.doc_ids[d]], tuned) for d in docs]
         assert got == want
 
-    def test_chunk_bounds_every_inference_call(self, monkeypatch):
+    def test_chunk_bounds_every_kernel_call(self, monkeypatch):
         by_doc = {
             f"d{i}": {t: TermCriteria(0.5, 0.0, 0.2, (0.1, 0.9), 2) for t in TERMS}
             for i in range(5)
         }
         corpus = Corpus.from_criteria(by_doc)
         calls = []
-        original = weighting.FuzzySystem.infer_batch
+        original = kernels.batch_infer
 
-        def spy(system, X):
+        def spy(X, *args):
             calls.append(len(X))
-            return original(system, X)
+            return original(X, *args)
 
-        monkeypatch.setattr(weighting, "_CHUNK_ROWS", 7)
-        monkeypatch.setattr(weighting.FuzzySystem, "infer_batch", spy)
-        fuzzy_rows(corpus, np.arange(5), load_bundled("efcc"))
+        monkeypatch.setattr(engine, "BATCH_ROWS", 7)
+        monkeypatch.setattr(kernels, "batch_infer", spy)
+        weigh(corpus, np.arange(5), load_bundled("efcc"))
         assert max(calls) == 7
         # aux rows (positions) then main rows (pairs), each in chunks of 7
         assert sum(calls) == corpus.positions.size + corpus.n_pairs
+
+    def test_no_rule_fired_names_the_row_across_chunks(self, monkeypatch):
+        system = load_bundled("efcc").aux_system()
+        X = np.linspace(0.0, 1.0, 20).reshape(-1, 1)
+        original = kernels.batch_infer
+
+        def silent_at_row_13(chunk, *args):
+            weights, fired = original(chunk, *args)
+            return weights, fired & (chunk[:, 0] != X[13, 0])
+
+        monkeypatch.setattr(kernels, "batch_infer", silent_at_row_13)
+        monkeypatch.setattr(engine, "BATCH_ROWS", 4)
+        with pytest.raises(NoRuleFired, match=r"input row 13: \["):
+            system.infer_batch(X)
+        assert system.fired_mask(X).tolist() == [i != 13 for i in range(20)]
 
 
 class TestIdf:
@@ -184,12 +218,6 @@ class TestIdf:
         stats = CorpusStats.from_criteria(subset)
         want = [tf_idf(doc_id, crit, stats).weights for doc_id, crit in subset.items()]
         assert maps_of(tfidf_rows(corpus, docs), corpus, docs) == want
-        # the dict wrapper against the per-term formula
-        for weights, crit in zip(want, subset.values()):
-            expected = {
-                t: w for t, c in crit.items() if (w := c.raw_tf * stats.idf(t)) != 0.0
-            }
-            assert weights == expected
 
     @corpus_properties
     @given(data=corpus_and_docs(), kb_name=kb_names)
@@ -199,16 +227,12 @@ class TestIdf:
         corpus = Corpus.from_criteria(by_doc)
         subset = {corpus.doc_ids[d]: by_doc[corpus.doc_ids[d]] for d in docs}
         stats = CorpusStats.from_criteria(subset)
-        fuzzy = fuzzy_rows(corpus, np.arange(corpus.n_docs), kb).select(docs)
+        fuzzy = weigh(corpus, np.arange(corpus.n_docs), kb).select(docs)
         got = maps_of(idf_rows(fuzzy, corpus, docs), corpus, docs)
-        want = []
-        for doc_id, crit in subset.items():
-            vec = DocVector(doc_id, weigh_fuzzy_reference(crit, kb))
-            want.append(apply_idf(vec, stats).weights)
-            expected = {
-                t: s for t, w in vec.weights.items() if (s := w * stats.idf(t)) != 0.0
-            }
-            assert want[-1] == expected
+        want = [
+            apply_idf(DocVector(doc_id, weigh_fuzzy_reference(crit, kb)), stats).weights
+            for doc_id, crit in subset.items()
+        ]
         assert got == want
 
 
@@ -233,7 +257,7 @@ class TestMftRank:
     def test_corpus_rank_equals_reference(self, data, kb_name):
         by_doc, docs = data
         corpus = Corpus.from_criteria(by_doc)
-        rows = fuzzy_rows(corpus, docs, load_bundled(kb_name))
+        rows = weigh(corpus, docs, load_bundled(kb_name))
         got = [corpus.vocab[t] for t in mft_rank(rows)]
         assert got == mft_order_reference(maps_of(rows, corpus, docs))
 
@@ -289,7 +313,7 @@ class TestMemory:
         manifest = load_manifest(corpus_dir_200 / "manifest.tsv")
         corpus = build_corpus(manifest, RunConfig(manifest=corpus_dir_200 / "manifest.tsv"))
         kb = load_bundled("fcc")
-        monkeypatch.setattr(weighting, "_CHUNK_ROWS", 1024)
+        monkeypatch.setattr(engine, "BATCH_ROWS", 1024)
         n_pairs, n_positions = corpus.n_pairs, corpus.positions.size
 
         def chunk_table(system):
@@ -302,13 +326,14 @@ class TestMemory:
         aux = kb.aux_system()
         bound = (n_positions + n_pairs) * 8 + 3 * chunk_table(aux)
         assert bound < full_table(aux, n_positions)
-        _, peak = _traced_peak(lambda: global_positions(corpus, kb))
+        gpos, peak = _traced_peak(lambda: global_positions(corpus, kb))
         assert peak < bound
         # main pass: the selection, its term ids and weights, a few arrays of n_pairs
         main = kb.system()
         bound = 6 * n_pairs * 8 + 3 * chunk_table(main)
         assert bound < full_table(main, n_pairs)
-        rows, peak = _traced_peak(lambda: fuzzy_rows(corpus, np.arange(corpus.n_docs), kb))
+        every = np.arange(corpus.n_docs)
+        rows, peak = _traced_peak(lambda: fuzzy_rows(corpus, every, kb, gpos))
         assert rows.weights.size == n_pairs
         assert peak < bound
 
