@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fuzzterm import CorpusStats, TermCriteria, load_bundled, load_manifest, tune_afcc
-from fuzzterm.errors import NoRuleFired
+from fuzzterm.errors import EmptyPositions, NoRuleFired
 from fuzzterm import engine, kernels, pipeline, weighting
 from fuzzterm.corpus import Corpus, SparseRows
 from fuzzterm.pipeline import (
@@ -172,6 +172,13 @@ class TestWeighing:
         assert max(calls) == 7
         # aux rows (positions) then main rows (pairs), each in chunks of 7
         assert sum(calls) == corpus.positions.size + corpus.n_pairs
+
+    def test_document_errors_of_the_dict_form(self):
+        efcc = load_bundled("efcc")
+        assert weighting.weigh_fuzzy("d0", {}, efcc).weights == {}
+        unplaced = {"a": TermCriteria(0.5, 0.0, 0.0, (), 1)}
+        with pytest.raises(EmptyPositions):
+            weighting.weigh_fuzzy("d0", unplaced, efcc)
 
     def test_no_rule_fired_names_the_row_across_chunks(self, monkeypatch):
         system = load_bundled("efcc").aux_system()
