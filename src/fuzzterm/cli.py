@@ -95,7 +95,11 @@ def _cmd_gen_corpus(args) -> int:
 def _cmd_kb_check(args) -> int:
     for name in args.kb:
         kb = load_bundled(name) if name in BUNDLED_NAMES else load_kb(Path(name))
-        check_completeness(kb, args.grid)
+        try:
+            check_completeness(kb, args.grid)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         print(
             f"{name}: complete over a {args.grid}^4 grid "
             f"({len(kb.rules)} main rules, {len(kb.aux_rules)} auxiliary)"

@@ -25,8 +25,8 @@ from . import kernels
 from .errors import EmptyPositions, InvalidRuleBase, NoRuleFired
 
 DEFAULT_GRID_POINTS = 1001
-# Rows per kernel call of FuzzySystem.infer_batch and fired_mask: bounds the
-# membership table (rows x sets) of one call, whatever the batch size.
+# Rows per kernel call of FuzzySystem.infer_batch: bounds the membership
+# table (rows x sets) of one call, whatever the batch size.
 BATCH_ROWS = 8192
 
 
@@ -211,6 +211,11 @@ class FuzzySystem:
         self._ant = ant
         self._cons = cons
         self._m0, self._m1 = self._output_moments()
+        # A rule with a positive degree must add to the centroid denominator,
+        # so "some rule fires" and "the aggregate has mass" stay one test.
+        for s, m0 in zip(output_var.sets, self._m0):
+            if m0 <= 0.0:
+                raise InvalidRuleBase(f"output set {s.label!r} has zero quadrature area")
         self._lo = np.array([v.lo for v in self.input_vars])
         self._hi = np.array([v.hi for v in self.input_vars])
 
@@ -237,35 +242,23 @@ class FuzzySystem:
     def _clip(self, X: np.ndarray) -> np.ndarray:
         return np.clip(X, self._lo, self._hi)
 
-    def _fire(self, X: np.ndarray):
-        """Yield (first row, weights, fired) for X, BATCH_ROWS rows at a time."""
+    def infer_batch(self, X) -> np.ndarray:
+        """Defuzzified output for each row of X, fired BATCH_ROWS rows at a
+        time.  Raises NoRuleFired if any row leaves the aggregate empty."""
+        X = self._as_matrix(X)
+        out = np.empty(X.shape[0])
         for start in range(0, X.shape[0], BATCH_ROWS):
             chunk = self._clip(X[start:start + BATCH_ROWS])
             weights, fired = kernels.batch_infer(
                 chunk, self._trap, self._var_of_set, self._ant, self._cons, self._m0, self._m1
             )
-            yield start, weights, fired
-
-    def infer_batch(self, X) -> np.ndarray:
-        """Defuzzified output for each row of X.  Raises NoRuleFired if any
-        row leaves the aggregate empty."""
-        X = self._as_matrix(X)
-        out = np.empty(X.shape[0])
-        for start, weights, fired in self._fire(X):
             if not fired.all():
-                i = start + int(np.flatnonzero(~fired)[0])
-                row = self._clip(X[i]).tolist()
-                raise NoRuleFired(f"no rule fired for input row {i}: {row}")
+                i = int(np.flatnonzero(~fired)[0])
+                raise NoRuleFired(
+                    f"no rule fired for input row {start + i}: {chunk[i].tolist()}"
+                )
             out[start:start + weights.size] = weights
         return out
-
-    def fired_mask(self, X) -> np.ndarray:
-        """Boolean mask of rows for which at least one rule fires."""
-        X = self._as_matrix(X)
-        mask = np.empty(X.shape[0], dtype=bool)
-        for start, _, fired in self._fire(X):
-            mask[start:start + fired.size] = fired
-        return mask
 
     def infer(self, inputs: Mapping[str, float]) -> float:
         """Single-point inference from a {variable name: value} mapping."""

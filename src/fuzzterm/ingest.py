@@ -1,9 +1,10 @@
 """Corpus ingestion: manifests, HTML text extraction, term criteria.
 
 Documents arrive as HTML files listed in a tab-separated manifest.  Parsing
-keeps, per token, whether it sat inside the title, inside an emphasis tag,
-or inside a link, which is everything the criterion extraction and the
-anchor-text variants need.
+gives one `Token` per kept term, in document order, flagged with whether it
+sat inside the title, inside an emphasis tag or inside a link.  That is
+everything the criterion extraction (term, title and emphasis flags, index
+in the stream) and the anchor-text variants (link flag) read.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from html.parser import HTMLParser
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, NamedTuple
 
 from .errors import EmptyDocument, ParseError, UndecodableInput
 
@@ -35,10 +36,8 @@ _SKIP_TAGS = frozenset({"script", "style"})
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     term: str
-    offset: int
     in_title: bool = False
     in_emphasis: bool = False
     in_link: bool = False
@@ -89,24 +88,19 @@ def strip_suffix(term: str) -> str:
     return term
 
 
-def iter_tokens(text: str, options: TokenizerOptions = DEFAULT_TOKENIZER) -> Iterator[tuple[str, int]]:
-    """Yield (term, char offset) pairs after the filtering pipeline."""
-    for m in _TOKEN_RE.finditer(text.lower()):
-        tok = m.group()
-        if len(tok) < options.min_length:
-            continue
-        if options.drop_digits and tok.isdigit():
-            continue
-        if tok in options.stopwords:
-            continue
-        if options.stem:
-            tok = strip_suffix(tok)
-        yield tok, m.start()
-
-
 def tokenize(text: str, options: TokenizerOptions = DEFAULT_TOKENIZER) -> list[str]:
-    """Lowercase, split on non-alphanumeric runs, filter, optionally stem."""
-    return [term for term, _ in iter_tokens(text, options)]
+    """Lowercase, split on non-alphanumeric runs, filter, optionally stem.
+
+    Filters run in order: minimum length, all-digit tokens, stopwords; the
+    suffix stripper sees only the tokens they keep.
+    """
+    min_length, drop_digits, stopwords = options.min_length, options.drop_digits, options.stopwords
+    terms = [
+        tok
+        for tok in _TOKEN_RE.findall(text.lower())
+        if len(tok) >= min_length and not (drop_digits and tok.isdigit()) and tok not in stopwords
+    ]
+    return [strip_suffix(tok) for tok in terms] if options.stem else terms
 
 
 def decode_text(raw: bytes) -> str:
@@ -167,8 +161,8 @@ def parse_html(
 
     Script/style/comment content is dropped; emphasis means any enclosing
     tag sits in emphasis_tags, nesting collapsed to a single boolean.
-    Offsets index into the concatenated extracted text, so they increase
-    strictly in document order.
+    Tokens come in document order and carry no offsets: a token's place is
+    its index in the returned list.
     """
     text = raw if isinstance(raw, str) else decode_text(raw)
     tags = (
@@ -179,12 +173,11 @@ def parse_html(
     extractor = _TextExtractor(tags)
     extractor.feed(text)
     extractor.close()
-    tokens: list[Token] = []
-    base = 0
-    for segment, in_title, in_emph, in_link in extractor.segments:
-        for term, start in iter_tokens(segment, options):
-            tokens.append(Token(term, base + start, in_title, in_emph, in_link))
-        base += len(segment) + 1
+    tokens = [
+        Token(term, in_title, in_emph, in_link)
+        for segment, in_title, in_emph, in_link in extractor.segments
+        for term in tokenize(segment, options)
+    ]
     if not tokens:
         raise EmptyDocument("document yields no tokens after filtering")
     return tokens
@@ -256,9 +249,7 @@ def apply_anchor_variant(
         terms.extend(tokenize(text, options))
     if setting == "3":
         terms = [t for t in terms if t not in anchor_stopwords]
-    base = out[-1].offset + 1 if out else 0
-    for j, term in enumerate(terms):
-        out.append(Token(term, base + j, in_title=as_title))
+    out.extend(Token(term, in_title=as_title) for term in terms)
     return out
 
 

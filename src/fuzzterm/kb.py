@@ -26,14 +26,14 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, reduce
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
+from . import kernels
 from .engine import (
-    BATCH_ROWS,
     DEFAULT_GRID_POINTS,
     FuzzySystem,
     LinguisticVariable,
@@ -53,10 +53,6 @@ BUNDLED_NAMES = ("fcc", "addfcc", "efcc", "emph")
 DEFAULT_PRECONDITION_THRESHOLD = 0.55
 DEFAULT_PRECONDITION_CUT = 0.2
 _EDGE_EPS = 1e-6
-# Mesh rows checked per fired_mask call in check_completeness, one inference
-# batch; bounds the memory of a KB load instead of building the 21^4-row mesh
-# at once.
-_GRID_CHUNK = BATCH_ROWS
 
 
 @dataclass(frozen=True)
@@ -188,6 +184,8 @@ def _parse_kb_text(text: str, path) -> KnowledgeBase:
             if section is not None and section[0] == "variable":
                 close_variable(section, line_no)
             fields = line[1:-1].split()
+            if not fields:
+                raise ParseError("empty section header", path, line_no)
             if fields[0] == "meta" and len(fields) == 1:
                 section = ("meta",)
             elif fields[0] == "variable":
@@ -290,37 +288,50 @@ def _parse_kb_text(text: str, path) -> KnowledgeBase:
     return kb
 
 
+def _coverage(system: FuzzySystem, grid_per_axis: int):
+    """Per-axis grids and the mask of mesh points where some rule fires.
+
+    A rule fires where all its antecedent memberships are above 0, each on
+    one axis, so its mesh region is the outer product of one boolean vector
+    per axis.  Output sets have positive area (FuzzySystem checks), so these
+    are exactly the rows infer_batch accepts.
+    """
+    axes = [np.linspace(v.lo, v.hi, grid_per_axis) for v in system.input_vars]
+    covered = np.zeros((grid_per_axis,) * len(axes), dtype=bool)
+    for rule in system.rules:
+        labels = dict(rule.antecedents)
+        on_axis = [
+            kernels.trapezoid_memberships(ax, *var.get(labels[var.name]).params) > 0.0
+            if var.name in labels
+            else np.ones(grid_per_axis, dtype=bool)
+            for var, ax in zip(system.input_vars, axes)
+        ]
+        covered |= reduce(np.logical_and.outer, on_axis)
+    return axes, covered
+
+
 def check_completeness(kb: KnowledgeBase, grid_per_axis: int = 21) -> None:
     """Verify every grid point of the input space fires at least one rule.
 
     The main system is checked on a grid_per_axis^4 mesh, the auxiliary
-    system on a 1-D grid.  Raises CompletenessError naming the first
-    uncovered point.  The mesh is walked in row-major order, _GRID_CHUNK rows
-    at a time, so the rule degrees of the whole mesh are never held at once.
+    system on a 1-D grid, rule by rule rather than point by point.  Raises
+    CompletenessError naming the first uncovered point in row-major order,
+    and ValueError when grid_per_axis is below 2.
     """
-    axes = [np.linspace(v.lo, v.hi, grid_per_axis) for v in kb.input_vars()]
-    shape = (grid_per_axis,) * len(axes)
-    total = grid_per_axis ** len(axes)
-    system = kb.system()
-    for start in range(0, total, _GRID_CHUNK):
-        rows = np.arange(start, min(start + _GRID_CHUNK, total))
-        index = np.unravel_index(rows, shape)
-        grid = np.stack([ax[i] for ax, i in zip(axes, index)], axis=1)
-        fired = system.fired_mask(grid)
-        if not fired.all():
-            i = int(np.flatnonzero(~fired)[0])
+    if grid_per_axis < 2:
+        raise ValueError(f"grid_per_axis must be at least 2, got {grid_per_axis}")
+    checks = (
+        (kb.system(), "no rule fires at ({})"),
+        (kb.aux_system(), "auxiliary block fires no rule at {}"),
+    )
+    for system, message in checks:
+        axes, covered = _coverage(system, grid_per_axis)
+        if not covered.all():
+            index = np.unravel_index(np.argmin(covered), covered.shape)
             point = ", ".join(
-                f"{name}={val:g}" for name, val in zip(MAIN_INPUT_ORDER, grid[i])
+                f"{var.name}={ax[i]:g}" for var, ax, i in zip(system.input_vars, axes, index)
             )
-            raise CompletenessError(f"kb {kb.name!r}: no rule fires at ({point})")
-    aux_grid = np.linspace(kb.term_position.lo, kb.term_position.hi, grid_per_axis)
-    aux_fired = kb.aux_system().fired_mask(aux_grid.reshape(-1, 1))
-    if not aux_fired.all():
-        i = int(np.flatnonzero(~aux_fired)[0])
-        raise CompletenessError(
-            f"kb {kb.name!r}: auxiliary block fires no rule at "
-            f"{AUX_INPUT}={aux_grid[i]:g}"
-        )
+            raise CompletenessError(f"kb {kb.name!r}: " + message.format(point))
 
 
 def _fmt(x: float) -> str:

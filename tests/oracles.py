@@ -8,8 +8,24 @@ separate derivations.
 
 import itertools
 import math
+import re
+from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
+
+from fuzzterm.errors import EmptyDocument
+from fuzzterm.ingest import (
+    ANCHOR_VARIANTS,
+    DEFAULT_ANCHOR_STOPWORDS,
+    DEFAULT_EMPHASIS_TAGS,
+    DEFAULT_TOKENIZER,
+    MAX_ANCHORS,
+    TokenizerOptions,
+    _TextExtractor,
+    decode_text,
+    strip_suffix,
+)
 
 # The repeated-bisections constants: 10 seeded restarts, at most 100 2-means
 # rounds each, and the smallest criterion gain that moves a document.
@@ -332,3 +348,109 @@ def projected_matrix_reference(weight_maps, features):
         for t, w in m.items():
             X[row, index[t]] = w
     return X, terms
+
+
+# ---------------------------------------------------------------------------
+# The offset-carrying tokenizer that the list-based `ingest.tokenize` and
+# `ingest.parse_html` replaced, kept as it was: a per-token generator, a
+# frozen token with its character offset in the extracted text, and anchor
+# tokens numbered past the last one.  HTML text extraction, decoding and
+# suffix stripping come from the package unchanged.
+
+_TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
+
+
+@dataclass(frozen=True)
+class OffsetToken:
+    term: str
+    offset: int
+    in_title: bool = False
+    in_emphasis: bool = False
+    in_link: bool = False
+
+
+def iter_tokens_reference(text: str, options: TokenizerOptions = DEFAULT_TOKENIZER) -> Iterator[tuple[str, int]]:
+    """Yield (term, char offset) pairs after the filtering pipeline."""
+    for m in _TOKEN_RE.finditer(text.lower()):
+        tok = m.group()
+        if len(tok) < options.min_length:
+            continue
+        if options.drop_digits and tok.isdigit():
+            continue
+        if tok in options.stopwords:
+            continue
+        if options.stem:
+            tok = strip_suffix(tok)
+        yield tok, m.start()
+
+
+def tokenize_reference(text: str, options: TokenizerOptions = DEFAULT_TOKENIZER) -> list[str]:
+    """Lowercase, split on non-alphanumeric runs, filter, optionally stem."""
+    return [term for term, _ in iter_tokens_reference(text, options)]
+
+
+def parse_html_reference(
+    raw,
+    emphasis_tags: Iterable[str] | None = None,
+    options: TokenizerOptions = DEFAULT_TOKENIZER,
+) -> list[OffsetToken]:
+    """Extract flagged tokens from an HTML document (bytes or str).
+
+    Script/style/comment content is dropped; emphasis means any enclosing
+    tag sits in emphasis_tags, nesting collapsed to a single boolean.
+    Offsets index into the concatenated extracted text, so they increase
+    strictly in document order.
+    """
+    text = raw if isinstance(raw, str) else decode_text(raw)
+    tags = (
+        DEFAULT_EMPHASIS_TAGS
+        if emphasis_tags is None
+        else frozenset(t.lower() for t in emphasis_tags)
+    )
+    extractor = _TextExtractor(tags)
+    extractor.feed(text)
+    extractor.close()
+    tokens: list[OffsetToken] = []
+    base = 0
+    for segment, in_title, in_emph, in_link in extractor.segments:
+        for term, start in iter_tokens_reference(segment, options):
+            tokens.append(OffsetToken(term, base + start, in_title, in_emph, in_link))
+        base += len(segment) + 1
+    if not tokens:
+        raise EmptyDocument("document yields no tokens after filtering")
+    return tokens
+
+
+def apply_anchor_variant_reference(
+    doc_stream: list[OffsetToken],
+    anchor_texts: list[str] | None,
+    variant: str,
+    options: TokenizerOptions = DEFAULT_TOKENIZER,
+    anchor_stopwords: frozenset[str] = DEFAULT_ANCHOR_STOPWORDS,
+) -> list[OffsetToken]:
+    """Merge a document's incoming anchor texts into its token stream.
+
+    The variant letter picks the destination flags (a: body, b: title); the
+    digit picks the setting: 1 append only, 2 also remove the document's own
+    link text first, 3 append minus the anchor-stopword list.  A missing
+    anchor file (anchor_texts None) passes the stream through unchanged.
+    """
+    v = variant.lower()
+    if v not in ANCHOR_VARIANTS:
+        raise ValueError(f"unknown anchor variant {variant!r}; choose from {ANCHOR_VARIANTS}")
+    if anchor_texts is None:
+        return list(doc_stream)
+    as_title = v[0] == "b"
+    setting = v[1]
+    out = list(doc_stream)
+    if setting == "2":
+        out = [t for t in out if not t.in_link]
+    terms: list[str] = []
+    for text in anchor_texts[:MAX_ANCHORS]:
+        terms.extend(tokenize_reference(text, options))
+    if setting == "3":
+        terms = [t for t in terms if t not in anchor_stopwords]
+    base = out[-1].offset + 1 if out else 0
+    for j, term in enumerate(terms):
+        out.append(OffsetToken(term, base + j, in_title=as_title))
+    return out

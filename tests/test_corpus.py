@@ -193,7 +193,6 @@ class TestWeighing:
         monkeypatch.setattr(engine, "BATCH_ROWS", 4)
         with pytest.raises(NoRuleFired, match=r"input row 13: \["):
             system.infer_batch(X)
-        assert system.fired_mask(X).tolist() == [i != 13 for i in range(20)]
 
 
 class TestIdf:

@@ -190,6 +190,17 @@ class TestInference:
         with pytest.raises(NoRuleFired):
             system.infer({"v": 0.0})
 
+    def test_zero_area_output_set_rejected(self):
+        # no quadrature midpoint (0.25, 0.75) falls inside (0.4, 0.6)
+        var = LinguisticVariable("v", (TrapezoidSet("a", 0, 0, 1, 1),))
+        out_var = LinguisticVariable(
+            "w", (TrapezoidSet("wide", 0, 0, 1, 1), TrapezoidSet("spike", 0.4, 0.5, 0.5, 0.6))
+        )
+        rule = Rule((("v", "a"),), ("w", "wide"))
+        assert FuzzySystem((var,), out_var, (rule,)).infer({"v": 0.5}) == pytest.approx(0.5)
+        with pytest.raises(InvalidRuleBase, match="output set 'spike' has zero"):
+            FuzzySystem((var,), out_var, (rule,), grid_points=2)
+
     def test_unknown_label_rejected(self):
         var = LinguisticVariable("v", (TrapezoidSet("a", 0, 0, 1, 1),))
         out_var = LinguisticVariable("w", (TrapezoidSet("lo", 0, 0, 1, 1),))

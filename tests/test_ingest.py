@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fuzzterm import (
     Token,
@@ -11,7 +13,9 @@ from fuzzterm import (
     tokenize,
 )
 from fuzzterm.errors import EmptyDocument, ParseError
-from fuzzterm.ingest import DEFAULT_STOPWORDS, strip_suffix
+from fuzzterm.ingest import ANCHOR_VARIANTS, DEFAULT_STOPWORDS, strip_suffix
+
+from oracles import apply_anchor_variant_reference, parse_html_reference, tokenize_reference
 
 NO_STOP = TokenizerOptions(stopwords=frozenset())
 
@@ -93,13 +97,6 @@ class TestParseHtml:
         assert tokens[0].in_emphasis and tokens[1].in_emphasis
         assert not tokens[2].in_emphasis and not tokens[3].in_emphasis
 
-    def test_offsets_strictly_increase(self):
-        tokens = parse_html(
-            b"<title>alpha beta</title><p>alpha</p><p>beta gamma</p>", options=NO_STOP
-        )
-        offsets = [t.offset for t in tokens]
-        assert offsets == sorted(set(offsets))
-
     def test_entity_references_decoded(self):
         tokens = parse_html(b"<p>fish &amp; chips</p>", options=NO_STOP)
         assert [t.term for t in tokens] == ["fish", "chips"]
@@ -125,12 +122,10 @@ class TestExtractCriteria:
     @staticmethod
     def stream(*specs):
         out = []
-        for i, spec in enumerate(specs):
+        for spec in specs:
             term, *flags = spec.split(":")
             flags = flags[0] if flags else ""
-            out.append(
-                Token(term, i, in_title="t" in flags, in_emphasis="e" in flags)
-            )
+            out.append(Token(term, in_title="t" in flags, in_emphasis="e" in flags))
         return out
 
     def test_frequency_and_positions(self):
@@ -178,7 +173,7 @@ class TestExtractCriteria:
 
 
 class TestAnchorVariants:
-    BODY = [Token("alpha", 0), Token("rust", 1, in_link=True), Token("beta", 2)]
+    BODY = [Token("alpha"), Token("rust", in_link=True), Token("beta")]
 
     def test_b1_appends_as_title(self):
         out = apply_anchor_variant(self.BODY, ["rust tutorial"], "b1", options=NO_STOP)
@@ -207,11 +202,6 @@ class TestAnchorVariants:
         assert out == self.BODY
         assert out is not self.BODY
 
-    def test_offsets_still_increase(self):
-        out = apply_anchor_variant(self.BODY, ["one two"], "a1", options=NO_STOP)
-        offsets = [t.offset for t in out]
-        assert offsets == sorted(set(offsets))
-
     def test_unknown_variant(self):
         with pytest.raises(ValueError, match="unknown anchor variant"):
             apply_anchor_variant(self.BODY, ["x"], "c1")
@@ -221,6 +211,96 @@ class TestAnchorVariants:
         crit = extract_criteria(out)
         assert crit["gamma"].title_norm == 1.0
         assert crit["alpha"].title_norm == 0.0
+
+
+# Words that exercise each filter: stopwords, all-digit and mixed tokens,
+# underscores, one-letter tokens, suffixes, entities and non-ASCII text
+# (including characters whose lowercase form is longer).
+WORDS = st.sampled_from(
+    "the and of a x 42 2024 ipv6 snake_case Fuzzy LOGIC running cats quickly "
+    "café naïve Straße İstanbul ΣΟΦΙΑ 日本語 &amp; &eacute; &#233; &lt;b&gt; "
+    "click here homepage".split()
+) | st.text(max_size=8)
+TEXT = st.lists(WORDS, min_size=1, max_size=6).map(" ".join)
+TAGS = "title b i em strong h1 h3 a p span div script style br B EM".split()
+
+
+def _element(args):
+    tag, children, closed = args
+    return f"<{tag}>" + "".join(children) + (f"</{tag}>" if closed else "")
+
+
+# Nested elements, some left unclosed, mixed with stray end tags and
+# comments: tag soup the extractor must tolerate.
+NODE = st.recursive(
+    TEXT | st.sampled_from(["</b>", "</p>", "</a>", "</title>", "<!-- the hidden -->"]),
+    lambda children: st.tuples(
+        st.sampled_from(TAGS), st.lists(children, max_size=4), st.booleans()
+    ).map(_element),
+    max_leaves=24,
+)
+HTML = st.lists(NODE, min_size=1, max_size=4).map("".join)
+OPTIONS = st.builds(
+    TokenizerOptions,
+    stopwords=st.sampled_from([DEFAULT_STOPWORDS, frozenset()]),
+    min_length=st.integers(1, 4),
+    drop_digits=st.booleans(),
+    stem=st.booleans(),
+)
+ANCHORS = st.none() | st.lists(TEXT, max_size=4)
+properties = settings(deadline=None, database=None)
+
+
+def flags(stream):
+    return [(t.term, t.in_title, t.in_emphasis, t.in_link) for t in stream]
+
+
+def criteria_items(stream):
+    """The criteria map in insertion order, floats as exact bit patterns."""
+    return [
+        (term, c.freq_norm.hex(), c.title_norm.hex(), c.emph_norm.hex(),
+         [p.hex() for p in c.positions], c.raw_tf)
+        for term, c in extract_criteria(stream).items()
+    ]
+
+
+def parse_both(html, options):
+    """Both parses, or None for each when both find the document empty."""
+    try:
+        want = parse_html_reference(html, options=options)
+    except EmptyDocument:
+        with pytest.raises(EmptyDocument):
+            parse_html(html, options=options)
+        return None, None
+    return parse_html(html, options=options), want
+
+
+class TestAgainstOffsetTokenizer:
+    @properties
+    @given(text=TEXT, options=OPTIONS)
+    def test_tokenize(self, text, options):
+        assert tokenize(text, options) == tokenize_reference(text, options)
+
+    @properties
+    @given(html=HTML, options=OPTIONS)
+    def test_parse_and_criteria(self, html, options):
+        got, want = parse_both(html, options)
+        if want is not None:
+            assert flags(got) == flags(want)
+            assert criteria_items(got) == criteria_items(want)
+
+    @properties
+    @given(html=HTML, anchors=ANCHORS, options=OPTIONS)
+    def test_anchor_variants(self, html, anchors, options):
+        got, want = parse_both(html, options)
+        if want is None:
+            return
+        for variant in ANCHOR_VARIANTS:
+            new = apply_anchor_variant(got, anchors, variant, options)
+            old = apply_anchor_variant_reference(want, anchors, variant, options)
+            assert flags(new) == flags(old), variant
+            if old:
+                assert criteria_items(new) == criteria_items(old), variant
 
 
 class TestManifest:

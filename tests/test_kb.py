@@ -3,12 +3,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fuzzterm import check_completeness, dumps_kb, load_bundled, load_kb, loads_kb
-from fuzzterm.engine import Rule
+from fuzzterm import kernels
+from fuzzterm.engine import FuzzySystem, LinguisticVariable, Rule, TrapezoidSet
 from fuzzterm.errors import CompletenessError, ParseError
-from fuzzterm import kb as kb_module
-from fuzzterm.kb import _GRID_CHUNK, MAIN_INPUT_ORDER
+from fuzzterm.kb import MAIN_INPUT_ORDER, _coverage
 
 VARIABLES = """\
 [variable Frequency domain 0 1]
@@ -59,6 +61,19 @@ IF Emphasis IS high THEN very-high
 
 def make_text(main=MAIN_RULES, variables=VARIABLES, aux=AUX_RULES, meta=""):
     return "\n".join(part for part in (meta, variables, main, aux) if part)
+
+
+def mesh(system, grid_per_axis):
+    """The system's input mesh in row-major order, one point per row."""
+    axes = [np.linspace(v.lo, v.hi, grid_per_axis) for v in system.input_vars]
+    return np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+
+
+def fired_on(system, X):
+    """The rows of X where the inference kernel finds a nonzero aggregate."""
+    return kernels.batch_infer(
+        X, system._trap, system._var_of_set, system._ant, system._cons, system._m0, system._m1
+    )[1]
 
 
 class TestBundled:
@@ -205,6 +220,12 @@ class TestParser:
         with pytest.raises(ParseError):
             loads_kb(text)
 
+    @pytest.mark.parametrize("header", ["[]", "[ ]"])
+    def test_empty_header(self, header):
+        with pytest.raises(ParseError, match="empty section header") as exc:
+            loads_kb(make_text() + f"\n{header}\n")
+        assert exc.value.line == make_text().count("\n") + 2
+
     def test_unterminated_header(self):
         with pytest.raises(ParseError, match="unterminated"):
             loads_kb("[variable Frequency domain 0 1\nset low 0 0 1 1\n")
@@ -261,13 +282,11 @@ class TestParser:
         with pytest.raises(CompletenessError, match="no rule fires"):
             loads_kb(text)
 
-    @pytest.mark.parametrize("chunk", [_GRID_CHUNK, 100_000])
-    def test_first_hole_matches_full_mesh(self, chunk, monkeypatch):
+    def test_first_hole_matches_full_mesh(self):
         # With Frequency high and Emphasis not high, no rule fires where
         # Title is low and Position preferential, or the other way round.
-        # The first such mesh row lies well past one default chunk, and in
-        # the last chunk at 100,000 rows; the first hole in column-major
-        # order is a different point.
+        # The first such mesh row lies past row 100,000; the first hole in
+        # column-major order is a different point.
         F, T, P = "Frequency", "Title", "Position"
         rules = (
             Rule(((F, "low"),), ("Importance", "no")),
@@ -279,17 +298,19 @@ class TestParser:
             Rule((("Emphasis", "high"),), ("Importance", "very-high")),
         )
         kb = replace(loads_kb(make_text()), rules=rules)
-        axes = [np.linspace(v.lo, v.hi, 21) for v in kb.input_vars()]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        grid = np.stack([m.ravel() for m in mesh], axis=1)
-        first = int(np.flatnonzero(~kb.system().fired_mask(grid))[0])
+        grid = mesh(kb.system(), 21)
+        first = int(np.flatnonzero(~fired_on(kb.system(), grid))[0])
         assert first > 100_000
         point = ", ".join(
             f"{name}={val:g}" for name, val in zip(MAIN_INPUT_ORDER, grid[first])
         )
-        monkeypatch.setattr(kb_module, "_GRID_CHUNK", chunk)
         with pytest.raises(CompletenessError, match=re.escape(f"at ({point})")):
             check_completeness(kb)
+
+    @pytest.mark.parametrize("grid", [1, 0, -1])
+    def test_grid_below_two_rejected(self, grid):
+        with pytest.raises(ValueError, match="at least 2"):
+            check_completeness(load_bundled("emph"), grid)
 
     def test_incomplete_aux_block_rejected(self):
         text = make_text(
@@ -297,6 +318,50 @@ class TestParser:
         )
         with pytest.raises(CompletenessError, match="auxiliary"):
             loads_kb(text)
+
+
+BREAKPOINT = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def rule_bases(draw):
+    """A FuzzySystem of 1-4 inputs with random trapezoids (shoulders and
+    zero-width plateaus included) and random rules, complete or not."""
+    variables = []
+    for vi in range(draw(st.integers(1, 4))):
+        # a full-domain set keeps each variable covered; rules may skip it
+        sets = [TrapezoidSet("all", 0.0, 0.0, 1.0, 1.0)]
+        for si in range(draw(st.integers(1, 3))):
+            a, b, c, d = sorted(draw(st.lists(BREAKPOINT, min_size=4, max_size=4)))
+            if a < d:
+                sets.append(TrapezoidSet(f"s{si}", a, b, c, d))
+        variables.append(LinguisticVariable(f"v{vi}", tuple(sets)))
+    out = LinguisticVariable(
+        "out", (TrapezoidSet("lo", 0.0, 0.0, 0.4, 0.6), TrapezoidSet("hi", 0.4, 0.6, 1.0, 1.0))
+    )
+    rules = []
+    for _ in range(draw(st.integers(1, 6))):
+        clauses = [
+            (var.name, label)
+            for var in variables
+            if (label := draw(st.sampled_from((None, None) + var.labels()))) is not None
+        ]
+        if clauses:
+            rules.append(Rule(tuple(clauses), ("out", draw(st.sampled_from(out.labels())))))
+    if not rules:
+        rules.append(Rule(((variables[0].name, variables[0].labels()[-1]),), ("out", "lo")))
+    return FuzzySystem(variables, out, rules)
+
+
+class TestCoverage:
+    @settings(deadline=None, database=None)
+    @given(system=rule_bases(), grid_per_axis=st.sampled_from([2, 3, 5, 8, 11]))
+    def test_factored_coverage_equals_kernel_on_the_mesh(self, system, grid_per_axis):
+        _, covered = _coverage(system, grid_per_axis)
+        assert covered.shape == (grid_per_axis,) * len(system.input_vars)
+        np.testing.assert_array_equal(
+            covered.ravel(), fired_on(system, mesh(system, grid_per_axis))
+        )
 
 
 class TestRoundTrip:

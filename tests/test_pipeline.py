@@ -315,6 +315,19 @@ class TestCli:
         assert main(["kb-check", str(tmp_path / "ghost.kb")]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_kb_check_empty_header(self, tmp_path, capsys):
+        path = tmp_path / "bad.kb"
+        path.write_text("[meta]\nname bad\n[]\n", encoding="utf-8")
+        assert main(["kb-check", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}:3: empty section header\n"
+
+    @pytest.mark.parametrize("grid", ["0", "-1"])
+    def test_kb_check_rejects_small_grid(self, grid, capsys):
+        assert main(["kb-check", "emph", "--grid", grid]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: grid_per_axis must be at least 2, got {grid}\n"
+
     def test_gen_corpus_and_run(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"
         assert (
