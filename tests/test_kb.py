@@ -282,11 +282,13 @@ class TestParser:
         with pytest.raises(CompletenessError, match="no rule fires"):
             loads_kb(text)
 
-    def test_first_hole_matches_full_mesh(self):
+    @pytest.mark.parametrize("block", [8192, 100_000])
+    def test_first_hole_matches_full_mesh(self, block):
         # With Frequency high and Emphasis not high, no rule fires where
         # Title is low and Position preferential, or the other way round.
-        # The first such mesh row lies past row 100,000; the first hole in
-        # column-major order is a different point.
+        # The first such mesh row lies past row 100,000, so a reference walk
+        # of the mesh in blocks of either size finds it past its first
+        # block; the first hole in column-major order is a different point.
         F, T, P = "Frequency", "Title", "Position"
         rules = (
             Rule(((F, "low"),), ("Importance", "no")),
@@ -299,7 +301,12 @@ class TestParser:
         )
         kb = replace(loads_kb(make_text()), rules=rules)
         grid = mesh(kb.system(), 21)
-        first = int(np.flatnonzero(~fired_on(kb.system(), grid))[0])
+        starts = range(0, len(grid), block)
+        holes = (
+            start + np.flatnonzero(~fired_on(kb.system(), grid[start : start + block]))
+            for start in starts
+        )
+        first = int(next(h[0] for h in holes if h.size))
         assert first > 100_000
         point = ", ".join(
             f"{name}={val:g}" for name, val in zip(MAIN_INPUT_ORDER, grid[first])
