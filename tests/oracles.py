@@ -9,11 +9,13 @@ separate derivations.
 import itertools
 import math
 import re
-from dataclasses import dataclass
+import warnings
+from dataclasses import dataclass, replace
 from typing import Iterable, Iterator
 
 import numpy as np
 
+from fuzzterm.engine import LinguisticVariable, TrapezoidSet
 from fuzzterm.errors import EmptyDocument
 from fuzzterm.ingest import (
     ANCHOR_VARIANTS,
@@ -454,3 +456,137 @@ def apply_anchor_variant_reference(
     for j, term in enumerate(terms):
         out.append(OffsetToken(term, base + j, in_title=as_title))
     return out
+
+
+# The AFCC set tuner as it stood before it became one table-driven loop:
+# one edge function per criterion, one builder per set count.
+
+_EDGE_EPS = 1e-6
+
+
+def _tail_quantile(profile, cut: float, fractions) -> list[float]:
+    tail = profile.values[profile.values >= cut]
+    if tail.size == 0:
+        # pathological: everything sits below the cut; quantile over the
+        # full pool keeps the edges defined, the sanitizer restores order
+        tail = profile.values
+    return [float(np.quantile(tail, f)) for f in fractions]
+
+
+def _sanitize_edges(edges: list[float], criterion: str) -> list[float]:
+    """Force edges strictly increasing inside (0, 1], nudging ties by 1e-6."""
+    out = []
+    prev = 0.0
+    nudged = False
+    for e in edges:
+        e = min(float(e), 1.0)
+        if e <= prev:
+            e = prev + _EDGE_EPS
+            nudged = True
+        out.append(e)
+        prev = e
+    if out[-1] > 1.0:
+        out[-1] = 1.0
+        for i in range(len(out) - 2, -1, -1):
+            if out[i] >= out[i + 1]:
+                out[i] = out[i + 1] - _EDGE_EPS
+                nudged = True
+    if nudged:
+        warnings.warn(
+            f"tuned {criterion} boundaries were not strictly increasing; "
+            f"nudged by {_EDGE_EPS:g}",
+            stacklevel=3,
+        )
+    return out
+
+
+def _three_set_variable(base: LinguisticVariable, edges) -> LinguisticVariable:
+    labels = base.labels()
+    if len(labels) != 3:
+        raise ValueError(f"variable {base.name!r} is not a 3-set variable")
+    p1, p2, p3, p4 = edges
+    lo, med, hi = labels
+    return LinguisticVariable(
+        base.name,
+        (
+            TrapezoidSet(lo, 0.0, 0.0, p1, p2),
+            TrapezoidSet(med, p1, p2, p3, p4),
+            TrapezoidSet(hi, p3, p4, 1.0, 1.0),
+        ),
+        base.lo,
+        base.hi,
+    )
+
+
+def _two_set_variable(base: LinguisticVariable, edges) -> LinguisticVariable:
+    labels = base.labels()
+    if len(labels) != 2:
+        raise ValueError(f"variable {base.name!r} is not a 2-set variable")
+    p1, p2 = edges
+    lo, hi = labels
+    return LinguisticVariable(
+        base.name,
+        (
+            TrapezoidSet(lo, 0.0, 0.0, p1, p2),
+            TrapezoidSet(hi, p1, p2, 1.0, 1.0),
+        ),
+        base.lo,
+        base.hi,
+    )
+
+
+def _frequency_edges(profile, threshold, cut):
+    if profile.frac_below(cut) > threshold:
+        # heavy-tailed: pin the first edge at the cut and split the mass
+        # above it into four equal slices
+        return [cut] + _tail_quantile(profile, cut, (0.25, 0.5, 0.75))
+    return [float(profile.quantile(q)) for q in (0.2, 0.4, 0.6, 0.8)]
+
+
+def _emphasis_edges(profile, threshold, cut):
+    if profile.frac_below(cut) > threshold:
+        # successive halving of the tail mass keeps the middle set widest
+        return [cut] + _tail_quantile(profile, cut, (0.5, 0.75, 0.875))
+    return [float(profile.quantile(q)) for q in (0.05, 0.15, 0.55, 0.75)]
+
+
+def _title_edges(profile):
+    lowest = float(profile.values[0])
+    rank_of_lowest = float(np.mean(profile.values <= lowest))
+    second = float(profile.quantile((rank_of_lowest + 1.0) / 2.0))
+    return [lowest, second]
+
+
+def tune_afcc_reference(base_kb, profiles, threshold: float = 0.55, cut: float = 0.2):
+    """Re-derive Frequency/Emphasis/Title sets from corpus distributions.
+
+    profiles: mapping criterion name -> DistributionProfile; a missing or
+    None entry leaves that variable at its base_kb parameters.  Rules, the
+    Position pair, the auxiliary variable and the Importance output are
+    copied unchanged.
+    """
+    frequency = base_kb.frequency
+    emphasis = base_kb.emphasis
+    title = base_kb.title
+
+    p = profiles.get("frequency")
+    if p is not None:
+        edges = _sanitize_edges(_frequency_edges(p, threshold, cut), "frequency")
+        frequency = _three_set_variable(base_kb.frequency, edges)
+    p = profiles.get("emphasis")
+    if p is not None:
+        edges = _sanitize_edges(_emphasis_edges(p, threshold, cut), "emphasis")
+        emphasis = _three_set_variable(base_kb.emphasis, edges)
+    p = profiles.get("title")
+    if p is not None:
+        edges = _sanitize_edges(_title_edges(p), "title")
+        title = _two_set_variable(base_kb.title, edges)
+
+    return replace(
+        base_kb,
+        name="afcc",
+        frequency=frequency,
+        emphasis=emphasis,
+        title=title,
+        flags=("tuned",),
+    )

@@ -1,15 +1,23 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fuzzterm import (
     DistributionProfile,
     TermCriteria,
     check_completeness,
+    dumps_kb,
     load_bundled,
     profile_criterion,
     tune_afcc,
 )
 from fuzzterm.errors import EmptyProfile
+from fuzzterm.kb import BUNDLED_NAMES
+
+from oracles import tune_afcc_reference
 
 
 def crit(freq=0.0, title=0.0, emph=0.0):
@@ -208,3 +216,74 @@ class TestTunerStatistics:
         assert a == 0.2
         # [DERIVED] tail of u^3 above 0.2: quantiles of (0.5848+q*0.4152)^3
         assert (b, c, d) == pytest.approx((0.3269, 0.4980, 0.7201), abs=0.02)
+
+
+# Corpus criteria are ratios of small counts, so pools are fractions k/d:
+# ties, single values and all-1.0 pools (d = 1) are the common case.
+def _fractions(d):
+    return st.integers(1, d).map(lambda k: k / d)
+
+
+_pool = st.one_of(
+    st.integers(1, 20).flatmap(lambda d: st.lists(_fractions(d), min_size=1, max_size=40)),
+    st.lists(st.integers(1, 20).flatmap(_fractions), min_size=1, max_size=40),
+)
+_CRITERIA = ("frequency", "emphasis", "title")
+_profiles = st.fixed_dictionaries(
+    {},
+    optional={
+        c: _pool.map(lambda values, c=c: DistributionProfile(c, values)) for c in _CRITERIA
+    },
+)
+_threshold = st.floats(0.0, 1.0)
+_cut = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+properties = settings(deadline=None, database=None)
+
+
+def _tune_recording(tuner, base, profiles, threshold, cut):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        kb = tuner(base, profiles, threshold=threshold, cut=cut)
+    return kb, [(w.category, str(w.message)) for w in caught]
+
+
+def _edges(var):
+    """The tuned edges: each set but the last ends on two of them."""
+    return [e for s in var.sets[:-1] for e in (s.c, s.d)]
+
+
+class TestTunerProperties:
+    @properties
+    @given(
+        base=st.sampled_from(BUNDLED_NAMES),
+        profiles=_profiles,
+        threshold=_threshold,
+        cut=_cut,
+    )
+    def test_matches_reference(self, base, profiles, threshold, cut):
+        base_kb = load_bundled(base)
+        kb, warned = _tune_recording(tune_afcc, base_kb, profiles, threshold, cut)
+        ref, ref_warned = _tune_recording(tune_afcc_reference, base_kb, profiles, threshold, cut)
+        assert dumps_kb(kb) == dumps_kb(ref)
+        assert warned == ref_warned
+
+    @properties
+    @given(profiles=_profiles, threshold=_threshold, cut=_cut)
+    def test_edges_strictly_increasing_in_unit_interval(self, profiles, threshold, cut):
+        kb, _ = _tune_recording(tune_afcc, load_bundled("efcc"), profiles, threshold, cut)
+        for criterion in profiles:
+            edges = _edges(getattr(kb, criterion))
+            assert 0.0 < edges[0]
+            assert edges[-1] <= 1.0
+            assert all(a < b for a, b in zip(edges, edges[1:])), edges
+
+    @properties
+    @given(
+        base=st.sampled_from(BUNDLED_NAMES),
+        profiles=_profiles,
+        threshold=_threshold,
+        cut=_cut,
+    )
+    def test_every_tuned_base_is_complete(self, base, profiles, threshold, cut):
+        kb, _ = _tune_recording(tune_afcc, load_bundled(base), profiles, threshold, cut)
+        check_completeness(kb)
