@@ -95,11 +95,7 @@ def _cmd_gen_corpus(args) -> int:
 def _cmd_kb_check(args) -> int:
     for name in args.kb:
         kb = load_bundled(name) if name in BUNDLED_NAMES else load_kb(Path(name))
-        try:
-            check_completeness(kb, args.grid)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        check_completeness(kb, args.grid)
         print(
             f"{name}: complete over a {args.grid}^4 grid "
             f"({len(kb.rules)} main rules, {len(kb.aux_rules)} auxiliary)"
@@ -125,7 +121,7 @@ def main(argv=None) -> int:
     except StageError as exc:
         print(f"error[{exc.stage}]: {exc.detail}", file=sys.stderr)
         return 1
-    except (FuzztermError, OSError) as exc:
+    except (FuzztermError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

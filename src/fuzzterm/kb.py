@@ -18,8 +18,12 @@ File format::
     [rules Importance]
     IF Title IS high AND Emphasis IS high THEN very-high
 
-The tuner rebuilds the Frequency/Emphasis/Title sets from corpus value
+The tuner (`tune_afcc`) rebuilds the sets of each variable in
+`TUNED_CRITERIA` (Frequency, Emphasis, Title) from corpus value
 distributions, leaving rules, Position and Importance untouched.
+Frequency and Emphasis edges are quantiles of the pool, or of its tail
+above a cut when the pool is heavy-tailed, at the fractions the
+`_EDGE_FRACTIONS` table gives; Title edges come from its lowest band.
 """
 
 from __future__ import annotations
@@ -53,6 +57,18 @@ BUNDLED_NAMES = ("fcc", "addfcc", "efcc", "emph")
 DEFAULT_PRECONDITION_THRESHOLD = 0.55
 DEFAULT_PRECONDITION_CUT = 0.2
 _EDGE_EPS = 1e-6
+
+# The criteria tune_afcc re-derives, in tuning order; each names a
+# KnowledgeBase field.
+TUNED_CRITERIA = ("frequency", "emphasis", "title")
+# Quantile fractions per criterion: (tail fractions for a heavy-tailed pool,
+# plain quantiles otherwise).  Frequency splits its tail into four equal
+# slices; Emphasis halves its tail mass in turn, which keeps the middle set
+# widest.  Title has a rule of its own (_title_edges).
+_EDGE_FRACTIONS = {
+    "frequency": ((0.25, 0.5, 0.75), (0.2, 0.4, 0.6, 0.8)),
+    "emphasis": ((0.5, 0.75, 0.875), (0.05, 0.15, 0.55, 0.75)),
+}
 
 
 @dataclass(frozen=True)
@@ -436,15 +452,6 @@ def profile_criterion(criteria_by_doc, criterion: str) -> DistributionProfile:
     return DistributionProfile(criterion, np.asarray(values))
 
 
-def _tail_quantile(profile: DistributionProfile, cut: float, fractions) -> list[float]:
-    tail = profile.values[profile.values >= cut]
-    if tail.size == 0:
-        # pathological: everything sits below the cut; quantile over the
-        # full pool keeps the edges defined, the sanitizer restores order
-        tail = profile.values
-    return [float(np.quantile(tail, f)) for f in fractions]
-
-
 def _sanitize_edges(edges: list[float], criterion: str) -> list[float]:
     """Force edges strictly increasing inside (0, 1], nudging ties by 1e-6."""
     out = []
@@ -472,54 +479,32 @@ def _sanitize_edges(edges: list[float], criterion: str) -> list[float]:
     return out
 
 
-def _three_set_variable(base: LinguisticVariable, edges) -> LinguisticVariable:
+def _partition(base: LinguisticVariable, edges) -> LinguisticVariable:
+    """base's sets re-cut at edges: the points (0, 0, *edges, 1, 1) taken two
+    at a time, so set i is points[2i:2i+4]."""
     labels = base.labels()
-    if len(labels) != 3:
-        raise ValueError(f"variable {base.name!r} is not a 3-set variable")
-    p1, p2, p3, p4 = edges
-    lo, med, hi = labels
-    return LinguisticVariable(
-        base.name,
-        (
-            TrapezoidSet(lo, 0.0, 0.0, p1, p2),
-            TrapezoidSet(med, p1, p2, p3, p4),
-            TrapezoidSet(hi, p3, p4, 1.0, 1.0),
-        ),
-        base.lo,
-        base.hi,
+    n_sets = len(edges) // 2 + 1
+    if len(labels) != n_sets:
+        raise ValueError(f"variable {base.name!r} is not a {n_sets}-set variable")
+    points = (0.0, 0.0, *edges, 1.0, 1.0)
+    sets = tuple(
+        TrapezoidSet(label, *points[2 * i : 2 * i + 4]) for i, label in enumerate(labels)
     )
+    return LinguisticVariable(base.name, sets, base.lo, base.hi)
 
 
-def _two_set_variable(base: LinguisticVariable, edges) -> LinguisticVariable:
-    labels = base.labels()
-    if len(labels) != 2:
-        raise ValueError(f"variable {base.name!r} is not a 2-set variable")
-    p1, p2 = edges
-    lo, hi = labels
-    return LinguisticVariable(
-        base.name,
-        (
-            TrapezoidSet(lo, 0.0, 0.0, p1, p2),
-            TrapezoidSet(hi, p1, p2, 1.0, 1.0),
-        ),
-        base.lo,
-        base.hi,
-    )
-
-
-def _frequency_edges(profile, threshold, cut):
+def _quantile_edges(profile, tail, plain, threshold, cut):
+    """Four edges: on a heavy-tailed pool (more than threshold of it below
+    cut) the cut, then the tail quantiles of the values at or above it;
+    otherwise the plain quantiles of the whole pool."""
     if profile.frac_below(cut) > threshold:
-        # heavy-tailed: pin the first edge at the cut and split the mass
-        # above it into four equal slices
-        return [cut] + _tail_quantile(profile, cut, (0.25, 0.5, 0.75))
-    return [float(profile.quantile(q)) for q in (0.2, 0.4, 0.6, 0.8)]
-
-
-def _emphasis_edges(profile, threshold, cut):
-    if profile.frac_below(cut) > threshold:
-        # successive halving of the tail mass keeps the middle set widest
-        return [cut] + _tail_quantile(profile, cut, (0.5, 0.75, 0.875))
-    return [float(profile.quantile(q)) for q in (0.05, 0.15, 0.55, 0.75)]
+        above = profile.values[profile.values >= cut]
+        if above.size == 0:
+            # pathological: everything sits below the cut; quantile over the
+            # full pool keeps the edges defined, the sanitizer restores order
+            above = profile.values
+        return [cut] + [float(np.quantile(above, f)) for f in tail]
+    return [float(profile.quantile(q)) for q in plain]
 
 
 def _title_edges(profile):
@@ -542,28 +527,15 @@ def tune_afcc(
     Position pair, the auxiliary variable and the Importance output are
     copied unchanged.
     """
-    frequency = base_kb.frequency
-    emphasis = base_kb.emphasis
-    title = base_kb.title
-
-    p = profiles.get("frequency")
-    if p is not None:
-        edges = _sanitize_edges(_frequency_edges(p, threshold, cut), "frequency")
-        frequency = _three_set_variable(base_kb.frequency, edges)
-    p = profiles.get("emphasis")
-    if p is not None:
-        edges = _sanitize_edges(_emphasis_edges(p, threshold, cut), "emphasis")
-        emphasis = _three_set_variable(base_kb.emphasis, edges)
-    p = profiles.get("title")
-    if p is not None:
-        edges = _sanitize_edges(_title_edges(p), "title")
-        title = _two_set_variable(base_kb.title, edges)
-
-    return replace(
-        base_kb,
-        name="afcc",
-        frequency=frequency,
-        emphasis=emphasis,
-        title=title,
-        flags=("tuned",),
-    )
+    tuned = {}
+    for criterion in TUNED_CRITERIA:
+        p = profiles.get(criterion)
+        if p is None:
+            continue
+        if criterion == "title":
+            edges = _title_edges(p)
+        else:
+            edges = _quantile_edges(p, *_EDGE_FRACTIONS[criterion], threshold, cut)
+        edges = _sanitize_edges(edges, criterion)
+        tuned[criterion] = _partition(getattr(base_kb, criterion), edges)
+    return replace(base_kb, name="afcc", flags=("tuned",), **tuned)

@@ -45,6 +45,7 @@ from .ingest import (
     read_anchor_texts,
 )
 from .kb import (
+    TUNED_CRITERIA,
     DistributionProfile,
     KnowledgeBase,
     dump_kb,
@@ -67,7 +68,6 @@ log = logging.getLogger(__name__)
 
 REPRESENTATIONS = ("tfidf", "fcc", "addfcc", "efcc", "efcc-idf", "afcc")
 DEFAULT_VECTOR_SIZES = (100, 500, 1000, 2000, 5000)
-PROFILE_CRITERIA = ("frequency", "emphasis", "title")
 
 
 @dataclass
@@ -258,7 +258,7 @@ def corpus_profiles(corpus: Corpus, docs: np.ndarray | None = None) -> dict:
     pairs = slice(None) if docs is None else corpus.select(docs)[0]
     columns = {"frequency": corpus.freq, "emphasis": corpus.emph, "title": corpus.title}
     profiles = {}
-    for criterion in PROFILE_CRITERIA:
+    for criterion in TUNED_CRITERIA:
         values = columns[criterion][pairs]
         values = values[values > 0.0]
         profiles[criterion] = DistributionProfile(criterion, values) if values.size else None
@@ -269,7 +269,7 @@ def build_profiles(criteria_by_doc) -> dict:
     """Distribution profiles per criterion; None where the corpus has no
     nonzero values (the tuner then keeps the base sets)."""
     profiles = {}
-    for criterion in PROFILE_CRITERIA:
+    for criterion in TUNED_CRITERIA:
         try:
             profiles[criterion] = profile_criterion(criteria_by_doc, criterion)
         except EmptyProfile:

@@ -61,7 +61,8 @@ def generate_corpus(
 
     mode selects the per-vocabulary draw distribution ("zipf" or "uniform").
     title_rhetoric > 0 prepends that many shared off-topic words to every
-    title.  Output is deterministic in all parameters plus seed.
+    title.  Output is deterministic in all parameters plus seed.  Raises
+    ValueError on an out-of-range parameter before anything is written.
     """
     if mode not in ("zipf", "uniform"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -69,6 +70,13 @@ def generate_corpus(
         raise ValueError(f"categories must be in 1..{len(CATEGORY_WORDS)}")
     if doc_length[0] < 10 or doc_length[1] < doc_length[0]:
         raise ValueError("doc_length must be (lo, hi) with 10 <= lo <= hi")
+    if docs_per_category < 1:
+        raise ValueError("docs_per_category must be at least 1")
+    if not 0 <= title_rhetoric <= rhetoric_vocab:
+        raise ValueError(f"title_rhetoric must be in 0..{rhetoric_vocab}")
+    for name, prob in (("topic_fraction", topic_fraction), ("emphasis_prob", emphasis_prob)):
+        if not 0.0 <= prob <= 1.0:
+            raise ValueError(f"{name} must be in [0, 1]")
 
     out_dir = Path(out_dir)
     docs_dir = out_dir / "docs"

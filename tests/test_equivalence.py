@@ -20,7 +20,8 @@ from fuzzterm import (
 )
 from fuzzterm.cluster import Clustering, bisect_labels
 from fuzzterm.errors import EmptyProfile
-from fuzzterm.pipeline import PROFILE_CRITERIA, REPRESENTATIONS, RunConfig, _build_criteria
+from fuzzterm.kb import TUNED_CRITERIA
+from fuzzterm.pipeline import REPRESENTATIONS, RunConfig, _build_criteria
 from fuzzterm.stats import paired_ttest
 
 from oracles import mft_order_reference, projected_matrix_reference, weigh_fuzzy_reference
@@ -62,7 +63,7 @@ def oracle_weights(rep, criteria, doc_ids):
         ]
     if rep == "afcc":
         profiles = {}
-        for criterion in PROFILE_CRITERIA:
+        for criterion in TUNED_CRITERIA:
             try:
                 profiles[criterion] = profile_criterion(subset, criterion)
             except EmptyProfile:

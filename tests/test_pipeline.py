@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -298,6 +299,36 @@ class TestCriteriaErrors:
         assert f"error[criteria]: {entry.doc_id} ({entry.path}): document yields" in err
 
 
+class TestGenerateCorpus:
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"docs_per_category": 0}, "docs_per_category must be at least 1"),
+            ({"title_rhetoric": -1}, "title_rhetoric must be in 0..40"),
+            ({"title_rhetoric": 5, "rhetoric_vocab": 4}, "title_rhetoric must be in 0..4"),
+            ({"topic_fraction": 1.5}, "topic_fraction must be in [0, 1]"),
+            ({"topic_fraction": float("nan")}, "topic_fraction must be in [0, 1]"),
+            ({"emphasis_prob": -0.1}, "emphasis_prob must be in [0, 1]"),
+        ],
+    )
+    def test_rejects_out_of_range_before_writing(self, kwargs, message, tmp_path):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            generate_corpus(tmp_path / "corpus", **kwargs)
+        assert not (tmp_path / "corpus").exists()
+
+    def test_accepts_range_bounds(self, tmp_path):
+        manifest = generate_corpus(
+            tmp_path / "corpus",
+            categories=1,
+            docs_per_category=1,
+            doc_length=(10, 10),
+            title_rhetoric=40,
+            topic_fraction=1.0,
+            emphasis_prob=0.0,
+        )
+        assert len(load_manifest(manifest).entries) == 1
+
+
 class TestCli:
     def test_kb_check_bundled(self, capsys):
         assert main(["kb-check", "fcc", "addfcc", "efcc", "emph", "--grid", "9"]) == 0
@@ -321,12 +352,30 @@ class TestCli:
         assert main(["kb-check", str(path)]) == 1
         assert capsys.readouterr().err == f"error: {path}:3: empty section header\n"
 
-    @pytest.mark.parametrize("grid", ["0", "-1"])
+    @pytest.mark.parametrize("grid", ["0", "-1", "1"])
     def test_kb_check_rejects_small_grid(self, grid, capsys):
         assert main(["kb-check", "emph", "--grid", grid]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: grid_per_axis must be at least 2, got {grid}\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--categories", "0"], "categories must be in 1..12"),
+            (["--doc-length", "5", "1"], "doc_length must be (lo, hi) with 10 <= lo <= hi"),
+            (["--docs-per-category", "0"], "docs_per_category must be at least 1"),
+            (["--title-rhetoric", "41"], "title_rhetoric must be in 0..40"),
+            (["--emphasis-prob", "2"], "emphasis_prob must be in [0, 1]"),
+        ],
+    )
+    def test_gen_corpus_rejects_bad_arguments(self, argv, message, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        assert main(["gen-corpus", str(corpus), *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert not corpus.exists()
 
     def test_gen_corpus_and_run(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from fuzzterm import (
     profile_criterion,
     tune_afcc,
 )
+from fuzzterm.engine import LinguisticVariable
 from fuzzterm.errors import EmptyProfile
 from fuzzterm.kb import BUNDLED_NAMES
 
@@ -160,6 +162,18 @@ class TestTuner:
         assert kb.aux_rules == base.aux_rules
         assert kb.position == base.position
         assert kb.importance == base.importance
+
+    @pytest.mark.parametrize(
+        "criterion, other, n_sets",
+        [("frequency", "title", 3), ("emphasis", "title", 3), ("title", "frequency", 2)],
+    )
+    def test_set_count_mismatch_rejected(self, criterion, other, n_sets):
+        base = load_bundled("efcc")
+        var = getattr(base, criterion)
+        swapped = LinguisticVariable(var.name, getattr(base, other).sets, var.lo, var.hi)
+        profile = DistributionProfile(criterion, FLAT)
+        with pytest.raises(ValueError, match=f"is not a {n_sets}-set variable"):
+            tune_afcc(replace(base, **{criterion: swapped}), {criterion: profile})
 
     def test_tuned_base_stays_complete(self):
         profiles = {
