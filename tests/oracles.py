@@ -10,23 +10,32 @@ import itertools
 import math
 import re
 import warnings
+from array import array
+from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator
+from html.parser import HTMLParser
+from itertools import chain
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
+from fuzzterm.corpus import Corpus
 from fuzzterm.engine import LinguisticVariable, TrapezoidSet
 from fuzzterm.errors import EmptyDocument
 from fuzzterm.ingest import (
+    _SKIP_TAGS,
+    _VOID_TAGS,
     ANCHOR_VARIANTS,
     DEFAULT_ANCHOR_STOPWORDS,
     DEFAULT_EMPHASIS_TAGS,
     DEFAULT_TOKENIZER,
     MAX_ANCHORS,
+    TermCriteria,
     TokenizerOptions,
     _TextExtractor,
     decode_text,
     strip_suffix,
+    tokenize,
 )
 
 # The repeated-bisections constants: 10 seeded restarts, at most 100 2-means
@@ -590,3 +599,215 @@ def tune_afcc_reference(base_kb, profiles, threshold: float = 0.55, cut: float =
         title=title,
         flags=("tuned",),
     )
+
+
+# ---------------------------------------------------------------------------
+# The per-token criteria path that the columnar token stream and
+# `ingest.criteria_columns` replaced, kept as it was: the open-tag stack
+# scanned once per text chunk, one tuple per kept token, per-token dict
+# counting, one TermCriteria per term, and a builder that unpacks those maps
+# back into columns.  Tokenizing and decoding come from the package.
+
+
+class Token(NamedTuple):
+    term: str
+    in_title: bool = False
+    in_emphasis: bool = False
+    in_link: bool = False
+
+
+class TextExtractorReference(HTMLParser):
+    """Collect text chunks with title/emphasis/link context flags."""
+
+    def __init__(self, emphasis_tags):
+        super().__init__(convert_charrefs=True)
+        self._emphasis_tags = emphasis_tags
+        self._stack: list[str] = []
+        self.segments: list[tuple[str, bool, bool, bool]] = []
+
+    def handle_starttag(self, tag, attrs):
+        tag = tag.lower()
+        if tag in _VOID_TAGS:
+            return
+        self._stack.append(tag)
+
+    def handle_endtag(self, tag):
+        # tag soup: close through any unclosed children of the matching tag
+        tag = tag.lower()
+        if tag not in self._stack:
+            return
+        while self._stack:
+            if self._stack.pop() == tag:
+                break
+
+    def handle_data(self, data):
+        stack = self._stack
+        if not data or any(t in _SKIP_TAGS for t in stack):
+            return
+        self.segments.append(
+            (
+                data,
+                "title" in stack,
+                any(t in self._emphasis_tags for t in stack),
+                "a" in stack,
+            )
+        )
+
+
+def parse_tokens_reference(
+    raw,
+    emphasis_tags: Iterable[str] | None = None,
+    options: TokenizerOptions = DEFAULT_TOKENIZER,
+) -> list[Token]:
+    """Extract flagged tokens from an HTML document (bytes or str).
+
+    Script/style/comment content is dropped; emphasis means any enclosing
+    tag sits in emphasis_tags, nesting collapsed to a single boolean.
+    Tokens come in document order and carry no offsets: a token's place is
+    its index in the returned list.
+    """
+    text = raw if isinstance(raw, str) else decode_text(raw)
+    tags = (
+        DEFAULT_EMPHASIS_TAGS
+        if emphasis_tags is None
+        else frozenset(t.lower() for t in emphasis_tags)
+    )
+    extractor = TextExtractorReference(tags)
+    extractor.feed(text)
+    extractor.close()
+    tokens = [
+        Token(term, in_title, in_emph, in_link)
+        for segment, in_title, in_emph, in_link in extractor.segments
+        for term in tokenize(segment, options)
+    ]
+    if not tokens:
+        raise EmptyDocument("document yields no tokens after filtering")
+    return tokens
+
+
+def extract_criteria_reference(stream: list[Token]) -> dict[str, TermCriteria]:
+    """Per-term normalized criteria for one document.
+
+    Frequencies normalize against the document's max term count; title and
+    emphasis counts against their own maxima (0 when the document has no
+    title/emphasis at all); each occurrence position is token index divided
+    by (token count - 1), a single-token document mapping to 0.
+    """
+    if not stream:
+        raise EmptyDocument("empty token stream")
+    n = len(stream)
+    counts: Counter[str] = Counter()
+    title_counts: Counter[str] = Counter()
+    emph_counts: Counter[str] = Counter()
+    positions: dict[str, list[float]] = defaultdict(list)
+    for i, tok in enumerate(stream):
+        counts[tok.term] += 1
+        if tok.in_title:
+            title_counts[tok.term] += 1
+        if tok.in_emphasis:
+            emph_counts[tok.term] += 1
+        positions[tok.term].append(0.0 if n == 1 else i / (n - 1))
+    max_tf = max(counts.values())
+    max_title = max(title_counts.values()) if title_counts else 0
+    max_emph = max(emph_counts.values()) if emph_counts else 0
+    out: dict[str, TermCriteria] = {}
+    for term, tf in counts.items():
+        out[term] = TermCriteria(
+            freq_norm=tf / max_tf,
+            title_norm=title_counts[term] / max_title if max_title else 0.0,
+            emph_norm=emph_counts[term] / max_emph if max_emph else 0.0,
+            positions=tuple(positions[term]),
+            raw_tf=tf,
+        )
+    return out
+
+
+def apply_anchor_variant_tokens_reference(
+    doc_stream: list[Token],
+    anchor_texts: list[str] | None,
+    variant: str,
+    options: TokenizerOptions = DEFAULT_TOKENIZER,
+    anchor_stopwords: frozenset[str] = DEFAULT_ANCHOR_STOPWORDS,
+) -> list[Token]:
+    """Merge a document's incoming anchor texts into its token stream.
+
+    The variant letter picks the destination flags (a: body, b: title); the
+    digit picks the setting: 1 append only, 2 also remove the document's own
+    link text first, 3 append minus the anchor-stopword list.  A missing
+    anchor file (anchor_texts None) passes the stream through unchanged.
+    """
+    v = variant.lower()
+    if v not in ANCHOR_VARIANTS:
+        raise ValueError(f"unknown anchor variant {variant!r}; choose from {ANCHOR_VARIANTS}")
+    if anchor_texts is None:
+        return list(doc_stream)
+    as_title = v[0] == "b"
+    setting = v[1]
+    out = list(doc_stream)
+    if setting == "2":
+        out = [t for t in out if not t.in_link]
+    terms: list[str] = []
+    for text in anchor_texts[:MAX_ANCHORS]:
+        terms.extend(tokenize(text, options))
+    if setting == "3":
+        terms = [t for t in terms if t not in anchor_stopwords]
+    out.extend(Token(term, in_title=as_title) for term in terms)
+    return out
+
+
+class CorpusBuilderReference:
+    """Packs documents into a Corpus one criteria map at a time.  `build`
+    hands the packed buffers to the Corpus; add no document after it."""
+
+    def __init__(self):
+        self._doc_ids: list[str] = []
+        self._ids: dict[str, int] = {}  # term -> id in first-seen order
+        self._doc_sizes = array("q")
+        self._terms = array("q")
+        self._freq = array("d")
+        self._title = array("d")
+        self._emph = array("d")
+        self._raw_tf = array("q")
+        self._n_positions = array("q")
+        self._positions = array("d")
+
+    def add(self, doc_id: str, criteria: Mapping[str, TermCriteria]) -> None:
+        terms = sorted(criteria)
+        crits = [criteria[t] for t in terms]
+        ids = self._ids
+        self._doc_ids.append(doc_id)
+        self._doc_sizes.append(len(terms))
+        self._terms.extend([ids.setdefault(t, len(ids)) for t in terms])
+        self._freq.extend([c.freq_norm for c in crits])
+        self._title.extend([c.title_norm for c in crits])
+        self._emph.extend([c.emph_norm for c in crits])
+        self._raw_tf.extend([c.raw_tf for c in crits])
+        self._n_positions.extend([len(c.positions) for c in crits])
+        self._positions.extend(chain.from_iterable([c.positions for c in crits]))
+
+    def build(self) -> Corpus:
+        vocab = sorted(self._ids)
+        first_seen = np.fromiter((self._ids[t] for t in vocab), np.int64, len(vocab))
+        rank = np.empty(len(vocab), dtype=np.int64)
+        rank[first_seen] = np.arange(len(vocab))
+        # terms were packed in string order per document, so the sorted ids
+        # ascend within each document
+        term_ids = rank[np.frombuffer(self._terms, dtype=np.int64)]
+        return Corpus(
+            doc_ids=tuple(self._doc_ids),
+            vocab=tuple(vocab),
+            doc_offsets=_offsets(self._doc_sizes),
+            term_ids=term_ids,
+            freq=np.frombuffer(self._freq, dtype=np.float64),
+            title=np.frombuffer(self._title, dtype=np.float64),
+            emph=np.frombuffer(self._emph, dtype=np.float64),
+            raw_tf=np.frombuffer(self._raw_tf, dtype=np.int64),
+            positions=np.frombuffer(self._positions, dtype=np.float64),
+            pos_offsets=_offsets(self._n_positions),
+        )
+
+
+def _offsets(sizes: array) -> np.ndarray:
+    out = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(np.frombuffer(sizes, dtype=np.int64), out=out[1:])
+    return out

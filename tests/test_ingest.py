@@ -12,10 +12,19 @@ from fuzzterm import (
     read_anchor_texts,
     tokenize,
 )
+from fuzzterm.corpus import CorpusBuilder
 from fuzzterm.errors import EmptyDocument, ParseError
 from fuzzterm.ingest import ANCHOR_VARIANTS, DEFAULT_STOPWORDS, strip_suffix
 
-from oracles import apply_anchor_variant_reference, parse_html_reference, tokenize_reference
+from oracles import (
+    CorpusBuilderReference,
+    apply_anchor_variant_reference,
+    apply_anchor_variant_tokens_reference,
+    extract_criteria_reference,
+    parse_html_reference,
+    parse_tokens_reference,
+    tokenize_reference,
+)
 
 NO_STOP = TokenizerOptions(stopwords=frozenset())
 
@@ -301,6 +310,65 @@ class TestAgainstOffsetTokenizer:
             assert flags(new) == flags(old), variant
             if old:
                 assert criteria_items(new) == criteria_items(old), variant
+
+
+# Documents of one token, and documents without title or emphasis, beside
+# the tag soup.
+DOCUMENT = st.one_of(
+    HTML,
+    TEXT,
+    TEXT.map(lambda text: f"<p>{text}</p>"),
+    st.sampled_from(["fuzzy", "<b>logic</b>", "<title>web</title>", '<a href="x">rust</a>']),
+)
+CORPUS_DOCS = st.lists(st.tuples(DOCUMENT, ANCHORS), min_size=1, max_size=4)
+CORPUS_OPTIONS = st.one_of(OPTIONS, st.just(TokenizerOptions(min_length=1, stem=True)))
+CORPUS_FIELDS = (
+    "doc_offsets", "term_ids", "freq", "title", "emph", "raw_tf", "positions", "pos_offsets",
+)
+
+
+def pack_corpus(docs, variant, options, parse, anchor, add, builder):
+    """The corpus of the documents that keep a token, packed one at a time,
+    and the indices of those documents."""
+    kept = []
+    for i, (html, anchors) in enumerate(docs):
+        try:
+            stream = parse(html, options=options)
+            if variant is not None:
+                stream = anchor(stream, anchors, variant, options)
+            add(builder, f"d{i}", stream)
+        except EmptyDocument:
+            continue
+        kept.append(i)
+    return builder.build(), kept
+
+
+class TestAgainstTokenOracle:
+    """The criteria path from markup to Corpus, byte for byte against the
+    per-token path it replaced."""
+
+    @properties
+    @given(docs=CORPUS_DOCS, options=CORPUS_OPTIONS)
+    def test_corpus_arrays(self, docs, options):
+        for variant in (None, *ANCHOR_VARIANTS):
+            got, kept = pack_corpus(
+                docs, variant, options, parse_html, apply_anchor_variant,
+                lambda b, doc_id, stream: b.add(doc_id, extract_criteria(stream)),
+                CorpusBuilder(),
+            )
+            want, want_kept = pack_corpus(
+                docs, variant, options, parse_tokens_reference,
+                apply_anchor_variant_tokens_reference,
+                lambda b, doc_id, stream: b.add(doc_id, extract_criteria_reference(stream)),
+                CorpusBuilderReference(),
+            )
+            assert kept == want_kept, variant
+            assert got.doc_ids == want.doc_ids
+            assert got.vocab == want.vocab
+            for name in CORPUS_FIELDS:
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype, (variant, name)
+                assert a.tobytes() == b.tobytes(), (variant, name)
 
 
 class TestManifest:
