@@ -26,7 +26,7 @@ from .engine import (
 from .ingest import (
     CorpusManifest,
     TermCriteria,
-    Token,
+    TokenStream,
     TokenizerOptions,
     apply_anchor_variant,
     extract_criteria,
@@ -73,7 +73,7 @@ __all__ = [
     "RunConfig",
     "TTestResult",
     "TermCriteria",
-    "Token",
+    "TokenStream",
     "TokenizerOptions",
     "TrapezoidSet",
     "apply_anchor_variant",

@@ -6,11 +6,12 @@ doc_offsets[d]:doc_offsets[d+1], listed by ascending term id; the
 vocabulary is sorted, so term-id order is string order.  Pair i's
 occurrence positions are positions[pos_offsets[i]:pos_offsets[i+1]].
 
-`CorpusBuilder` packs one document's `extract_criteria` map at a time, so a
-corpus-wide dict of TermCriteria is never held.  A sub-corpus is a selection
-of document rows.  Document vectors use the matching layout, `SparseRows`;
-the weighing, ranking and projection functions of `weighting`, `reduction`
-and `cluster` work on these arrays.
+`CorpusBuilder` appends one document's `ingest.criteria_columns` at a time,
+so no per-term object is built and no corpus-wide criteria map is held;
+`Corpus.from_criteria` adapts TermCriteria maps to the same columns.  A
+sub-corpus is a selection of document rows.  Document vectors use the
+matching layout, `SparseRows`; the weighing, ranking and projection
+functions of `weighting`, `reduction` and `cluster` work on these arrays.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .ingest import TermCriteria
+from .ingest import CriteriaColumns, TermCriteria
 
 
 def _select(offsets: np.ndarray, docs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -56,7 +57,7 @@ class Corpus:
     def from_criteria(cls, criteria_by_doc: Mapping[str, Mapping[str, TermCriteria]]) -> "Corpus":
         builder = CorpusBuilder()
         for doc_id, criteria in criteria_by_doc.items():
-            builder.add(doc_id, criteria)
+            builder.add(doc_id, _columns(criteria))
         return builder.build()
 
     @property
@@ -72,9 +73,27 @@ class Corpus:
         return _select(self.doc_offsets, docs)
 
 
+def _columns(criteria: Mapping[str, TermCriteria]) -> CriteriaColumns:
+    """A TermCriteria map as criteria columns.  The position counts are
+    taken from the positions, since a map built by hand need not have one
+    position per occurrence."""
+    terms = sorted(criteria)
+    crits = [criteria[t] for t in terms]
+    return CriteriaColumns(
+        terms=terms,
+        freq=np.array([c.freq_norm for c in crits], dtype=np.float64),
+        title=np.array([c.title_norm for c in crits], dtype=np.float64),
+        emph=np.array([c.emph_norm for c in crits], dtype=np.float64),
+        raw_tf=np.array([c.raw_tf for c in crits], dtype=np.int64),
+        positions=np.fromiter(chain.from_iterable(c.positions for c in crits), np.float64),
+        n_positions=np.array([len(c.positions) for c in crits], dtype=np.int64),
+    )
+
+
 class CorpusBuilder:
-    """Packs documents into a Corpus one criteria map at a time.  `build`
-    hands the packed buffers to the Corpus; add no document after it."""
+    """Packs documents into a Corpus one document's criteria columns at a
+    time.  `build` hands the packed buffers to the Corpus; add no document
+    after it."""
 
     def __init__(self):
         self._doc_ids: list[str] = []
@@ -88,19 +107,21 @@ class CorpusBuilder:
         self._n_positions = array("q")
         self._positions = array("d")
 
-    def add(self, doc_id: str, criteria: Mapping[str, TermCriteria]) -> None:
-        terms = sorted(criteria)
-        crits = [criteria[t] for t in terms]
+    def add(self, doc_id: str, columns: CriteriaColumns) -> None:
+        """Append one document; its columns list the terms in string order."""
         ids = self._ids
         self._doc_ids.append(doc_id)
-        self._doc_sizes.append(len(terms))
-        self._terms.extend([ids.setdefault(t, len(ids)) for t in terms])
-        self._freq.extend([c.freq_norm for c in crits])
-        self._title.extend([c.title_norm for c in crits])
-        self._emph.extend([c.emph_norm for c in crits])
-        self._raw_tf.extend([c.raw_tf for c in crits])
-        self._n_positions.extend([len(c.positions) for c in crits])
-        self._positions.extend(chain.from_iterable([c.positions for c in crits]))
+        self._doc_sizes.append(len(columns.terms))
+        self._terms.extend([ids.setdefault(t, len(ids)) for t in columns.terms])
+        for buffer, column in (
+            (self._freq, columns.freq),
+            (self._title, columns.title),
+            (self._emph, columns.emph),
+            (self._raw_tf, columns.raw_tf),
+            (self._n_positions, columns.n_positions),
+            (self._positions, columns.positions),
+        ):
+            buffer.frombytes(np.asarray(column, dtype=buffer.typecode).tobytes())
 
     def build(self) -> Corpus:
         vocab = sorted(self._ids)

@@ -1,21 +1,26 @@
 """Corpus ingestion: manifests, HTML text extraction, term criteria.
 
 Documents arrive as HTML files listed in a tab-separated manifest.  Parsing
-gives one `Token` per kept term, in document order, flagged with whether it
-sat inside the title, inside an emphasis tag or inside a link.  That is
-everything the criterion extraction (term, title and emphasis flags, index
-in the stream) and the anchor-text variants (link flag) read.
+gives one `TokenStream` per document: the kept terms in document order and,
+as boolean columns beside them, whether each sat inside the title, inside
+an emphasis tag or inside a link.  That is everything the criteria (term,
+title and emphasis flags, index in the stream) and the anchor-text variants
+(link flag) read.  `criteria_columns` turns a stream into one document's
+criteria columns, which `corpus.CorpusBuilder` packs; `extract_criteria`
+is the same criteria as a term -> `TermCriteria` map.
 """
 
 from __future__ import annotations
 
 import re
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from html.parser import HTMLParser
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Iterable
+
+import numpy as np
 
 from .errors import EmptyDocument, ParseError, UndecodableInput
 
@@ -36,11 +41,17 @@ _SKIP_TAGS = frozenset({"script", "style"})
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
 
-class Token(NamedTuple):
-    term: str
-    in_title: bool = False
-    in_emphasis: bool = False
-    in_link: bool = False
+@dataclass(frozen=True, eq=False)
+class TokenStream:
+    """One document's kept tokens in document order, as columns: token i is
+    terms[i], and title[i], emphasis[i] and link[i] say whether it sat
+    inside the title, an emphasis tag or a link.  A token's place is its
+    index."""
+
+    terms: list[str]
+    title: np.ndarray
+    emphasis: np.ndarray
+    link: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -52,6 +63,21 @@ class TermCriteria:
     emph_norm: float
     positions: tuple[float, ...]
     raw_tf: int
+
+
+@dataclass(frozen=True, eq=False)
+class CriteriaColumns:
+    """One document's criteria as columns, one row per distinct term, the
+    terms in string order.  Row i's occurrence positions are the
+    n_positions[i] entries of `positions` that follow the earlier rows'."""
+
+    terms: list[str]
+    freq: np.ndarray
+    title: np.ndarray
+    emph: np.ndarray
+    raw_tf: np.ndarray
+    positions: np.ndarray
+    n_positions: np.ndarray
 
 
 def _load_default_stopwords() -> frozenset[str]:
@@ -115,19 +141,34 @@ def decode_text(raw: bytes) -> str:
 
 
 class _TextExtractor(HTMLParser):
-    """Collect text chunks with title/emphasis/link context flags."""
+    """Collect text chunks with title/emphasis/link context flags.  Depth
+    counters of the open skip, title, emphasis and link tags give a chunk's
+    flags without scanning the open-tag stack."""
 
     def __init__(self, emphasis_tags):
         super().__init__(convert_charrefs=True)
         self._emphasis_tags = emphasis_tags
         self._stack: list[str] = []
+        self._skip = self._title = self._emphasis = self._link = 0
         self.segments: list[tuple[str, bool, bool, bool]] = []
+
+    def _count(self, tag: str, step: int) -> None:
+        # no elif: a custom emphasis tag may be title, a, script or style
+        if tag in _SKIP_TAGS:
+            self._skip += step
+        if tag == "title":
+            self._title += step
+        if tag in self._emphasis_tags:
+            self._emphasis += step
+        if tag == "a":
+            self._link += step
 
     def handle_starttag(self, tag, attrs):
         tag = tag.lower()
         if tag in _VOID_TAGS:
             return
         self._stack.append(tag)
+        self._count(tag, 1)
 
     def handle_endtag(self, tag):
         # tag soup: close through any unclosed children of the matching tag
@@ -135,34 +176,28 @@ class _TextExtractor(HTMLParser):
         if tag not in self._stack:
             return
         while self._stack:
-            if self._stack.pop() == tag:
+            popped = self._stack.pop()
+            self._count(popped, -1)
+            if popped == tag:
                 break
 
     def handle_data(self, data):
-        stack = self._stack
-        if not data or any(t in _SKIP_TAGS for t in stack):
+        if not data or self._skip:
             return
-        self.segments.append(
-            (
-                data,
-                "title" in stack,
-                any(t in self._emphasis_tags for t in stack),
-                "a" in stack,
-            )
-        )
+        self.segments.append((data, self._title > 0, self._emphasis > 0, self._link > 0))
 
 
 def parse_html(
     raw,
     emphasis_tags: Iterable[str] | None = None,
     options: TokenizerOptions = DEFAULT_TOKENIZER,
-) -> list[Token]:
-    """Extract flagged tokens from an HTML document (bytes or str).
+) -> TokenStream:
+    """Extract the flagged token stream of an HTML document (bytes or str).
 
     Script/style/comment content is dropped; emphasis means any enclosing
     tag sits in emphasis_tags, nesting collapsed to a single boolean.
     Tokens come in document order and carry no offsets: a token's place is
-    its index in the returned list.
+    its index in the stream.
     """
     text = raw if isinstance(raw, str) else decode_text(raw)
     tags = (
@@ -173,84 +208,118 @@ def parse_html(
     extractor = _TextExtractor(tags)
     extractor.feed(text)
     extractor.close()
-    tokens = [
-        Token(term, in_title, in_emph, in_link)
-        for segment, in_title, in_emph, in_link in extractor.segments
-        for term in tokenize(segment, options)
-    ]
-    if not tokens:
+    segments = extractor.segments
+    terms: list[str] = []
+    sizes = []
+    for segment, *_ in segments:
+        before = len(terms)
+        terms.extend(tokenize(segment, options))
+        sizes.append(len(terms) - before)
+    if not terms:
         raise EmptyDocument("document yields no tokens after filtering")
-    return tokens
+    flags = np.array([flag for _, *flag in segments], dtype=bool).T
+    title, emphasis, link = (np.repeat(column, sizes) for column in flags)
+    return TokenStream(terms, title, emphasis, link)
 
 
-def extract_criteria(stream: list[Token]) -> dict[str, TermCriteria]:
-    """Per-term normalized criteria for one document.
+def _normalized(counts: np.ndarray) -> np.ndarray:
+    """Counts divided by their maximum; all 0.0 when that is 0."""
+    top = counts.max()
+    return counts / top if top else np.zeros(counts.size)
+
+
+def criteria_columns(stream: TokenStream) -> CriteriaColumns:
+    """Per-term normalized criteria for one document, as columns.
 
     Frequencies normalize against the document's max term count; title and
     emphasis counts against their own maxima (0 when the document has no
     title/emphasis at all); each occurrence position is token index divided
-    by (token count - 1), a single-token document mapping to 0.
+    by (token count - 1), a single-token document mapping to 0.  Every
+    division is of integers below 2**53, so each value rounds as Python's
+    int / int does.
     """
-    if not stream:
+    terms = stream.terms
+    n = len(terms)
+    if not n:
         raise EmptyDocument("empty token stream")
-    n = len(stream)
-    counts: Counter[str] = Counter()
-    title_counts: Counter[str] = Counter()
-    emph_counts: Counter[str] = Counter()
-    positions: dict[str, list[float]] = defaultdict(list)
-    for i, tok in enumerate(stream):
-        counts[tok.term] += 1
-        if tok.in_title:
-            title_counts[tok.term] += 1
-        if tok.in_emphasis:
-            emph_counts[tok.term] += 1
-        positions[tok.term].append(0.0 if n == 1 else i / (n - 1))
-    max_tf = max(counts.values())
-    max_title = max(title_counts.values()) if title_counts else 0
-    max_emph = max(emph_counts.values()) if emph_counts else 0
+    vocab = sorted(set(terms))
+    index = {term: i for i, term in enumerate(vocab)}
+    ids = np.fromiter(map(index.__getitem__, terms), np.int64, n)
+    k = len(vocab)
+    tf = np.bincount(ids, minlength=k)
+    # stable: each term's occurrences stay in document order
+    order = np.argsort(ids, kind="stable")
+    return CriteriaColumns(
+        terms=vocab,
+        freq=_normalized(tf),
+        title=_normalized(np.bincount(ids[stream.title], minlength=k)),
+        emph=_normalized(np.bincount(ids[stream.emphasis], minlength=k)),
+        raw_tf=tf,
+        positions=order / (n - 1) if n > 1 else np.zeros(n),
+        n_positions=tf,
+    )
+
+
+def extract_criteria(stream: TokenStream) -> dict[str, TermCriteria]:
+    """`criteria_columns` as a term -> TermCriteria map, terms in string
+    order."""
+    columns = criteria_columns(stream)
+    positions = columns.positions.tolist()
     out: dict[str, TermCriteria] = {}
-    for term, tf in counts.items():
-        out[term] = TermCriteria(
-            freq_norm=tf / max_tf,
-            title_norm=title_counts[term] / max_title if max_title else 0.0,
-            emph_norm=emph_counts[term] / max_emph if max_emph else 0.0,
-            positions=tuple(positions[term]),
-            raw_tf=tf,
-        )
+    start = 0
+    for term, freq, title, emph, tf, n_pos in zip(
+        columns.terms,
+        columns.freq.tolist(),
+        columns.title.tolist(),
+        columns.emph.tolist(),
+        columns.raw_tf.tolist(),
+        columns.n_positions.tolist(),
+    ):
+        out[term] = TermCriteria(freq, title, emph, tuple(positions[start:start + n_pos]), tf)
+        start += n_pos
     return out
 
 
 def apply_anchor_variant(
-    doc_stream: list[Token],
+    doc_stream: TokenStream,
     anchor_texts: list[str] | None,
     variant: str,
     options: TokenizerOptions = DEFAULT_TOKENIZER,
     anchor_stopwords: frozenset[str] = DEFAULT_ANCHOR_STOPWORDS,
-) -> list[Token]:
+) -> TokenStream:
     """Merge a document's incoming anchor texts into its token stream.
 
     The variant letter picks the destination flags (a: body, b: title); the
     digit picks the setting: 1 append only, 2 also remove the document's own
-    link text first, 3 append minus the anchor-stopword list.  A missing
-    anchor file (anchor_texts None) passes the stream through unchanged.
+    link text first, 3 append minus the anchor-stopword list.  Anchor tokens
+    are never emphasis or link tokens.  A missing anchor file (anchor_texts
+    None) passes a copy of the stream through unchanged.
     """
     v = variant.lower()
     if v not in ANCHOR_VARIANTS:
         raise ValueError(f"unknown anchor variant {variant!r}; choose from {ANCHOR_VARIANTS}")
+    terms, title = doc_stream.terms, doc_stream.title
+    emphasis, link = doc_stream.emphasis, doc_stream.link
     if anchor_texts is None:
-        return list(doc_stream)
+        return TokenStream(list(terms), title.copy(), emphasis.copy(), link.copy())
     as_title = v[0] == "b"
     setting = v[1]
-    out = list(doc_stream)
     if setting == "2":
-        out = [t for t in out if not t.in_link]
-    terms: list[str] = []
+        keep = ~link
+        terms = [term for term, kept in zip(terms, keep.tolist()) if kept]
+        title, emphasis, link = title[keep], emphasis[keep], link[keep]
+    anchor_terms: list[str] = []
     for text in anchor_texts[:MAX_ANCHORS]:
-        terms.extend(tokenize(text, options))
+        anchor_terms.extend(tokenize(text, options))
     if setting == "3":
-        terms = [t for t in terms if t not in anchor_stopwords]
-    out.extend(Token(term, in_title=as_title) for term in terms)
-    return out
+        anchor_terms = [t for t in anchor_terms if t not in anchor_stopwords]
+    m = len(anchor_terms)
+    return TokenStream(
+        terms + anchor_terms,
+        np.concatenate([title, np.full(m, as_title)]),
+        np.concatenate([emphasis, np.zeros(m, dtype=bool)]),
+        np.concatenate([link, np.zeros(m, dtype=bool)]),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -7,19 +7,22 @@ file (JSON lines) and a human-readable table.  Any stage failure surfaces
 as a StageError tagged with the stage name; a criteria failure also names
 the document.
 
-The criteria stage packs each document into one columnar `corpus.Corpus`
-as soon as it is read.  From there every step works on arrays: a
-sub-corpus is a selection of document rows, each rule base weighs a
-selection in one batch (bundled bases once per corpus, afcc once per
-tuning; the global positions once per distinct auxiliary system, which
-tuning leaves alone), `reduction.mft_rank` ranks the weighted rows and
-`reduction.project_rows` writes the matrix `cluster.cluster_matrix` splits.
+The criteria stage reads each document as a columnar token stream, counts
+its criteria into columns (`ingest.criteria_columns`) and appends them to
+one columnar `corpus.Corpus` before the next document is read.  From there
+every step works on arrays: a sub-corpus is a selection of document rows,
+each rule base weighs a selection in one batch (bundled bases once per
+corpus, afcc once per tuning; the global positions once per distinct
+auxiliary system, which tuning leaves alone), `reduction.mft_rank` ranks
+the weighted rows and `reduction.project_rows` writes the matrix
+`cluster.cluster_matrix` splits.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -39,6 +42,7 @@ from .ingest import (
     CorpusManifest,
     ManifestEntry,
     apply_anchor_variant,
+    criteria_columns,
     extract_criteria,
     load_manifest,
     parse_html,
@@ -122,13 +126,18 @@ _CONFIG_KEYS = {
 }
 
 
+# a '#' starts a comment at the start of a line or after whitespace, so a
+# value such as a path may contain one
+_COMMENT_RE = re.compile(r"(?:^|\s)#.*")
+
+
 def load_config(path) -> RunConfig:
     """Flat `key = value` config; paths resolve against the file's directory."""
     path = Path(path)
     base = path.parent
     raw: dict[str, str] = {}
     for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-        line = line.split("#", 1)[0].strip()
+        line = _COMMENT_RE.sub("", line, count=1).strip()
         if not line:
             continue
         key, eq, value = line.partition("=")
@@ -222,9 +231,9 @@ def _stage(name: str):
     log.info("stage %s: done", name)
 
 
-def _doc_criteria(entry: ManifestEntry, manifest: CorpusManifest, config: RunConfig) -> dict:
-    """One document's criteria map; a failure is raised as a criteria
-    StageError naming the document."""
+def _doc_criteria(entry: ManifestEntry, manifest: CorpusManifest, config: RunConfig, extract):
+    """One document's criteria, extract(token stream); a failure is raised
+    as a criteria StageError naming the document."""
     try:
         stream = parse_html(entry.path.read_bytes())
         if config.anchor_variant:
@@ -232,23 +241,26 @@ def _doc_criteria(entry: ManifestEntry, manifest: CorpusManifest, config: RunCon
                 config.anchors_dir or manifest.anchors_dir, entry.doc_id
             )
             stream = apply_anchor_variant(stream, anchors, config.anchor_variant)
-        return extract_criteria(stream)
+        return extract(stream)
     except (FuzztermError, ValueError, OSError) as exc:
         raise StageError("criteria", exc, f"{entry.doc_id} ({entry.path})") from exc
 
 
 def build_corpus(manifest: CorpusManifest, config: RunConfig) -> Corpus:
-    """The columnar corpus.  Each document's criteria map (and its token
-    stream) is dropped once packed, before the next document is read."""
+    """The columnar corpus.  Each document's criteria columns (and its token
+    stream) are dropped once packed, before the next document is read."""
     builder = CorpusBuilder()
     for entry in manifest.entries:
-        builder.add(entry.doc_id, _doc_criteria(entry, manifest, config))
+        builder.add(entry.doc_id, _doc_criteria(entry, manifest, config, criteria_columns))
     return builder.build()
 
 
 def _build_criteria(manifest: CorpusManifest, config: RunConfig) -> dict:
     """doc_id -> criteria map for the whole corpus, for the dict API."""
-    return {e.doc_id: _doc_criteria(e, manifest, config) for e in manifest.entries}
+    return {
+        e.doc_id: _doc_criteria(e, manifest, config, extract_criteria)
+        for e in manifest.entries
+    }
 
 
 def corpus_profiles(corpus: Corpus, docs: np.ndarray | None = None) -> dict:

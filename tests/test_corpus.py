@@ -102,6 +102,21 @@ class TestCorpusLayout:
                 pos = corpus.positions[corpus.pos_offsets[i]:corpus.pos_offsets[i + 1]]
                 assert tuple(pos) == crit.positions
 
+    def test_criteria_maps_pack_as_the_pipeline_does(self, corpus_dir_200):
+        manifest = load_manifest(corpus_dir_200 / "manifest.tsv")
+        config = RunConfig(manifest=corpus_dir_200 / "manifest.tsv")
+        got = Corpus.from_criteria(_build_criteria(manifest, config))
+        want = build_corpus(manifest, config)
+        assert got.doc_ids == want.doc_ids
+        assert got.vocab == want.vocab
+        for name in (
+            "doc_offsets", "term_ids", "freq", "title", "emph", "raw_tf",
+            "positions", "pos_offsets",
+        ):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype, name
+            assert a.tobytes() == b.tobytes(), name
+
     def test_sparse_rows_select_keeps_order(self):
         rows = SparseRows(
             np.array([0, 2, 2, 3]), np.array([0, 4, 1]), np.array([0.5, 0.25, 2.0])

@@ -1,10 +1,11 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fuzzterm import (
-    Token,
     TokenizerOptions,
+    TokenStream,
     apply_anchor_variant,
     extract_criteria,
     load_manifest,
@@ -14,7 +15,7 @@ from fuzzterm import (
 )
 from fuzzterm.corpus import CorpusBuilder
 from fuzzterm.errors import EmptyDocument, ParseError
-from fuzzterm.ingest import ANCHOR_VARIANTS, DEFAULT_STOPWORDS, strip_suffix
+from fuzzterm.ingest import ANCHOR_VARIANTS, DEFAULT_STOPWORDS, criteria_columns, strip_suffix
 
 from oracles import (
     CorpusBuilderReference,
@@ -27,6 +28,24 @@ from oracles import (
 )
 
 NO_STOP = TokenizerOptions(stopwords=frozenset())
+
+
+def stream_of(tokens):
+    """A TokenStream of (term, in_title, in_emphasis, in_link) tuples, or of
+    objects with those attributes."""
+    tokens = [
+        (t.term, t.in_title, t.in_emphasis, t.in_link) if hasattr(t, "term") else t
+        for t in tokens
+    ]
+    columns = [np.array([t[j] for t in tokens], dtype=bool) for j in (1, 2, 3)]
+    return TokenStream([t[0] for t in tokens], *columns)
+
+
+def rows(stream):
+    """(term, in_title, in_emphasis, in_link) per token."""
+    return list(
+        zip(stream.terms, stream.title.tolist(), stream.emphasis.tolist(), stream.link.tolist())
+    )
 
 
 class TestTokenize:
@@ -64,10 +83,10 @@ class TestTokenize:
 
 class TestParseHtml:
     def test_title_and_emphasis_flags(self):
-        tokens = parse_html(
+        tokens = rows(parse_html(
             b"<html><title>Fuzzy Web</title><body>fuzzy <b>logic</b></body></html>"
-        )
-        assert [(t.term, t.in_title, t.in_emphasis) for t in tokens] == [
+        ))
+        assert [(term, title, emph) for term, title, emph, _ in tokens] == [
             ("fuzzy", True, False),
             ("web", True, False),
             ("fuzzy", False, False),
@@ -75,17 +94,17 @@ class TestParseHtml:
         ]
 
     def test_heading_counts_as_emphasis(self):
-        (tok,) = parse_html(b"<h3>Intro</h3>")
-        assert tok.term == "intro"
-        assert tok.in_emphasis
+        ((term, _, in_emphasis, _),) = rows(parse_html(b"<h3>Intro</h3>"))
+        assert term == "intro"
+        assert in_emphasis
 
     def test_nested_emphasis_once(self):
-        (tok,) = parse_html(b"<b><i>deep</i></b>")
-        assert tok.in_emphasis
+        ((_, _, in_emphasis, _),) = rows(parse_html(b"<b><i>deep</i></b>"))
+        assert in_emphasis
 
     def test_link_flag(self):
-        tokens = parse_html(b'<p>see <a href="x">rust docs</a> today</p>', options=NO_STOP)
-        flags = {t.term: t.in_link for t in tokens}
+        tokens = rows(parse_html(b'<p>see <a href="x">rust docs</a> today</p>', options=NO_STOP))
+        flags = {term: in_link for term, _, _, in_link in tokens}
         assert flags == {"see": False, "rust": True, "docs": True, "today": False}
 
     def test_script_and_style_excluded(self):
@@ -93,7 +112,7 @@ class TestParseHtml:
             b"<script>var ignored = 1;</script><style>.c{color:red}</style>"
             b"<p>visible</p>"
         )
-        assert [t.term for t in tokens] == ["visible"]
+        assert tokens.terms == ["visible"]
 
     def test_unclosed_script_swallows_rest(self):
         with pytest.raises(EmptyDocument):
@@ -101,23 +120,51 @@ class TestParseHtml:
 
     def test_tag_soup_does_not_abort(self):
         tokens = parse_html(b"<b>bold <p>paragraph</b> tail</p> plain", options=NO_STOP)
-        terms = [t.term for t in tokens]
+        terms = tokens.terms
         assert terms == ["bold", "paragraph", "tail", "plain"]
-        assert tokens[0].in_emphasis and tokens[1].in_emphasis
-        assert not tokens[2].in_emphasis and not tokens[3].in_emphasis
+        emphasis = tokens.emphasis.tolist()
+        assert emphasis[0] and emphasis[1]
+        assert not emphasis[2] and not emphasis[3]
+
+    @pytest.mark.parametrize(
+        "html, expected",
+        [
+            # the end tag closes the unclosed <p> too: both depths drop
+            (b"<b>bold <p>para</b> tail", [("bold", True), ("para", True), ("tail", False)]),
+            (b"<b>bold <i>ital</b> tail", [("bold", True), ("ital", True), ("tail", False)]),
+            # closing the inner <b> leaves the outer one open
+            (b"<b><b>x</b> y</b>", [("x", True), ("y", True)]),
+            # a stray end tag closes nothing
+            (b"<b>one</i> two</b> three", [("one", True), ("two", True), ("three", False)]),
+        ],
+    )
+    def test_emphasis_depth_through_tag_soup(self, html, expected):
+        options = TokenizerOptions(stopwords=frozenset(), min_length=1)
+        tokens = rows(parse_html(html, options=options))
+        assert [(term, emph) for term, _, emph, _ in tokens] == expected
+
+    def test_link_depth_closes_with_emphasis_inside(self):
+        tokens = rows(parse_html(b"<a>rust <b>docs</a> after", options=NO_STOP))
+        assert tokens == [
+            ("rust", False, False, True),
+            ("docs", False, True, True),
+            ("after", False, False, False),
+        ]
 
     def test_entity_references_decoded(self):
         tokens = parse_html(b"<p>fish &amp; chips</p>", options=NO_STOP)
-        assert [t.term for t in tokens] == ["fish", "chips"]
+        assert tokens.terms == ["fish", "chips"]
 
     def test_latin1_fallback(self):
         raw = "<p>caf\xe9 menu</p>".encode("latin-1")
         tokens = parse_html(raw, options=NO_STOP)
-        assert tokens[0].term == "caf\xe9"
+        assert tokens.terms[0] == "caf\xe9"
 
     def test_custom_emphasis_tags(self):
-        tokens = parse_html(b"<b>one</b> <mark>two</mark>", emphasis_tags={"mark"}, options=NO_STOP)
-        assert [(t.term, t.in_emphasis) for t in tokens] == [
+        tokens = rows(
+            parse_html(b"<b>one</b> <mark>two</mark>", emphasis_tags={"mark"}, options=NO_STOP)
+        )
+        assert [(term, emph) for term, _, emph, _ in tokens] == [
             ("one", False),
             ("two", True),
         ]
@@ -134,8 +181,8 @@ class TestExtractCriteria:
         for spec in specs:
             term, *flags = spec.split(":")
             flags = flags[0] if flags else ""
-            out.append(Token(term, in_title="t" in flags, in_emphasis="e" in flags))
-        return out
+            out.append((term, "t" in flags, "e" in flags, False))
+        return stream_of(out)
 
     def test_frequency_and_positions(self):
         crit = extract_criteria(self.stream("a", "b", "a"))
@@ -174,7 +221,7 @@ class TestExtractCriteria:
 
     def test_empty_stream(self):
         with pytest.raises(EmptyDocument):
-            extract_criteria([])
+            extract_criteria(stream_of([]))
 
     def test_parse_then_extract_deterministic(self):
         raw = b"<title>Topic One</title><p>alpha <b>beta</b> alpha</p>"
@@ -182,34 +229,41 @@ class TestExtractCriteria:
 
 
 class TestAnchorVariants:
-    BODY = [Token("alpha"), Token("rust", in_link=True), Token("beta")]
+    BODY = stream_of(
+        [
+            ("alpha", False, False, False),
+            ("rust", False, False, True),
+            ("beta", False, False, False),
+        ]
+    )
 
     def test_b1_appends_as_title(self):
         out = apply_anchor_variant(self.BODY, ["rust tutorial"], "b1", options=NO_STOP)
-        appended = out[len(self.BODY):]
-        assert [(t.term, t.in_title) for t in appended] == [
+        appended = rows(out)[len(self.BODY.terms):]
+        assert [(term, title) for term, title, _, _ in appended] == [
             ("rust", True),
             ("tutorial", True),
         ]
 
     def test_a1_appends_as_body(self):
         out = apply_anchor_variant(self.BODY, ["rust tutorial"], "a1", options=NO_STOP)
-        appended = out[len(self.BODY):]
-        assert all(not t.in_title and not t.in_emphasis for t in appended)
+        appended = rows(out)[len(self.BODY.terms):]
+        assert all(not title and not emph for _, title, emph, _ in appended)
 
     def test_a2_removes_link_tokens(self):
         out = apply_anchor_variant(self.BODY, ["gamma"], "a2", options=NO_STOP)
-        assert [t.term for t in out] == ["alpha", "beta", "gamma"]
+        assert out.terms == ["alpha", "beta", "gamma"]
 
     def test_a3_drops_anchor_stopwords(self):
         out = apply_anchor_variant(self.BODY, ["click here now"], "a3", options=NO_STOP)
-        appended = out[len(self.BODY):]
-        assert [t.term for t in appended] == ["now"]
+        appended = out.terms[len(self.BODY.terms):]
+        assert appended == ["now"]
 
     def test_missing_anchors_identity(self):
         out = apply_anchor_variant(self.BODY, None, "b2")
-        assert out == self.BODY
+        assert rows(out) == rows(self.BODY)
         assert out is not self.BODY
+        assert out.terms is not self.BODY.terms
 
     def test_unknown_variant(self):
         with pytest.raises(ValueError, match="unknown anchor variant"):
@@ -261,11 +315,18 @@ properties = settings(deadline=None, database=None)
 
 
 def flags(stream):
+    """(term, in_title, in_emphasis, in_link) per token of a TokenStream or
+    of a list of offset tokens."""
+    if isinstance(stream, TokenStream):
+        return rows(stream)
     return [(t.term, t.in_title, t.in_emphasis, t.in_link) for t in stream]
 
 
 def criteria_items(stream):
-    """The criteria map in insertion order, floats as exact bit patterns."""
+    """The criteria map in insertion order, floats as exact bit patterns;
+    offset tokens are converted to a TokenStream first."""
+    if not isinstance(stream, TokenStream):
+        stream = stream_of(stream)
     return [
         (term, c.freq_norm.hex(), c.title_norm.hex(), c.emph_norm.hex(),
          [p.hex() for p in c.positions], c.raw_tf)
@@ -312,10 +373,20 @@ class TestAgainstOffsetTokenizer:
                 assert criteria_items(new) == criteria_items(old), variant
 
 
+# Start and end tags in any order, so that end tags close unclosed children
+# and stray end tags close nothing.
+SOUP = st.lists(
+    st.sampled_from(TAGS).flatmap(lambda tag: st.sampled_from([f"<{tag}>", f"</{tag}>"]))
+    | st.sampled_from(["fuzzy", "logic", "web", "x"]),
+    min_size=1,
+    max_size=24,
+).map(" ".join)
 # Documents of one token, and documents without title or emphasis, beside
 # the tag soup.
 DOCUMENT = st.one_of(
     HTML,
+    SOUP,
+    SOUP,
     TEXT,
     TEXT.map(lambda text: f"<p>{text}</p>"),
     st.sampled_from(["fuzzy", "<b>logic</b>", "<title>web</title>", '<a href="x">rust</a>']),
@@ -348,12 +419,23 @@ class TestAgainstTokenOracle:
     per-token path it replaced."""
 
     @properties
+    @given(html=DOCUMENT, options=CORPUS_OPTIONS)
+    def test_token_flags(self, html, options):
+        try:
+            want = parse_tokens_reference(html, options=options)
+        except EmptyDocument:
+            with pytest.raises(EmptyDocument):
+                parse_html(html, options=options)
+            return
+        assert rows(parse_html(html, options=options)) == flags(want)
+
+    @properties
     @given(docs=CORPUS_DOCS, options=CORPUS_OPTIONS)
     def test_corpus_arrays(self, docs, options):
         for variant in (None, *ANCHOR_VARIANTS):
             got, kept = pack_corpus(
                 docs, variant, options, parse_html, apply_anchor_variant,
-                lambda b, doc_id, stream: b.add(doc_id, extract_criteria(stream)),
+                lambda b, doc_id, stream: b.add(doc_id, criteria_columns(stream)),
                 CorpusBuilder(),
             )
             want, want_kept = pack_corpus(

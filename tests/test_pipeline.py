@@ -89,6 +89,22 @@ class TestLoadConfig:
         with pytest.raises(ValueError, match="key = value"):
             load_config(write_config(tmp_path / "exp.cfg", ["manifest m.tsv"]))
 
+    def test_hash_inside_a_value_is_kept(self, tmp_path):
+        cfg = load_config(
+            write_config(tmp_path / "exp.cfg", ["manifest = hash#dir/manifest.tsv"])
+        )
+        assert cfg.manifest == (tmp_path / "hash#dir" / "manifest.tsv").resolve()
+
+    def test_comment_after_a_value(self, tmp_path):
+        cfg = load_config(
+            write_config(
+                tmp_path / "exp.cfg",
+                ["manifest = manifest.tsv  # the corpus", "seed = 3\t# run seed"],
+            )
+        )
+        assert cfg.manifest == (tmp_path / "manifest.tsv").resolve()
+        assert cfg.seed == 3
+
     def test_unknown_key_rejected(self, tmp_path):
         # a typo must not silently fall back to defaults
         with pytest.raises(ValueError, match="unknown config keys: sizes"):
