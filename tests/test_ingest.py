@@ -398,16 +398,29 @@ CORPUS_FIELDS = (
 )
 
 
-def pack_corpus(docs, variant, options, parse, anchor, add, builder):
-    """The corpus of the documents that keep a token, packed one at a time,
-    and the indices of those documents."""
+# (parse, anchor variant, criteria, builder) of the package and of the
+# per-token reference
+PACKAGE_PATH = (parse_html, apply_anchor_variant, criteria_columns, CorpusBuilder)
+REFERENCE_PATH = (
+    parse_tokens_reference,
+    apply_anchor_variant_tokens_reference,
+    extract_criteria_reference,
+    CorpusBuilderReference,
+)
+
+
+def pack_corpus(docs, variant, options, path):
+    """The corpus of the documents that keep a token, packed one at a time
+    along path, and the indices of those documents."""
+    parse, anchor, criteria, builder_type = path
+    builder = builder_type()
     kept = []
     for i, (html, anchors) in enumerate(docs):
         try:
             stream = parse(html, options=options)
             if variant is not None:
                 stream = anchor(stream, anchors, variant, options)
-            add(builder, f"d{i}", stream)
+            builder.add(f"d{i}", criteria(stream))
         except EmptyDocument:
             continue
         kept.append(i)
@@ -433,17 +446,8 @@ class TestAgainstTokenOracle:
     @given(docs=CORPUS_DOCS, options=CORPUS_OPTIONS)
     def test_corpus_arrays(self, docs, options):
         for variant in (None, *ANCHOR_VARIANTS):
-            got, kept = pack_corpus(
-                docs, variant, options, parse_html, apply_anchor_variant,
-                lambda b, doc_id, stream: b.add(doc_id, criteria_columns(stream)),
-                CorpusBuilder(),
-            )
-            want, want_kept = pack_corpus(
-                docs, variant, options, parse_tokens_reference,
-                apply_anchor_variant_tokens_reference,
-                lambda b, doc_id, stream: b.add(doc_id, extract_criteria_reference(stream)),
-                CorpusBuilderReference(),
-            )
+            got, kept = pack_corpus(docs, variant, options, PACKAGE_PATH)
+            want, want_kept = pack_corpus(docs, variant, options, REFERENCE_PATH)
             assert kept == want_kept, variant
             assert got.doc_ids == want.doc_ids
             assert got.vocab == want.vocab
