@@ -6,9 +6,9 @@ doc_offsets[d]:doc_offsets[d+1], listed by ascending term id; the
 vocabulary is sorted, so term-id order is string order.  Pair i's
 occurrence positions are positions[pos_offsets[i]:pos_offsets[i+1]].
 
-`CorpusBuilder` appends one document's `ingest.criteria_columns` at a time,
-so no per-term object is built and no corpus-wide criteria map is held;
-`Corpus.from_criteria` adapts TermCriteria maps to the same columns.  A
+`CorpusBuilder` appends one document's `ingest.extract_criteria` columns at
+a time, so no per-term object is built and no corpus-wide criteria map is
+held; `Corpus.from_criteria` adapts TermCriteria maps to the same columns.  A
 sub-corpus is a selection of document rows.  Document vectors use the
 matching layout, `SparseRows`; the weighing, ranking and projection
 functions of `weighting`, `reduction` and `cluster` work on these arrays.

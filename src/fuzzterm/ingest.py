@@ -5,16 +5,18 @@ gives one `TokenStream` per document: the kept terms in document order and,
 as boolean columns beside them, whether each sat inside the title, inside
 an emphasis tag or inside a link.  That is everything the criteria (term,
 title and emphasis flags, index in the stream) and the anchor-text variants
-(link flag) read.  `criteria_columns` turns a stream into one document's
-criteria columns, which `corpus.CorpusBuilder` packs; `extract_criteria`
-is the same criteria as a term -> `TermCriteria` map.
+(link flag) read.  `extract_criteria` counts a stream into one document's
+`CriteriaColumns`, which `corpus.CorpusBuilder` packs and which read as a
+term -> `TermCriteria` map.
 """
 
 from __future__ import annotations
 
 import re
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
 from html.parser import HTMLParser
 from importlib import resources
 from pathlib import Path
@@ -46,12 +48,23 @@ class TokenStream:
     """One document's kept tokens in document order, as columns: token i is
     terms[i], and title[i], emphasis[i] and link[i] say whether it sat
     inside the title, an emphasis tag or a link.  A token's place is its
-    index."""
+    index.  The flags are stored as boolean arrays, so 0/1 integers are
+    taken as truth values, never as indices."""
 
     terms: list[str]
     title: np.ndarray
     emphasis: np.ndarray
     link: np.ndarray
+
+    def __post_init__(self):
+        for name in ("title", "emphasis", "link"):
+            column = np.asarray(getattr(self, name), dtype=bool)
+            if column.shape != (len(self.terms),):
+                raise ValueError(
+                    f"TokenStream.{name} has shape {column.shape}, "
+                    f"expected one flag per term ({len(self.terms)})"
+                )
+            object.__setattr__(self, name, column)
 
 
 @dataclass(frozen=True)
@@ -66,10 +79,13 @@ class TermCriteria:
 
 
 @dataclass(frozen=True, eq=False)
-class CriteriaColumns:
+class CriteriaColumns(Mapping):
     """One document's criteria as columns, one row per distinct term, the
     terms in string order.  Row i's occurrence positions are the
-    n_positions[i] entries of `positions` that follow the earlier rows'."""
+    n_positions[i] entries of `positions` that follow the earlier rows'.
+
+    The columns also read as a term -> `TermCriteria` map, in term order;
+    the per-term objects are built on first lookup, never by the packer."""
 
     terms: list[str]
     freq: np.ndarray
@@ -78,6 +94,32 @@ class CriteriaColumns:
     raw_tf: np.ndarray
     positions: np.ndarray
     n_positions: np.ndarray
+
+    @cached_property
+    def _by_term(self) -> dict[str, TermCriteria]:
+        positions = self.positions.tolist()
+        out: dict[str, TermCriteria] = {}
+        start = 0
+        for term, freq, title, emph, tf, n_pos in zip(
+            self.terms,
+            self.freq.tolist(),
+            self.title.tolist(),
+            self.emph.tolist(),
+            self.raw_tf.tolist(),
+            self.n_positions.tolist(),
+        ):
+            out[term] = TermCriteria(freq, title, emph, tuple(positions[start:start + n_pos]), tf)
+            start += n_pos
+        return out
+
+    def __getitem__(self, term: str) -> TermCriteria:
+        return self._by_term[term]
+
+    def __iter__(self):
+        return iter(self.terms)
+
+    def __len__(self) -> int:
+        return len(self.terms)
 
 
 def _load_default_stopwords() -> frozenset[str]:
@@ -228,8 +270,9 @@ def _normalized(counts: np.ndarray) -> np.ndarray:
     return counts / top if top else np.zeros(counts.size)
 
 
-def criteria_columns(stream: TokenStream) -> CriteriaColumns:
-    """Per-term normalized criteria for one document, as columns.
+def extract_criteria(stream: TokenStream) -> CriteriaColumns:
+    """Per-term normalized criteria for one document, as columns that also
+    read as a term -> TermCriteria map.
 
     Frequencies normalize against the document's max term count; title and
     emphasis counts against their own maxima (0 when the document has no
@@ -258,26 +301,6 @@ def criteria_columns(stream: TokenStream) -> CriteriaColumns:
         positions=order / (n - 1) if n > 1 else np.zeros(n),
         n_positions=tf,
     )
-
-
-def extract_criteria(stream: TokenStream) -> dict[str, TermCriteria]:
-    """`criteria_columns` as a term -> TermCriteria map, terms in string
-    order."""
-    columns = criteria_columns(stream)
-    positions = columns.positions.tolist()
-    out: dict[str, TermCriteria] = {}
-    start = 0
-    for term, freq, title, emph, tf, n_pos in zip(
-        columns.terms,
-        columns.freq.tolist(),
-        columns.title.tolist(),
-        columns.emph.tolist(),
-        columns.raw_tf.tolist(),
-        columns.n_positions.tolist(),
-    ):
-        out[term] = TermCriteria(freq, title, emph, tuple(positions[start:start + n_pos]), tf)
-        start += n_pos
-    return out
 
 
 def apply_anchor_variant(

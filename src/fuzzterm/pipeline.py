@@ -8,7 +8,7 @@ as a StageError tagged with the stage name; a criteria failure also names
 the document.
 
 The criteria stage reads each document as a columnar token stream, counts
-its criteria into columns (`ingest.criteria_columns`) and appends them to
+its criteria into columns (`ingest.extract_criteria`) and appends them to
 one columnar `corpus.Corpus` before the next document is read.  From there
 every step works on arrays: a sub-corpus is a selection of document rows,
 each rule base weighs a selection in one batch (bundled bases once per
@@ -42,7 +42,6 @@ from .ingest import (
     CorpusManifest,
     ManifestEntry,
     apply_anchor_variant,
-    criteria_columns,
     extract_criteria,
     load_manifest,
     parse_html,
@@ -231,9 +230,9 @@ def _stage(name: str):
     log.info("stage %s: done", name)
 
 
-def _doc_criteria(entry: ManifestEntry, manifest: CorpusManifest, config: RunConfig, extract):
-    """One document's criteria, extract(token stream); a failure is raised
-    as a criteria StageError naming the document."""
+def _doc_criteria(entry: ManifestEntry, manifest: CorpusManifest, config: RunConfig):
+    """One document's criteria columns; a failure is raised as a criteria
+    StageError naming the document."""
     try:
         stream = parse_html(entry.path.read_bytes())
         if config.anchor_variant:
@@ -241,7 +240,7 @@ def _doc_criteria(entry: ManifestEntry, manifest: CorpusManifest, config: RunCon
                 config.anchors_dir or manifest.anchors_dir, entry.doc_id
             )
             stream = apply_anchor_variant(stream, anchors, config.anchor_variant)
-        return extract(stream)
+        return extract_criteria(stream)
     except (FuzztermError, ValueError, OSError) as exc:
         raise StageError("criteria", exc, f"{entry.doc_id} ({entry.path})") from exc
 
@@ -251,16 +250,14 @@ def build_corpus(manifest: CorpusManifest, config: RunConfig) -> Corpus:
     stream) are dropped once packed, before the next document is read."""
     builder = CorpusBuilder()
     for entry in manifest.entries:
-        builder.add(entry.doc_id, _doc_criteria(entry, manifest, config, criteria_columns))
+        builder.add(entry.doc_id, _doc_criteria(entry, manifest, config))
     return builder.build()
 
 
 def _build_criteria(manifest: CorpusManifest, config: RunConfig) -> dict:
-    """doc_id -> criteria map for the whole corpus, for the dict API."""
-    return {
-        e.doc_id: _doc_criteria(e, manifest, config, extract_criteria)
-        for e in manifest.entries
-    }
+    """doc_id -> term -> TermCriteria dict for the whole corpus, for the
+    dict API."""
+    return {e.doc_id: dict(_doc_criteria(e, manifest, config)) for e in manifest.entries}
 
 
 def corpus_profiles(corpus: Corpus, docs: np.ndarray | None = None) -> dict:

@@ -602,8 +602,8 @@ def tune_afcc_reference(base_kb, profiles, threshold: float = 0.55, cut: float =
 
 
 # ---------------------------------------------------------------------------
-# The per-token criteria path that the columnar token stream and
-# `ingest.criteria_columns` replaced, kept as it was: the open-tag stack
+# The per-token criteria path that the columnar token stream and the
+# columnar `ingest.extract_criteria` replaced, kept as it was: the open-tag stack
 # scanned once per text chunk, one tuple per kept token, per-token dict
 # counting, one TermCriteria per term, and a builder that unpacks those maps
 # back into columns.  Tokenizing and decoding come from the package.

@@ -15,7 +15,7 @@ from fuzzterm import (
 )
 from fuzzterm.corpus import CorpusBuilder
 from fuzzterm.errors import EmptyDocument, ParseError
-from fuzzterm.ingest import ANCHOR_VARIANTS, DEFAULT_STOPWORDS, criteria_columns, strip_suffix
+from fuzzterm.ingest import ANCHOR_VARIANTS, DEFAULT_STOPWORDS, strip_suffix
 
 from oracles import (
     CorpusBuilderReference,
@@ -227,6 +227,35 @@ class TestExtractCriteria:
         raw = b"<title>Topic One</title><p>alpha <b>beta</b> alpha</p>"
         assert extract_criteria(parse_html(raw)) == extract_criteria(parse_html(raw))
 
+    def test_columns_read_as_a_map_in_term_order(self):
+        crit = extract_criteria(self.stream("b", "a:t", "c", "a"))
+        assert list(crit) == crit.terms == ["a", "b", "c"]
+        assert len(crit) == 3 and "b" in crit and "z" not in crit
+        assert [c.raw_tf for c in crit.values()] == crit.raw_tf.tolist() == [2, 1, 1]
+        assert crit["a"].positions == (1 / 3, 1.0)
+        with pytest.raises(KeyError):
+            crit["z"]
+
+
+class TestTokenStream:
+    def test_integer_flags_are_truth_values(self):
+        stream = TokenStream(["a", "b", "a"], [0, 1, 0], np.array([1, 0, 0]), (0, 0, 1))
+        assert rows(stream) == [
+            ("a", False, True, False),
+            ("b", True, False, False),
+            ("a", False, False, True),
+        ]
+        crit = extract_criteria(stream)
+        assert (crit["a"].title_norm, crit["b"].title_norm) == (0.0, 1.0)
+        assert (crit["a"].emph_norm, crit["b"].emph_norm) == (1.0, 0.0)
+
+    @pytest.mark.parametrize("column", ["title", "emphasis", "link"])
+    def test_flag_column_of_wrong_length(self, column):
+        flags = {"title": [False] * 2, "emphasis": [False] * 2, "link": [False] * 2}
+        flags[column] = [False] * 3
+        with pytest.raises(ValueError, match=f"TokenStream.{column} has shape"):
+            TokenStream(["a", "b"], **flags)
+
 
 class TestAnchorVariants:
     BODY = stream_of(
@@ -400,7 +429,7 @@ CORPUS_FIELDS = (
 
 # (parse, anchor variant, criteria, builder) of the package and of the
 # per-token reference
-PACKAGE_PATH = (parse_html, apply_anchor_variant, criteria_columns, CorpusBuilder)
+PACKAGE_PATH = (parse_html, apply_anchor_variant, extract_criteria, CorpusBuilder)
 REFERENCE_PATH = (
     parse_tokens_reference,
     apply_anchor_variant_tokens_reference,

@@ -10,6 +10,7 @@ from fuzzterm import (
     load_kb,
     load_manifest,
     run,
+    pipeline,
     weigh_fuzzy,
 )
 from fuzzterm.cli import main
@@ -157,6 +158,30 @@ class TestRun:
         assert report.results_path.is_file()
         assert report.table_path.is_file()
         assert "tfidf" in report.table_path.read_text(encoding="utf-8")
+
+    def test_criteria_counted_by_extract_criteria_once_per_document(
+        self, small_corpus, tmp_path, monkeypatch
+    ):
+        # the run reads every document's criteria through this one public
+        # function, so a wrapper around it sees each document and its pairs
+        calls, extract = [], pipeline.extract_criteria
+
+        def counting(stream):
+            calls.append(extract(stream))
+            return calls[-1]
+
+        monkeypatch.setattr(pipeline, "extract_criteria", counting)
+        manifest = load_manifest(small_corpus / "manifest.tsv")
+        config = RunConfig(
+            manifest=small_corpus / "manifest.tsv", vector_sizes=(20,), out_dir=tmp_path
+        )
+        corpus = pipeline.build_corpus(manifest, config)
+        assert len(calls) == len(manifest) == corpus.n_docs
+        assert sum(len(c) for c in calls) == corpus.n_pairs
+        assert sum(len(t.positions) for c in calls for t in c.values()) == corpus.positions.size
+        calls.clear()
+        run(config)
+        assert len(calls) == len(manifest)
 
     def test_results_file_structure(self, small_corpus, tmp_path):
         config = RunConfig(
