@@ -1,5 +1,6 @@
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -14,8 +15,17 @@ from fuzzterm import (
     weigh_fuzzy,
 )
 from fuzzterm.cli import main
+from fuzzterm.cluster import CategoryScore, F1Report
 from fuzzterm.errors import EmptyDocument, StageError
-from fuzzterm.pipeline import _build_criteria
+from fuzzterm.pipeline import (
+    ExperimentReport,
+    RunRecord,
+    SignificanceRecord,
+    _build_criteria,
+    render_results,
+    render_table,
+)
+from fuzzterm.stats import TTestResult
 
 
 @pytest.fixture(scope="module")
@@ -487,3 +497,158 @@ class TestCli:
         kb = load_kb(out)
         assert kb.name == "afcc"
         assert kb.flags == ("tuned",)
+
+
+def doc_rows(corpus, doc_id):
+    """One document's Corpus rows as term -> (freq, title, emph, raw_tf, positions)."""
+    d = corpus.doc_ids.index(doc_id)
+    pairs = range(corpus.doc_offsets[d], corpus.doc_offsets[d + 1])
+    return {
+        corpus.vocab[corpus.term_ids[i]]: (
+            corpus.freq[i],
+            corpus.title[i],
+            corpus.emph[i],
+            corpus.raw_tf[i],
+            tuple(corpus.positions[corpus.pos_offsets[i]:corpus.pos_offsets[i + 1]]),
+        )
+        for i in pairs
+    }
+
+
+class TestAnchorRun:
+    ANCHORS = {0: "quokka zephyr\nquokka", 9: "zephyr"}
+
+    @pytest.fixture
+    def anchored(self, small_corpus, tmp_path):
+        anchors = tmp_path / "anchors"
+        anchors.mkdir()
+        doc_ids = load_manifest(small_corpus / "manifest.tsv").doc_ids()
+        for i, text in self.ANCHORS.items():
+            (anchors / f"{doc_ids[i]}.txt").write_text(text + "\n", encoding="utf-8")
+        return anchors, doc_ids
+
+    def config(self, small_corpus, out_dir, **kwargs):
+        return RunConfig(
+            manifest=small_corpus / "manifest.tsv", vector_sizes=(20,), out_dir=out_dir, **kwargs
+        )
+
+    def test_anchor_terms_carry_title_criteria(self, small_corpus, anchored, tmp_path):
+        anchors, doc_ids = anchored
+        manifest = load_manifest(small_corpus / "manifest.tsv")
+        plain = pipeline.build_corpus(manifest, self.config(small_corpus, tmp_path))
+        b1 = pipeline.build_corpus(
+            manifest,
+            self.config(small_corpus, tmp_path, anchor_variant="b1", anchors_dir=anchors),
+        )
+        first, second = doc_rows(b1, doc_ids[0]), doc_rows(b1, doc_ids[9])
+        assert first["quokka"][1] > 0.0 and first["quokka"][2] == 0.0
+        assert first["quokka"][3] == 2 and first["zephyr"][3] == 1
+        assert first["zephyr"][1] > 0.0 and second["zephyr"][1] > 0.0
+        assert "quokka" not in second and "quokka" not in plain.vocab
+        for doc_id in doc_ids:
+            if doc_id not in (doc_ids[0], doc_ids[9]):
+                assert doc_rows(b1, doc_id) == doc_rows(plain, doc_id)
+
+    def test_run_writes_outputs(self, small_corpus, anchored, tmp_path):
+        anchors, _ = anchored
+        report = run(
+            self.config(small_corpus, tmp_path, anchor_variant="b1", anchors_dir=anchors)
+        )
+        header = json.loads(report.results_path.read_text(encoding="utf-8").splitlines()[0])
+        assert header["anchor_variant"] == "b1"
+        assert len(report.records) == 1
+        assert report.table_path.read_text(encoding="utf-8").startswith("representation")
+
+
+def golden_report():
+    """A hand-built report of the shape run() produces, so the rendering
+    golden below does not depend on clustering or the BLAS build."""
+    config = RunConfig(
+        manifest=Path("m.tsv"),
+        representation="afcc",
+        anchor_variant="b1",
+        anchors_dir=Path("anchors"),
+        vector_sizes=(10, 20),
+        k=3,
+        seed=4,
+        n_subsets=3,
+        fraction=0.5,
+        baselines=("efcc", "tfidf"),
+    )
+
+    def f1(overall, aqua, blaze, coral):
+        per_category = {
+            "coral": CategoryScore(*coral, 2),
+            "aqua": CategoryScore(*aqua, 4),
+            "blaze": CategoryScore(*blaze, 3),
+        }
+        return F1Report(per_category, overall)
+
+    records = [
+        RunRecord(
+            "afcc", 10, 4, 3, f1(0.7, (1.0, 0.75, 6 / 7), (0.6, 1.0, 0.75), (0.5, 0.5, 0.5)), 1, 4
+        ),
+        RunRecord(
+            "afcc", 20, 4, 3, f1(2 / 3, (0.8, 1.0, 8 / 9), (1.0, 1 / 3, 0.5), (0.0, 0.0, 0.0)), 0, 3
+        ),
+    ]
+    scores = {
+        ("afcc", 10): [0.75, 0.5, 0.625],
+        ("afcc", 20): [1 / 3, 0.5, 0.25],
+        ("efcc", 10): [0.5, 0.25, 0.375],
+        ("efcc", 20): [0.4, 0.6, 0.3],
+        ("tfidf", 10): [0.25, 0.125, 0.5],
+        ("tfidf", 20): [0.2, 0.2, 0.2],
+    }
+    significance = [
+        SignificanceRecord("afcc", "efcc", 10, 3, TTestResult(0.25, float("inf"), 2, 0.0, True)),
+        SignificanceRecord(
+            "afcc", "efcc", 20, 3, TTestResult(-1 / 15, -0.5547001962252291, 2, 0.6349663290176064)
+        ),
+        SignificanceRecord("afcc", "tfidf", 10, 3, TTestResult(1 / 3, 2.0, 2, 0.18350341907227385)),
+        SignificanceRecord(
+            "afcc", "tfidf", 20, 3, TTestResult(0.1611111111111111, 1.5, 2, 0.2721655269759087)
+        ),
+    ]
+    return ExperimentReport(config, records, significance, scores)
+
+
+GOLDEN_RESULTS = """\
+{"anchor_variant": "b1", "baselines": ["efcc", "tfidf"], "fraction": 0.5, "k": 3, "kind": "config", "n_subsets": 3, "representation": "afcc", "seed": 4, "vector_sizes": [10, 20]}
+{"clusters": 4, "k": 3, "kind": "run", "overall_f1": 0.7, "per_category": {"aqua": {"f1": 0.8571428571428571, "precision": 1.0, "recall": 0.75, "support": 4}, "blaze": {"f1": 0.75, "precision": 0.6, "recall": 1.0, "support": 3}, "coral": {"f1": 0.5, "precision": 0.5, "recall": 0.5, "support": 2}}, "representation": "afcc", "seed": 4, "vector_size": 10, "zero_docs": 1}
+{"clusters": 3, "k": 3, "kind": "run", "overall_f1": 0.6666666666666666, "per_category": {"aqua": {"f1": 0.8888888888888888, "precision": 0.8, "recall": 1.0, "support": 4}, "blaze": {"f1": 0.5, "precision": 1.0, "recall": 0.3333333333333333, "support": 3}, "coral": {"f1": 0.0, "precision": 0.0, "recall": 0.0, "support": 2}}, "representation": "afcc", "seed": 4, "vector_size": 20, "zero_docs": 0}
+{"kind": "subset_scores", "representation": "afcc", "scores": [0.75, 0.5, 0.625], "vector_size": 10}
+{"kind": "subset_scores", "representation": "afcc", "scores": [0.3333333333333333, 0.5, 0.25], "vector_size": 20}
+{"kind": "subset_scores", "representation": "efcc", "scores": [0.5, 0.25, 0.375], "vector_size": 10}
+{"kind": "subset_scores", "representation": "efcc", "scores": [0.4, 0.6, 0.3], "vector_size": 20}
+{"kind": "subset_scores", "representation": "tfidf", "scores": [0.25, 0.125, 0.5], "vector_size": 10}
+{"kind": "subset_scores", "representation": "tfidf", "scores": [0.2, 0.2, 0.2], "vector_size": 20}
+{"a": "afcc", "b": "efcc", "df": 2, "kind": "ttest", "mean_diff": 0.25, "n_subsets": 3, "p": 0.0, "t": Infinity, "vector_size": 10, "zero_variance": true}
+{"a": "afcc", "b": "efcc", "df": 2, "kind": "ttest", "mean_diff": -0.06666666666666667, "n_subsets": 3, "p": 0.6349663290176064, "t": -0.5547001962252291, "vector_size": 20, "zero_variance": false}
+{"a": "afcc", "b": "tfidf", "df": 2, "kind": "ttest", "mean_diff": 0.3333333333333333, "n_subsets": 3, "p": 0.18350341907227385, "t": 2.0, "vector_size": 10, "zero_variance": false}
+{"a": "afcc", "b": "tfidf", "df": 2, "kind": "ttest", "mean_diff": 0.1611111111111111, "n_subsets": 3, "p": 0.2721655269759087, "t": 1.5, "vector_size": 20, "zero_variance": false}
+"""
+
+GOLDEN_TABLE = """\
+representation       10     20     avg
+-------------------  -----  -----  -----
+afcc                 0.700  0.667  0.683
+
+afcc (subset mean)   0.625  0.361  0.493
+efcc (subset mean)   0.375  0.433  0.404
+tfidf (subset mean)  0.292  0.200  0.246
+
+paired t-tests (3 subsets, fraction 0.5)
+  afcc vs efcc @ 10: mean diff +0.2500, t = inf, df = 2, p = 0.0000 (zero variance)
+  afcc vs efcc @ 20: mean diff -0.0667, t = -0.555, df = 2, p = 0.6350
+  afcc vs tfidf @ 10: mean diff +0.3333, t = 2.000, df = 2, p = 0.1835
+  afcc vs tfidf @ 20: mean diff +0.1611, t = 1.500, df = 2, p = 0.2722
+"""
+
+
+class TestRendering:
+    def test_results_golden(self):
+        assert render_results(golden_report()) == GOLDEN_RESULTS
+
+    def test_table_golden(self):
+        assert render_table(golden_report()) == GOLDEN_TABLE
