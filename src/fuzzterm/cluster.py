@@ -225,17 +225,11 @@ def cluster_matrix(X: np.ndarray, doc_ids: Sequence[str], k: int, seed) -> Clust
         )
     if nonzero.size < X.shape[0]:
         X = X[nonzero]
-    labels = bisect_labels(X, k, seed)
-    assignment: dict[str, int] = {}
-    leftover = []
-    pos = {int(row): lab for row, lab in zip(nonzero, labels)}
-    for row, doc_id in enumerate(doc_ids):
-        if row in pos:
-            assignment[doc_id] = int(pos[row])
-        else:
-            assignment[doc_id] = k
-            leftover.append(doc_id)
-    return Clustering(assignment, k + 1 if leftover else k, frozenset(leftover))
+    labels = np.full(norms.size, k)
+    labels[nonzero] = bisect_labels(X, k, seed)
+    assignment = dict(zip(doc_ids, labels.tolist()))
+    leftover = frozenset(doc_id for doc_id, label in assignment.items() if label == k)
+    return Clustering(assignment, k + 1 if leftover else k, leftover)
 
 
 def weighted_f1(clustering: Clustering, labels: Mapping[str, str]) -> F1Report:
@@ -300,5 +294,5 @@ def stratified_subsample(
             picks = rng.choice(len(idxs), size=take, replace=False)
             chosen.update(idxs[int(p)] for p in picks)
         entries = tuple(e for i, e in enumerate(manifest.entries) if i in chosen)
-        out.append(CorpusManifest(entries, manifest.anchors_dir))
+        out.append(CorpusManifest(entries))
     return out

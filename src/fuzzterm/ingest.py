@@ -359,7 +359,6 @@ class ManifestEntry:
 @dataclass(frozen=True)
 class CorpusManifest:
     entries: tuple[ManifestEntry, ...]
-    anchors_dir: Path | None = None
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -380,12 +379,10 @@ class CorpusManifest:
 
     def subset(self, doc_ids: Iterable[str]) -> "CorpusManifest":
         keep = set(doc_ids)
-        return CorpusManifest(
-            tuple(e for e in self.entries if e.doc_id in keep), self.anchors_dir
-        )
+        return CorpusManifest(tuple(e for e in self.entries if e.doc_id in keep))
 
 
-def load_manifest(path, anchors_dir=None) -> CorpusManifest:
+def load_manifest(path) -> CorpusManifest:
     """Read a `doc_id<TAB>relative_path<TAB>category` manifest.
 
     Comment lines start with '#'; paths resolve against the manifest's
@@ -415,9 +412,7 @@ def load_manifest(path, anchors_dir=None) -> CorpusManifest:
         entries.append(ManifestEntry(doc_id, doc_path, category))
     if not entries:
         raise ParseError("manifest lists no documents", path, None)
-    if anchors_dir is not None:
-        anchors_dir = Path(anchors_dir)
-    return CorpusManifest(tuple(entries), anchors_dir)
+    return CorpusManifest(tuple(entries))
 
 
 def read_anchor_texts(anchors_dir, doc_id: str, limit: int = MAX_ANCHORS) -> list[str] | None:

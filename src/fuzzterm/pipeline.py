@@ -24,21 +24,16 @@ import json
 import logging
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from .cluster import (
-    Clustering,
-    F1Report,
-    cluster_matrix,
-    stratified_subsample,
-    weighted_f1,
-)
+from .cluster import F1Report, cluster_matrix, stratified_subsample, weighted_f1
 from .corpus import Corpus, CorpusBuilder, SparseRows
 from .errors import EmptyProfile, FuzztermError, StageError
 from .ingest import (
+    ANCHOR_VARIANTS,
     CorpusManifest,
     ManifestEntry,
     apply_anchor_variant,
@@ -98,6 +93,16 @@ class RunConfig:
         for rep in self.baselines:
             if rep not in REPRESENTATIONS:
                 raise ValueError(f"unknown baseline representation {rep!r}")
+        if len(set(self.baselines)) != len(self.baselines):
+            raise ValueError(f"baselines must be distinct, got {', '.join(self.baselines)}")
+        if self.anchor_variant:
+            if self.anchor_variant.lower() not in ANCHOR_VARIANTS:
+                raise ValueError(
+                    f"unknown anchor variant {self.anchor_variant!r}; "
+                    f"choose from {ANCHOR_VARIANTS}"
+                )
+            if self.anchors_dir is None:
+                raise ValueError("anchor_variant needs anchors_dir")
         if not self.vector_sizes:
             raise ValueError("vector_sizes must be non-empty")
         if any(s < 1 for s in self.vector_sizes):
@@ -108,22 +113,50 @@ class RunConfig:
             raise ValueError("vector sizes must be distinct")
         if self.k is not None and self.k < 1:
             raise ValueError("k must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.n_subsets < 0:
             raise ValueError("n_subsets must be >= 0")
         if not 0.0 < self.fraction <= 1.0:
             raise ValueError("fraction must lie in (0, 1]")
-        if self.n_subsets and not self.baselines:
-            raise ValueError("significance requested but no baselines given")
+        if self.n_subsets and not set(self.baselines) - {self.representation}:
+            raise ValueError(
+                "significance requested but no baselines other than "
+                f"{self.representation!r} given"
+            )
 
 
 _BOOL_VALUES = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
-_CONFIG_KEYS = {
-    "manifest", "representation", "anchor_variant", "vector_sizes", "k",
-    "seed", "out_dir", "anchors_dir", "n_subsets", "fraction", "baselines",
-    "dump_vectors", "dump_features",
-}
+_CONFIG_KEYS = {f.name for f in fields(RunConfig)}
+_PATH_KEYS = ("manifest", "out_dir", "anchors_dir")
 
+
+def _words(value: str) -> tuple[str, ...]:
+    return tuple(value.replace(",", " ").split())
+
+
+def _as_bool(value: str) -> bool:
+    return _BOOL_VALUES[value.lower()]
+
+
+# config key -> (parser of its value, what the value must be); the keys in
+# _PATH_KEYS resolve against the config file's directory instead
+_PARSERS = {
+    "representation": (str, "a name"),
+    "anchor_variant": (lambda v: v or None, "a name"),
+    "vector_sizes": (
+        lambda v: tuple(int(s) for s in _words(v)) or DEFAULT_VECTOR_SIZES,
+        "a list of integers",
+    ),
+    "k": (int, "an integer"),
+    "seed": (int, "an integer"),
+    "n_subsets": (int, "an integer"),
+    "fraction": (float, "a number"),
+    "baselines": (_words, "a list of names"),
+    "dump_vectors": (_as_bool, "a boolean"),
+    "dump_features": (_as_bool, "a boolean"),
+}
 
 # a '#' starts a comment at the start of a line or after whitespace, so a
 # value such as a path may contain one
@@ -131,7 +164,9 @@ _COMMENT_RE = re.compile(r"(?:^|\s)#.*")
 
 
 def load_config(path) -> RunConfig:
-    """Flat `key = value` config; paths resolve against the file's directory."""
+    """Flat `key = value` config; paths resolve against the file's directory,
+    which is also the default out_dir.  Other keys left out keep their
+    RunConfig defaults."""
     path = Path(path)
     base = path.parent
     raw: dict[str, str] = {}
@@ -142,7 +177,10 @@ def load_config(path) -> RunConfig:
         key, eq, value = line.partition("=")
         if not eq:
             raise ValueError(f"{path}:{line_no}: expected 'key = value'")
-        raw[key.strip()] = value.strip()
+        key = key.strip()
+        if key in raw:
+            raise ValueError(f"{path}:{line_no}: {key} is set twice")
+        raw[key] = value.strip()
     if "manifest" not in raw:
         raise ValueError(f"{path}: config must set 'manifest'")
     unknown = sorted(set(raw) - _CONFIG_KEYS)
@@ -152,37 +190,17 @@ def load_config(path) -> RunConfig:
             f"(valid: {', '.join(sorted(_CONFIG_KEYS))})"
         )
 
-    def as_bool(key, default=False):
-        if key not in raw:
-            return default
-        value = raw[key].lower()
-        if value not in _BOOL_VALUES:
-            raise ValueError(f"{path}: {key} must be a boolean, got {raw[key]!r}")
-        return _BOOL_VALUES[value]
-
-    def as_path(key):
-        return (base / raw[key]).resolve() if key in raw else None
-
-    cfg = RunConfig(
-        manifest=(base / raw["manifest"]).resolve(),
-        representation=raw.get("representation", "efcc"),
-        anchor_variant=raw.get("anchor_variant") or None,
-        vector_sizes=tuple(
-            int(s) for s in raw.get("vector_sizes", "").replace(",", " ").split()
-        )
-        or DEFAULT_VECTOR_SIZES,
-        k=int(raw["k"]) if "k" in raw else None,
-        seed=int(raw.get("seed", "0")),
-        out_dir=as_path("out_dir") or base,
-        anchors_dir=as_path("anchors_dir"),
-        n_subsets=int(raw.get("n_subsets", "0")),
-        fraction=float(raw.get("fraction", "0.5")),
-        baselines=tuple(
-            b for b in raw.get("baselines", "").replace(",", " ").split() if b
-        ),
-        dump_vectors=as_bool("dump_vectors"),
-        dump_features=as_bool("dump_features"),
-    )
+    values: dict = {"out_dir": base}
+    for key, value in raw.items():
+        if key in _PATH_KEYS:
+            values[key] = (base / value).resolve()
+            continue
+        parse, kind = _PARSERS[key]
+        try:
+            values[key] = parse(value)
+        except (KeyError, ValueError):
+            raise ValueError(f"{path}: {key} must be {kind}, got {value!r}") from None
+    cfg = RunConfig(**values)
     cfg.validate()
     return cfg
 
@@ -230,15 +248,13 @@ def _stage(name: str):
     log.info("stage %s: done", name)
 
 
-def _doc_criteria(entry: ManifestEntry, manifest: CorpusManifest, config: RunConfig):
+def _doc_criteria(entry: ManifestEntry, config: RunConfig):
     """One document's criteria columns; a failure is raised as a criteria
     StageError naming the document."""
     try:
         stream = parse_html(entry.path.read_bytes())
         if config.anchor_variant:
-            anchors = read_anchor_texts(
-                config.anchors_dir or manifest.anchors_dir, entry.doc_id
-            )
+            anchors = read_anchor_texts(config.anchors_dir, entry.doc_id)
             stream = apply_anchor_variant(stream, anchors, config.anchor_variant)
         return extract_criteria(stream)
     except (FuzztermError, ValueError, OSError) as exc:
@@ -250,14 +266,14 @@ def build_corpus(manifest: CorpusManifest, config: RunConfig) -> Corpus:
     stream) are dropped once packed, before the next document is read."""
     builder = CorpusBuilder()
     for entry in manifest.entries:
-        builder.add(entry.doc_id, _doc_criteria(entry, manifest, config))
+        builder.add(entry.doc_id, _doc_criteria(entry, config))
     return builder.build()
 
 
 def _build_criteria(manifest: CorpusManifest, config: RunConfig) -> dict:
     """doc_id -> term -> TermCriteria dict for the whole corpus, for the
     dict API."""
-    return {e.doc_id: dict(_doc_criteria(e, manifest, config)) for e in manifest.entries}
+    return {e.doc_id: dict(_doc_criteria(e, config)) for e in manifest.entries}
 
 
 def corpus_profiles(corpus: Corpus, docs: np.ndarray | None = None) -> dict:
@@ -320,19 +336,13 @@ class _Representations:
         return self._bundled(representation).select(docs), None
 
 
-def _score(
-    rows: SparseRows,
-    features: np.ndarray,
-    n_terms: int,
-    doc_ids: list[str],
-    labels: dict[str, str],
-    k: int,
-    seed,
-) -> tuple[F1Report, Clustering]:
-    """Cluster the rows projected onto the features and score the result;
-    rows left without a feature go to the leftover cluster."""
-    clustering = cluster_matrix(project_rows(rows, features, n_terms), doc_ids, k, seed)
-    return weighted_f1(clustering, labels), clustering
+def _score_sizes(rows, order, n_terms, doc_ids, labels, k, sizes, seeds):
+    """Yield (size, F1Report, Clustering) per vector size: the rows projected
+    onto the size's top-ranked features, clustered and scored.  Rows left
+    without a feature go to the leftover cluster."""
+    for size, seed in zip(sizes, seeds):
+        clustering = cluster_matrix(project_rows(rows, order[:size], n_terms), doc_ids, k, seed)
+        yield size, weighted_f1(clustering, labels), clustering
 
 
 def run(config: RunConfig) -> ExperimentReport:
@@ -344,7 +354,7 @@ def run(config: RunConfig) -> ExperimentReport:
         config.out_dir.mkdir(parents=True, exist_ok=True)
 
     with _stage("ingest"):
-        manifest = load_manifest(config.manifest, config.anchors_dir)
+        manifest = load_manifest(config.manifest)
         log.info(
             "ingest: %d documents, %d categories",
             len(manifest),
@@ -360,9 +370,7 @@ def run(config: RunConfig) -> ExperimentReport:
     labels = manifest.labels()
     all_ids = list(corpus.doc_ids)
     all_docs = np.arange(corpus.n_docs)
-    n_terms = len(corpus.vocab)
-    seed_root = np.random.SeedSequence(config.seed)
-    size_seeds = seed_root.spawn(len(config.vector_sizes))
+    size_seeds = np.random.SeedSequence(config.seed).spawn(len(config.vector_sizes))
 
     with _stage("weigh"):
         rows, tuned_kb = weigher.rows(config.representation, all_docs)
@@ -389,10 +397,9 @@ def run(config: RunConfig) -> ExperimentReport:
                 dump_features(features, config.out_dir / f"features_{size}.txt")
 
     with _stage("cluster"):
-        for size, size_seed in zip(config.vector_sizes, size_seeds):
-            f1, clustering = _score(
-                rows, order[:size], n_terms, all_ids, labels, k, size_seed
-            )
+        for size, f1, clustering in _score_sizes(
+            rows, order, len(corpus.vocab), all_ids, labels, k, config.vector_sizes, size_seeds
+        ):
             zero_docs = len(clustering.leftover)
             report.records.append(
                 RunRecord(
@@ -434,19 +441,14 @@ def _significance(
     subsets = stratified_subsample(
         manifest, config.fraction, config.n_subsets, config.seed
     )
-    log.info(
-        "significance: %d subsets of ~%d docs",
-        len(subsets),
-        len(subsets[0]) if subsets else 0,
-    )
+    log.info("significance: %d subsets of ~%d docs", len(subsets), len(subsets[0]))
     reps = (config.representation,) + tuple(
         b for b in config.baselines if b != config.representation
     )
-    cluster_seeds = np.random.SeedSequence((config.seed, 1)).spawn(
-        len(subsets) * len(config.vector_sizes)
-    )
+    sizes = config.vector_sizes
+    cluster_seeds = np.random.SeedSequence((config.seed, 1)).spawn(len(subsets) * len(sizes))
     scores: dict[tuple[str, int], list[float]] = {
-        (rep, size): [] for rep in reps for size in config.vector_sizes
+        (rep, size): [] for rep in reps for size in sizes
     }
     corpus = weigher.corpus
     row_of = {doc_id: i for i, doc_id in enumerate(corpus.doc_ids)}
@@ -454,18 +456,16 @@ def _significance(
         sub_ids = sub.doc_ids()
         sub_docs = np.array([row_of[d] for d in sub_ids], dtype=np.int64)
         sub_labels = sub.labels()
+        seeds = cluster_seeds[si * len(sizes):(si + 1) * len(sizes)]
         for rep in reps:
             rows, _ = weigher.rows(rep, sub_docs)
-            order = mft_rank(rows)
-            for zi, size in enumerate(config.vector_sizes):
-                seed = cluster_seeds[si * len(config.vector_sizes) + zi]
-                f1, _ = _score(
-                    rows, order[:size], len(corpus.vocab), sub_ids, sub_labels, k, seed
-                )
+            for size, f1, _ in _score_sizes(
+                rows, mft_rank(rows), len(corpus.vocab), sub_ids, sub_labels, k, sizes, seeds
+            ):
                 scores[(rep, size)].append(f1.overall)
     report.subset_scores = scores
     for baseline in reps[1:]:
-        for size in config.vector_sizes:
+        for size in sizes:
             result = paired_ttest(
                 scores[(config.representation, size)], scores[(baseline, size)]
             )
@@ -476,110 +476,51 @@ def _significance(
             )
 
 
+# the RunConfig fields the config record of results.jsonl holds
+_RECORDED_CONFIG = (
+    "representation", "anchor_variant", "vector_sizes", "k", "seed", "n_subsets",
+    "fraction", "baselines",
+)
+
+
 def render_results(report: ExperimentReport) -> str:
     """JSON-lines rendering: header, run records, subset scores, t-tests.
     Deterministic for a fixed config and seed."""
     config = report.config
-    lines = [
-        json.dumps(
-            {
-                "kind": "config",
-                "representation": config.representation,
-                "anchor_variant": config.anchor_variant,
-                "vector_sizes": list(config.vector_sizes),
-                "k": config.k,
-                "seed": config.seed,
-                "n_subsets": config.n_subsets,
-                "fraction": config.fraction,
-                "baselines": list(config.baselines),
-            },
-            sort_keys=True,
-        )
-    ]
+    records = [{"kind": "config", **{name: getattr(config, name) for name in _RECORDED_CONFIG}}]
     for rec in report.records:
-        lines.append(
-            json.dumps(
-                {
-                    "kind": "run",
-                    "representation": rec.representation,
-                    "vector_size": rec.vector_size,
-                    "seed": rec.seed,
-                    "k": rec.k,
-                    "overall_f1": rec.report.overall,
-                    "per_category": {
-                        cat: {
-                            "precision": s.precision,
-                            "recall": s.recall,
-                            "f1": s.f1,
-                            "support": s.support,
-                        }
-                        for cat, s in sorted(rec.report.per_category.items())
-                    },
-                    "zero_docs": rec.zero_docs,
-                    "clusters": rec.clusters,
-                },
-                sort_keys=True,
-            )
-        )
+        run_record = asdict(rec)
+        f1 = run_record.pop("report")
+        run_record.update(overall_f1=f1["overall"], per_category=f1["per_category"])
+        records.append({"kind": "run", **run_record})
     for (rep, size), values in sorted(report.subset_scores.items()):
-        lines.append(
-            json.dumps(
-                {
-                    "kind": "subset_scores",
-                    "representation": rep,
-                    "vector_size": size,
-                    "scores": values,
-                },
-                sort_keys=True,
-            )
+        records.append(
+            {"kind": "subset_scores", "representation": rep, "vector_size": size, "scores": values}
         )
     for sig in report.significance:
-        lines.append(
-            json.dumps(
-                {
-                    "kind": "ttest",
-                    "a": sig.a,
-                    "b": sig.b,
-                    "vector_size": sig.vector_size,
-                    "n_subsets": sig.n_subsets,
-                    "mean_diff": sig.result.mean_diff,
-                    "t": sig.result.t,
-                    "df": sig.result.df,
-                    "p": sig.result.p,
-                    "zero_variance": sig.result.zero_variance,
-                },
-                sort_keys=True,
-            )
-        )
-    return "\n".join(lines) + "\n"
+        ttest = asdict(sig)
+        ttest.update(ttest.pop("result"))
+        records.append({"kind": "ttest", **ttest})
+    return "".join(json.dumps(record, sort_keys=True) + "\n" for record in records)
+
+
+def _mean(values) -> str:
+    return f"{sum(values) / len(values):.3f}"
 
 
 def render_table(report: ExperimentReport) -> str:
-    """Text table: one row per representation, one column per vector size."""
-    sizes = list(report.config.vector_sizes)
+    """Text table: the run's representation and each representation's
+    subset means, one column per vector size."""
+    config = report.config
+    sizes = config.vector_sizes
     header = ["representation"] + [str(s) for s in sizes] + ["avg"]
-    rows: list[list[str]] = []
-
-    by_rep: dict[str, dict[int, float]] = {}
-    for rec in report.records:
-        by_rep.setdefault(rec.representation, {})[rec.vector_size] = rec.report.overall
-    for rep, cells in by_rep.items():
-        vals = [cells.get(s) for s in sizes]
-        shown = [f"{v:.3f}" if v is not None else "-" for v in vals]
-        present = [v for v in vals if v is not None]
-        avg = f"{sum(present) / len(present):.3f}" if present else "-"
-        rows.append([rep] + shown + [avg])
-
-    sub_rows: list[list[str]] = []
-    reps_with_scores = sorted({rep for rep, _ in report.subset_scores})
-    for rep in reps_with_scores:
-        cells = []
-        for s in sizes:
-            values = report.subset_scores.get((rep, s), [])
-            cells.append(f"{sum(values) / len(values):.3f}" if values else "-")
-        values_all = [v for s in sizes for v in report.subset_scores.get((rep, s), [])]
-        avg = f"{sum(values_all) / len(values_all):.3f}" if values_all else "-"
-        sub_rows.append([f"{rep} (subset mean)"] + cells + [avg])
+    overall = [rec.report.overall for rec in report.records]
+    rows = [[config.representation] + [f"{v:.3f}" for v in overall] + [_mean(overall)]]
+    sub_rows = []
+    for rep in sorted({rep for rep, _ in report.subset_scores}):
+        per_size = [report.subset_scores[(rep, s)] for s in sizes]
+        every = [v for values in per_size for v in values]
+        sub_rows.append([f"{rep} (subset mean)"] + [_mean(v) for v in per_size] + [_mean(every)])
 
     widths = [
         max(len(r[i]) for r in [header] + rows + sub_rows)
@@ -596,10 +537,7 @@ def render_table(report: ExperimentReport) -> str:
         out.extend(fmt(r) for r in sub_rows)
     if report.significance:
         out.append("")
-        out.append(
-            f"paired t-tests ({report.config.n_subsets} subsets, "
-            f"fraction {report.config.fraction:g})"
-        )
+        out.append(f"paired t-tests ({config.n_subsets} subsets, fraction {config.fraction:g})")
         for sig in report.significance:
             r = sig.result
             flag = " (zero variance)" if r.zero_variance else ""

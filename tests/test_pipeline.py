@@ -116,6 +116,37 @@ class TestLoadConfig:
         assert cfg.manifest == (tmp_path / "manifest.tsv").resolve()
         assert cfg.seed == 3
 
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            (["k = four"], "{cfg}: k must be an integer, got 'four'"),
+            (["seed = 1.5"], "{cfg}: seed must be an integer, got '1.5'"),
+            (["n_subsets = some"], "{cfg}: n_subsets must be an integer, got 'some'"),
+            (["fraction = half"], "{cfg}: fraction must be a number, got 'half'"),
+            (["vector_sizes = 100, 5x"], "{cfg}: vector_sizes must be a list of integers, got '100, 5x'"),
+            (["dump_features = maybe"], "{cfg}: dump_features must be a boolean, got 'maybe'"),
+            (["seed = 1", "# again", "seed = 2"], "{cfg}:4: seed is set twice"),
+        ],
+    )
+    def test_bad_value_names_file_and_key(self, lines, message, tmp_path, capsys):
+        cfg = write_config(tmp_path / "exp.cfg", ["manifest = m.tsv", *lines])
+        message = message.format(cfg=cfg)
+        with pytest.raises(ValueError) as exc:
+            load_config(cfg)
+        assert str(exc.value) == message
+        assert main(["run", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"error[config]: {message}\n"
+
+    def test_readme_example(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        example = re.search(r"cat > /tmp/run.cfg <<EOF\n(.*?)\nEOF\n", readme, re.S)
+        cfg = load_config(write_config(tmp_path / "run.cfg", example[1].splitlines()))
+        assert cfg.manifest == Path("/tmp/corpus/manifest.tsv").resolve()
+        assert (cfg.representation, cfg.vector_sizes, cfg.k) == ("afcc", (100, 500), 4)
+        assert cfg.baselines == ("efcc", "tfidf") and cfg.n_subsets == 10
+        for key in pipeline._CONFIG_KEYS:
+            assert f"| `{key}` |" in readme
+
     def test_unknown_key_rejected(self, tmp_path):
         # a typo must not silently fall back to defaults
         with pytest.raises(ValueError, match="unknown config keys: sizes"):
@@ -147,6 +178,36 @@ class TestRunConfigValidation:
     def test_subsets_need_baselines(self):
         with pytest.raises(ValueError, match="baselines"):
             RunConfig(manifest="m.tsv", n_subsets=5).validate()
+
+    def test_anchor_variant_any_case(self, tmp_path):
+        RunConfig(manifest="m.tsv", anchor_variant="B1", anchors_dir=tmp_path).validate()
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            (
+                {"representation": "afcc", "baselines": ("efcc", "efcc"), "n_subsets": 3},
+                "baselines must be distinct, got efcc, efcc",
+            ),
+            (
+                {"representation": "afcc", "baselines": ("afcc",), "n_subsets": 3},
+                "significance requested but no baselines other than 'afcc' given",
+            ),
+            (
+                {"anchor_variant": "zz", "anchors_dir": Path("anchors")},
+                "unknown anchor variant 'zz'; choose from ('a1', 'a2', 'a3', 'b1', 'b2', 'b3')",
+            ),
+            ({"anchor_variant": "b1"}, "anchor_variant needs anchors_dir"),
+            ({"seed": -1}, "seed must be >= 0"),
+        ],
+    )
+    def test_rejected_at_config_stage(self, changes, message, small_corpus, tmp_path):
+        config = RunConfig(
+            manifest=small_corpus / "manifest.tsv", vector_sizes=(10,), out_dir=tmp_path, **changes
+        )
+        with pytest.raises(StageError) as exc:
+            run(config)
+        assert (exc.value.stage, exc.value.detail) == ("config", message)
 
 
 class TestRun:
