@@ -336,7 +336,16 @@ class _Representations:
         return self._bundled(representation).select(docs), None
 
 
-def _score_sizes(rows, order, n_terms, doc_ids, labels, k, sizes, seeds):
+def _score_sizes(
+    rows: SparseRows,
+    order: np.ndarray,
+    n_terms: int,
+    doc_ids: list[str],
+    labels: dict[str, str],
+    k: int,
+    sizes: tuple[int, ...],
+    seeds: list[np.random.SeedSequence],
+):
     """Yield (size, F1Report, Clustering) per vector size: the rows projected
     onto the size's top-ranked features, clustered and scored.  Rows left
     without a feature go to the leftover cluster."""
