@@ -101,8 +101,10 @@ class RunConfig:
                     f"unknown anchor variant {self.anchor_variant!r}; "
                     f"choose from {ANCHOR_VARIANTS}"
                 )
-            if self.anchors_dir is None:
-                raise ValueError("anchor_variant needs anchors_dir")
+            if self.anchors_dir is None or not Path(self.anchors_dir).is_dir():
+                raise ValueError(
+                    f"anchor_variant needs an existing anchors_dir, got {self.anchors_dir}"
+                )
         if not self.vector_sizes:
             raise ValueError("vector_sizes must be non-empty")
         if any(s < 1 for s in self.vector_sizes):

@@ -197,7 +197,11 @@ class TestRunConfigValidation:
                 {"anchor_variant": "zz", "anchors_dir": Path("anchors")},
                 "unknown anchor variant 'zz'; choose from ('a1', 'a2', 'a3', 'b1', 'b2', 'b3')",
             ),
-            ({"anchor_variant": "b1"}, "anchor_variant needs anchors_dir"),
+            ({"anchor_variant": "b1"}, "anchor_variant needs an existing anchors_dir, got None"),
+            (
+                {"anchor_variant": "b1", "anchors_dir": Path("no-such-dir")},
+                "anchor_variant needs an existing anchors_dir, got no-such-dir",
+            ),
             ({"seed": -1}, "seed must be >= 0"),
         ],
     )
