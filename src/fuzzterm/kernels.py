@@ -60,10 +60,15 @@ def batch_infer(X, trap, var_of_set, ant, cons, m0, m1):
     num = np.zeros(X.shape[0], dtype=np.float64)
     den = np.zeros(X.shape[0], dtype=np.float64)
     # Accumulate rule by rule, in rule order: a matmul or an axis-1 sum would
-    # reorder the additions and change the weights in the last bits.
-    for t, c in zip(rule_degrees(X, trap, var_of_set, ant), cons):
+    # reorder the additions and change the weights in the last bits.  Each
+    # rule's degrees are released before the next rule's are computed; a
+    # for loop over the generator would hold two arrays of n at a time.
+    degrees = rule_degrees(X, trap, var_of_set, ant)
+    for c in cons:
+        t = next(degrees)
         num += t * m1[c]
         den += t * m0[c]
+        del t
     fired = den > 0.0
     out = np.where(fired, num / np.where(fired, den, 1.0), 0.0)
     return out, fired
