@@ -123,7 +123,10 @@ class TestLoadConfig:
             (["seed = 1.5"], "{cfg}: seed must be an integer, got '1.5'"),
             (["n_subsets = some"], "{cfg}: n_subsets must be an integer, got 'some'"),
             (["fraction = half"], "{cfg}: fraction must be a number, got 'half'"),
-            (["vector_sizes = 100, 5x"], "{cfg}: vector_sizes must be a list of integers, got '100, 5x'"),
+            (
+                ["vector_sizes = 100, 5x"],
+                "{cfg}: vector_sizes must be a list of integers, got '100, 5x'",
+            ),
             (["dump_features = maybe"], "{cfg}: dump_features must be a boolean, got 'maybe'"),
             (["seed = 1", "# again", "seed = 2"], "{cfg}:4: seed is set twice"),
         ],
