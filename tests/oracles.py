@@ -19,10 +19,12 @@ from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
+from fuzzterm.cluster import CategoryScore, F1Report
 from fuzzterm.corpus import Corpus
 from fuzzterm.engine import LinguisticVariable, TrapezoidSet
-from fuzzterm.errors import EmptyDocument
+from fuzzterm.errors import CategoryTooSmall, EmptyDocument
 from fuzzterm.ingest import (
+    CorpusManifest,
     _SKIP_TAGS,
     _VOID_TAGS,
     ANCHOR_VARIANTS,
@@ -810,4 +812,97 @@ class CorpusBuilderReference:
 def _offsets(sizes: array) -> np.ndarray:
     out = np.zeros(len(sizes) + 1, dtype=np.int64)
     np.cumsum(np.frombuffer(sizes, dtype=np.int64), out=out[1:])
+    return out
+
+
+# ---------------------------------------------------------------------------
+# The doc_id-keyed scoring path that label arrays and row-index subsets
+# replaced, kept as it was: a doc_id -> cluster dict with the set of
+# zero-weight documents, F1 by set intersections, and one CorpusManifest per
+# stratified subset.
+
+
+@dataclass(frozen=True)
+class Clustering:
+    """Document-to-cluster assignment.
+
+    k counts the cluster ids in use, including the extra leftover cluster
+    that absorbs zero-weight documents when any exist; those doc_ids are
+    listed in `leftover`.
+    """
+
+    assignment: dict[str, int]
+    k: int
+    leftover: frozenset[str] = frozenset()
+
+    def members(self) -> dict[int, set[str]]:
+        out: dict[int, set[str]] = {}
+        for doc_id, cid in self.assignment.items():
+            out.setdefault(cid, set()).add(doc_id)
+        return out
+
+
+def weighted_f1_sets_reference(clustering: Clustering, labels: Mapping[str, str]) -> F1Report:
+    """Best-matching-cluster F1 per category, support-weighted overall.
+
+    Clusters may serve several categories; 0/0 ratios count as 0.
+    """
+    missing = set(clustering.assignment) - set(labels)
+    if missing:
+        raise ValueError(f"labels missing for {len(missing)} documents")
+    members = clustering.members()
+    by_category: dict[str, set[str]] = {}
+    for doc_id in clustering.assignment:
+        by_category.setdefault(labels[doc_id], set()).add(doc_id)
+    n = len(clustering.assignment)
+    per_category: dict[str, CategoryScore] = {}
+    overall = 0.0
+    for cat in sorted(by_category):
+        docs = by_category[cat]
+        best = CategoryScore(0.0, 0.0, 0.0, len(docs))
+        for cid in sorted(members):
+            cluster = members[cid]
+            hit = len(docs & cluster)
+            precision = hit / len(cluster) if cluster else 0.0
+            recall = hit / len(docs) if docs else 0.0
+            f1 = (
+                2.0 * precision * recall / (precision + recall)
+                if precision + recall > 0
+                else 0.0
+            )
+            if f1 > best.f1:
+                best = CategoryScore(precision, recall, f1, len(docs))
+        per_category[cat] = best
+        overall += best.f1 * len(docs) / n
+    return F1Report(per_category, overall)
+
+
+def stratified_subsample_manifest_reference(
+    manifest: CorpusManifest, fraction: float = 0.5, n: int = 100, seed=0
+) -> list[CorpusManifest]:
+    """n fractionally sized sub-corpora preserving category proportions.
+
+    Each sub-manifest draws ceil(fraction * |c|) documents per category
+    without replacement, independently across sub-manifests, reproducibly
+    from the seed.
+    """
+    if not 0.0 < fraction <= 1.0:
+        raise ValueError("fraction must lie in (0, 1]")
+    by_category: dict[str, list[int]] = {}
+    for i, entry in enumerate(manifest.entries):
+        by_category.setdefault(entry.category, []).append(i)
+    for cat, idxs in by_category.items():
+        if len(idxs) < 2:
+            raise CategoryTooSmall(f"category {cat!r} has {len(idxs)} document(s)")
+    out = []
+    for child in np.random.SeedSequence(seed).spawn(n):
+        rng = np.random.default_rng(child)
+        chosen: set[int] = set()
+        for cat in manifest.categories():
+            idxs = by_category[cat]
+            take = math.ceil(fraction * len(idxs))
+            picks = rng.choice(len(idxs), size=take, replace=False)
+            chosen.update(idxs[int(p)] for p in picks)
+        entries = tuple(e for i, e in enumerate(manifest.entries) if i in chosen)
+        out.append(CorpusManifest(entries))
     return out

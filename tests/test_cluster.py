@@ -20,12 +20,15 @@ from fuzzterm.errors import CategoryTooSmall, InsufficientDocs
 from fuzzterm.ingest import CorpusManifest, ManifestEntry
 from fuzzterm.weighting import DocVector
 
+from oracles import Clustering as DictClustering
 from oracles import (
     best_partition_criterion,
     bisect_labels_reference,
     bisect_reference,
     refine_reference,
+    stratified_subsample_manifest_reference,
     weighted_f1_reference,
+    weighted_f1_sets_reference,
 )
 
 properties = settings(deadline=None, database=None)
@@ -339,6 +342,79 @@ class TestWeightedF1:
         clustering = Clustering({"a": 0, "b": 0}, 2)  # cluster 1 unused
         report = weighted_f1(clustering, {"a": "x", "b": "y"})
         assert 0.0 < report.overall <= 1.0
+
+
+# ASCII, accented and non-Latin names, so "sorted order" means code points
+CATEGORY_NAMES = ("alpha", "Beta", "zeta", "é", "ß", "Ωmega", "日本")
+
+
+@st.composite
+def scored_rows(draw):
+    """(cluster label per row, category per row, k).  Labels lie in
+    range(k + 1), k standing for the leftover cluster of zero-weight rows;
+    the small sizes make empty clusters and F1 ties common, and one run in
+    three puts every row in one cluster."""
+    k = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 30))
+    clusters = draw(st.lists(st.integers(0, k), min_size=n, max_size=n))
+    if draw(st.integers(0, 2)) == 0:
+        clusters = [clusters[0]] * n
+    names = draw(st.lists(st.sampled_from(CATEGORY_NAMES), min_size=1, max_size=4, unique=True))
+    categories = draw(st.lists(st.sampled_from(names), min_size=n, max_size=n))
+    return np.array(clusters, dtype=np.int64), categories, k
+
+
+@st.composite
+def category_rows(draw):
+    """A per-row category list, each category two to ten rows, shuffled."""
+    names = draw(st.lists(st.sampled_from(CATEGORY_NAMES), min_size=1, max_size=4, unique=True))
+    rows = [name for name in names for _ in range(draw(st.integers(2, 10)))]
+    return draw(st.permutations(rows))
+
+
+def dict_clustering(clusters, k) -> DictClustering:
+    assignment = {f"d{i}": int(c) for i, c in enumerate(clusters)}
+    leftover = frozenset(d for d, c in assignment.items() if c == k)
+    return DictClustering(assignment, k + 1 if leftover else k, leftover)
+
+
+def manifest_rows(categories) -> CorpusManifest:
+    return CorpusManifest(
+        tuple(ManifestEntry(f"d{i}", Path(f"d{i}.html"), c) for i, c in enumerate(categories))
+    )
+
+
+class TestAgainstDictScoring:
+    """The scoring path equals the doc_id-keyed dicts and sets it replaced,
+    field for field and draw for draw."""
+
+    @properties
+    @given(case=scored_rows())
+    def test_weighted_f1_equals_set_reference(self, case):
+        clusters, categories, k = case
+        labels = {f"d{i}": c for i, c in enumerate(categories)}
+        want = weighted_f1_sets_reference(dict_clustering(clusters, k), labels)
+        got = weighted_f1(Clustering(**vars(dict_clustering(clusters, k))), labels)
+        assert got == want
+
+    @properties
+    @given(
+        categories=category_rows(),
+        fraction=st.floats(0.0, 1.0, exclude_min=True),
+        n=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stratified_subsample_equals_manifest_reference(self, categories, fraction, n, seed):
+        manifest = manifest_rows(categories)
+        want = [
+            [int(e.doc_id[1:]) for e in sub.entries]
+            for sub in stratified_subsample_manifest_reference(manifest, fraction, n, seed)
+        ]
+        got = [
+            [int(e.doc_id[1:]) for e in sub.entries]
+            for sub in stratified_subsample(manifest, fraction, n, seed)
+        ]
+        assert got == want
 
 
 def manifest_of(sizes: dict[str, int]) -> CorpusManifest:

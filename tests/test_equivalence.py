@@ -14,17 +14,22 @@ from fuzzterm import (
     load_manifest,
     profile_criterion,
     run,
-    stratified_subsample,
     tune_afcc,
-    weighted_f1,
 )
-from fuzzterm.cluster import Clustering, bisect_labels
+from fuzzterm.cluster import bisect_labels
 from fuzzterm.errors import EmptyProfile
 from fuzzterm.kb import TUNED_CRITERIA
 from fuzzterm.pipeline import REPRESENTATIONS, RunConfig, _build_criteria
 from fuzzterm.stats import paired_ttest
 
-from oracles import mft_order_reference, projected_matrix_reference, weigh_fuzzy_reference
+from oracles import (
+    Clustering,
+    mft_order_reference,
+    projected_matrix_reference,
+    stratified_subsample_manifest_reference,
+    weigh_fuzzy_reference,
+    weighted_f1_sets_reference,
+)
 
 
 @pytest.fixture(scope="module")
@@ -85,14 +90,18 @@ def oracle_score(maps, order, size, doc_ids, labels, k, seed):
         assignment[doc_ids[i]] = int(label)
     leftover = frozenset(d for d, c in assignment.items() if c == k)
     clustering = Clustering(assignment, k + 1 if leftover else k, leftover)
-    return weighted_f1(clustering, labels), len(set(assignment.values())), len(leftover)
+    return (
+        weighted_f1_sets_reference(clustering, labels),
+        len(set(assignment.values())),
+        len(leftover),
+    )
 
 
 def oracle_run(config):
     manifest = load_manifest(config.manifest)
     criteria = _build_criteria(manifest, config)
     k = len(manifest.categories())
-    labels = manifest.labels()
+    labels = {e.doc_id: e.category for e in manifest.entries}
     doc_ids = manifest.doc_ids()
     sizes = config.vector_sizes
     records = []
@@ -105,17 +114,20 @@ def oracle_run(config):
     reps = (config.representation,) + tuple(
         b for b in config.baselines if b != config.representation
     )
-    subsets = stratified_subsample(manifest, config.fraction, config.n_subsets, config.seed)
+    subsets = stratified_subsample_manifest_reference(
+        manifest, config.fraction, config.n_subsets, config.seed
+    )
     seeds = np.random.SeedSequence((config.seed, 1)).spawn(len(subsets) * len(sizes))
     scores = {(rep, size): [] for rep in reps for size in sizes}
     for si, sub in enumerate(subsets):
         sub_ids = sub.doc_ids()
+        sub_labels = {e.doc_id: e.category for e in sub.entries}
         for rep in reps:
             maps = oracle_weights(rep, criteria, sub_ids)
             order = mft_order_reference(maps)
             for zi, size in enumerate(sizes):
                 seed = seeds[si * len(sizes) + zi]
-                f1, _, _ = oracle_score(maps, order, size, sub_ids, sub.labels(), k, seed)
+                f1, _, _ = oracle_score(maps, order, size, sub_ids, sub_labels, k, seed)
                 scores[(rep, size)].append(f1.overall)
     ttests = [
         (config.representation, b, size, paired_ttest(scores[(reps[0], size)], scores[(b, size)]))
