@@ -9,7 +9,6 @@ t-tests.
 from . import errors
 from .cluster import (
     CategoryScore,
-    Clustering,
     F1Report,
     repeated_bisections,
     stratified_subsample,
@@ -57,7 +56,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CategoryScore",
-    "Clustering",
     "CorpusManifest",
     "CorpusStats",
     "DistributionProfile",

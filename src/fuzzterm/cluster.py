@@ -16,19 +16,21 @@ allocator puts such copies.
 
 The pipeline hands `cluster_matrix` the matrix `reduction.project_rows`
 writes; `repeated_bisections` takes DocVectors and lays them out with
-`build_matrix` first.
+`build_matrix` first.  Both return one cluster label per row, label k
+marking the rows with no weight.  `weighted_f1` scores such labels against
+a per-row list of categories, and `stratified_subsample` draws sub-corpora
+as ascending row indices.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import CategoryTooSmall, InsufficientDocs
-from .ingest import CorpusManifest
 from .weighting import DocVector, pack_vectors
 
 _RESTARTS = 10
@@ -36,26 +38,6 @@ _MAX_ITER = 100
 _MOVE_TOL = 1e-10
 # Rows per np.linalg.norm call in _row_norms.
 _NORM_ROWS = 64
-
-
-@dataclass(frozen=True)
-class Clustering:
-    """Document-to-cluster assignment.
-
-    k counts the cluster ids in use, including the extra leftover cluster
-    that absorbs zero-weight documents when any exist; those doc_ids are
-    listed in `leftover`.
-    """
-
-    assignment: dict[str, int]
-    k: int
-    leftover: frozenset[str] = frozenset()
-
-    def members(self) -> dict[int, set[str]]:
-        out: dict[int, set[str]] = {}
-        for doc_id, cid in self.assignment.items():
-            out.setdefault(cid, set()).add(doc_id)
-        return out
 
 
 @dataclass(frozen=True)
@@ -206,15 +188,16 @@ def bisect_labels(X: np.ndarray, k: int, seed) -> np.ndarray:
     return labels
 
 
-def repeated_bisections(vectors: Sequence[DocVector], k: int, seed) -> Clustering:
-    """Cluster documents into k groups; zero vectors land in an extra
-    leftover cluster so every document stays assigned."""
+def repeated_bisections(vectors: Sequence[DocVector], k: int, seed) -> np.ndarray:
+    """Cluster documents into k groups: label i is vectors[i]'s cluster, and
+    zero vectors take the extra leftover label k, so every document stays
+    assigned."""
     X, _ = build_matrix(vectors)
-    return cluster_matrix(X, [vec.doc_id for vec in vectors], k, seed)
+    return cluster_matrix(X, k, seed)
 
 
-def cluster_matrix(X: np.ndarray, doc_ids: Sequence[str], k: int, seed) -> Clustering:
-    """repeated_bisections on the doc-term matrix X, row i being doc_ids[i]."""
+def cluster_matrix(X: np.ndarray, k: int, seed) -> np.ndarray:
+    """repeated_bisections on the doc-term matrix X: one label per row."""
     if k < 1:
         raise ValueError("k must be at least 1")
     norms = _row_norms(X)
@@ -227,72 +210,69 @@ def cluster_matrix(X: np.ndarray, doc_ids: Sequence[str], k: int, seed) -> Clust
         X = X[nonzero]
     labels = np.full(norms.size, k)
     labels[nonzero] = bisect_labels(X, k, seed)
-    assignment = dict(zip(doc_ids, labels.tolist()))
-    leftover = frozenset(doc_id for doc_id, label in assignment.items() if label == k)
-    return Clustering(assignment, k + 1 if leftover else k, leftover)
+    return labels
 
 
-def weighted_f1(clustering: Clustering, labels: Mapping[str, str]) -> F1Report:
-    """Best-matching-cluster F1 per category, support-weighted overall.
+def weighted_f1(clusters: np.ndarray, categories: Sequence[str]) -> F1Report:
+    """Best-matching-cluster F1 per category, support-weighted overall;
+    clusters[i] and categories[i] are row i's cluster label and category.
 
-    Clusters may serve several categories; 0/0 ratios count as 0.
+    Clusters may serve several categories; 0/0 ratios count as 0.  A
+    category's best cluster is the first in label order of largest F1.
     """
-    missing = set(clustering.assignment) - set(labels)
-    if missing:
-        raise ValueError(f"labels missing for {len(missing)} documents")
-    members = clustering.members()
-    by_category: dict[str, set[str]] = {}
-    for doc_id in clustering.assignment:
-        by_category.setdefault(labels[doc_id], set()).add(doc_id)
-    n = len(clustering.assignment)
+    clusters = np.asarray(clusters)
+    if clusters.shape != (len(categories),):
+        raise ValueError(f"{clusters.size} cluster labels for {len(categories)} categories")
+    # object arrays sort by Python's str order
+    names, cat_ids = np.unique(np.array(categories, dtype=object), return_inverse=True)
+    used, cols = np.unique(clusters, return_inverse=True)
+    hits = np.bincount(cat_ids * used.size + cols, minlength=names.size * used.size)
+    hits = hits.reshape(names.size, used.size)
+    support = hits.sum(axis=1)
+    precision = hits / hits.sum(axis=0)
+    recall = hits / support[:, None]
+    f1 = np.divide(
+        2.0 * precision * recall,
+        precision + recall,
+        out=np.zeros(hits.shape),
+        where=hits > 0,
+    )
+    n = len(categories)
     per_category: dict[str, CategoryScore] = {}
     overall = 0.0
-    for cat in sorted(by_category):
-        docs = by_category[cat]
-        best = CategoryScore(0.0, 0.0, 0.0, len(docs))
-        for cid in sorted(members):
-            cluster = members[cid]
-            hit = len(docs & cluster)
-            precision = hit / len(cluster) if cluster else 0.0
-            recall = hit / len(docs) if docs else 0.0
-            f1 = (
-                2.0 * precision * recall / (precision + recall)
-                if precision + recall > 0
-                else 0.0
-            )
-            if f1 > best.f1:
-                best = CategoryScore(precision, recall, f1, len(docs))
+    for i, cat in enumerate(names):
+        j = int(np.argmax(f1[i]))
+        best = CategoryScore(*(float(v[i, j]) for v in (precision, recall, f1)), int(support[i]))
         per_category[cat] = best
-        overall += best.f1 * len(docs) / n
+        overall += best.f1 * best.support / n
     return F1Report(per_category, overall)
 
 
 def stratified_subsample(
-    manifest: CorpusManifest, fraction: float = 0.5, n: int = 100, seed=0
-) -> list[CorpusManifest]:
-    """n fractionally sized sub-corpora preserving category proportions.
+    categories: Sequence[str], fraction: float = 0.5, n: int = 100, seed=0
+) -> list[np.ndarray]:
+    """n fractionally sized sub-corpora preserving category proportions, each
+    an ascending array of the rows it keeps; categories[i] is row i's.
 
-    Each sub-manifest draws ceil(fraction * |c|) documents per category
-    without replacement, independently across sub-manifests, reproducibly
-    from the seed.
+    Each subset draws ceil(fraction * |c|) rows per category without
+    replacement, category by category in first-seen order, independently
+    across subsets, reproducibly from the seed.
     """
     if not 0.0 < fraction <= 1.0:
         raise ValueError("fraction must lie in (0, 1]")
     by_category: dict[str, list[int]] = {}
-    for i, entry in enumerate(manifest.entries):
-        by_category.setdefault(entry.category, []).append(i)
+    for i, cat in enumerate(categories):
+        by_category.setdefault(cat, []).append(i)
     for cat, idxs in by_category.items():
         if len(idxs) < 2:
             raise CategoryTooSmall(f"category {cat!r} has {len(idxs)} document(s)")
+    groups = [np.array(idxs) for idxs in by_category.values()]
     out = []
     for child in np.random.SeedSequence(seed).spawn(n):
         rng = np.random.default_rng(child)
-        chosen: set[int] = set()
-        for cat in manifest.categories():
-            idxs = by_category[cat]
-            take = math.ceil(fraction * len(idxs))
-            picks = rng.choice(len(idxs), size=take, replace=False)
-            chosen.update(idxs[int(p)] for p in picks)
-        entries = tuple(e for i, e in enumerate(manifest.entries) if i in chosen)
-        out.append(CorpusManifest(entries))
+        picks = [
+            rows[rng.choice(rows.size, size=math.ceil(fraction * rows.size), replace=False)]
+            for rows in groups
+        ]
+        out.append(np.sort(np.concatenate(picks)))
     return out

@@ -13,7 +13,6 @@ term -> `TermCriteria` map.
 from __future__ import annotations
 
 import re
-from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
@@ -315,8 +314,9 @@ def apply_anchor_variant(
     The variant letter picks the destination flags (a: body, b: title); the
     digit picks the setting: 1 append only, 2 also remove the document's own
     link text first, 3 append minus the anchor-stopword list.  Anchor tokens
-    are never emphasis or link tokens.  A missing anchor file (anchor_texts
-    None) passes a copy of the stream through unchanged.
+    are never emphasis or link tokens; only the first MAX_ANCHORS anchor
+    texts count.  A missing anchor file (anchor_texts None) passes a copy of
+    the stream through unchanged.
     """
     v = variant.lower()
     if v not in ANCHOR_VARIANTS:
@@ -363,23 +363,9 @@ class CorpusManifest:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def doc_ids(self) -> list[str]:
-        return [e.doc_id for e in self.entries]
-
     def categories(self) -> list[str]:
         seen = dict.fromkeys(e.category for e in self.entries)
         return list(seen)
-
-    def labels(self) -> dict[str, str]:
-        return {e.doc_id: e.category for e in self.entries}
-
-    def category_sizes(self) -> dict[str, int]:
-        sizes = Counter(e.category for e in self.entries)
-        return dict(sizes)
-
-    def subset(self, doc_ids: Iterable[str]) -> "CorpusManifest":
-        keep = set(doc_ids)
-        return CorpusManifest(tuple(e for e in self.entries if e.doc_id in keep))
 
 
 def load_manifest(path) -> CorpusManifest:
@@ -415,7 +401,7 @@ def load_manifest(path) -> CorpusManifest:
     return CorpusManifest(tuple(entries))
 
 
-def read_anchor_texts(anchors_dir, doc_id: str, limit: int = MAX_ANCHORS) -> list[str] | None:
+def read_anchor_texts(anchors_dir, doc_id: str) -> list[str] | None:
     """Anchor strings for one document, or None when no file exists."""
     if anchors_dir is None:
         return None
@@ -424,4 +410,4 @@ def read_anchor_texts(anchors_dir, doc_id: str, limit: int = MAX_ANCHORS) -> lis
         return None
     text = decode_text(path.read_bytes())
     lines = [line.strip() for line in text.splitlines()]
-    return [line for line in lines if line][:limit]
+    return [line for line in lines if line]

@@ -10,12 +10,13 @@ the document.
 The criteria stage reads each document as a columnar token stream, counts
 its criteria into columns (`ingest.extract_criteria`) and appends them to
 one columnar `corpus.Corpus` before the next document is read.  From there
-every step works on arrays: a sub-corpus is a selection of document rows,
-each rule base weighs a selection in one batch (bundled bases once per
-corpus, afcc once per tuning; the global positions once per distinct
+every step works on arrays: a sub-corpus is an ascending array of document
+rows, each rule base weighs a selection in one batch (bundled bases once
+per corpus, afcc once per tuning; the global positions once per distinct
 auxiliary system, which tuning leaves alone), `reduction.mft_rank` ranks
-the weighted rows and `reduction.project_rows` writes the matrix
-`cluster.cluster_matrix` splits.
+the weighted rows, `reduction.project_rows` writes the matrix
+`cluster.cluster_matrix` splits into one label per row, and
+`cluster.weighted_f1` scores those labels against the rows' categories.
 """
 
 from __future__ import annotations
@@ -117,8 +118,8 @@ class RunConfig:
             raise ValueError("k must be positive")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        if self.n_subsets < 0:
-            raise ValueError("n_subsets must be >= 0")
+        if self.n_subsets < 0 or self.n_subsets == 1:
+            raise ValueError(f"n_subsets must be 0 or at least 2, got {self.n_subsets}")
         if not 0.0 < self.fraction <= 1.0:
             raise ValueError("fraction must lie in (0, 1]")
         if self.n_subsets and not set(self.baselines) - {self.representation}:
@@ -342,18 +343,17 @@ def _score_sizes(
     rows: SparseRows,
     order: np.ndarray,
     n_terms: int,
-    doc_ids: list[str],
-    labels: dict[str, str],
+    categories: list[str],
     k: int,
     sizes: tuple[int, ...],
     seeds: list[np.random.SeedSequence],
 ):
-    """Yield (size, F1Report, Clustering) per vector size: the rows projected
-    onto the size's top-ranked features, clustered and scored.  Rows left
-    without a feature go to the leftover cluster."""
+    """Yield (size, F1Report, cluster labels) per vector size: the rows
+    projected onto the size's top-ranked features, clustered and scored.
+    Rows left without a feature take the leftover label k."""
     for size, seed in zip(sizes, seeds):
-        clustering = cluster_matrix(project_rows(rows, order[:size], n_terms), doc_ids, k, seed)
-        yield size, weighted_f1(clustering, labels), clustering
+        labels = cluster_matrix(project_rows(rows, order[:size], n_terms), k, seed)
+        yield size, weighted_f1(labels, categories), labels
 
 
 def run(config: RunConfig) -> ExperimentReport:
@@ -378,8 +378,7 @@ def run(config: RunConfig) -> ExperimentReport:
 
     weigher = _Representations(corpus)
     k = config.k if config.k is not None else len(manifest.categories())
-    labels = manifest.labels()
-    all_ids = list(corpus.doc_ids)
+    categories = [e.category for e in manifest.entries]
     all_docs = np.arange(corpus.n_docs)
     size_seeds = np.random.SeedSequence(config.seed).spawn(len(config.vector_sizes))
 
@@ -396,7 +395,7 @@ def run(config: RunConfig) -> ExperimentReport:
             dump_kb(tuned_kb, report.tuned_kb_path)
         if config.dump_vectors:
             dump_vectors(
-                unpack_rows(rows, all_ids, corpus.vocab), config.out_dir / "vectors.txt"
+                unpack_rows(rows, corpus.doc_ids, corpus.vocab), config.out_dir / "vectors.txt"
             )
 
     with _stage("reduce"):
@@ -408,10 +407,10 @@ def run(config: RunConfig) -> ExperimentReport:
                 dump_features(features, config.out_dir / f"features_{size}.txt")
 
     with _stage("cluster"):
-        for size, f1, clustering in _score_sizes(
-            rows, order, len(corpus.vocab), all_ids, labels, k, config.vector_sizes, size_seeds
+        for size, f1, labels in _score_sizes(
+            rows, order, len(corpus.vocab), categories, k, config.vector_sizes, size_seeds
         ):
-            zero_docs = len(clustering.leftover)
+            zero_docs = int(np.count_nonzero(labels == k))
             report.records.append(
                 RunRecord(
                     config.representation,
@@ -420,7 +419,7 @@ def run(config: RunConfig) -> ExperimentReport:
                     k,
                     f1,
                     zero_docs,
-                    len(set(clustering.assignment.values())),
+                    np.unique(labels).size,
                 )
             )
             log.info(
@@ -432,7 +431,7 @@ def run(config: RunConfig) -> ExperimentReport:
 
     if config.n_subsets > 0:
         with _stage("significance"):
-            _significance(report, weigher, manifest, k, config)
+            _significance(report, weigher, categories, k, config)
 
     with _stage("emit"):
         report.results_path = config.out_dir / "results.jsonl"
@@ -445,12 +444,12 @@ def run(config: RunConfig) -> ExperimentReport:
 def _significance(
     report: ExperimentReport,
     weigher: _Representations,
-    manifest: CorpusManifest,
+    categories: list[str],
     k: int,
     config: RunConfig,
 ) -> None:
     subsets = stratified_subsample(
-        manifest, config.fraction, config.n_subsets, config.seed
+        categories, config.fraction, config.n_subsets, config.seed
     )
     log.info("significance: %d subsets of ~%d docs", len(subsets), len(subsets[0]))
     reps = (config.representation,) + tuple(
@@ -461,17 +460,14 @@ def _significance(
     scores: dict[tuple[str, int], list[float]] = {
         (rep, size): [] for rep in reps for size in sizes
     }
-    corpus = weigher.corpus
-    row_of = {doc_id: i for i, doc_id in enumerate(corpus.doc_ids)}
-    for si, sub in enumerate(subsets):
-        sub_ids = sub.doc_ids()
-        sub_docs = np.array([row_of[d] for d in sub_ids], dtype=np.int64)
-        sub_labels = sub.labels()
+    n_terms = len(weigher.corpus.vocab)
+    for si, sub_docs in enumerate(subsets):
+        sub_categories = [categories[i] for i in sub_docs]
         seeds = cluster_seeds[si * len(sizes):(si + 1) * len(sizes)]
         for rep in reps:
             rows, _ = weigher.rows(rep, sub_docs)
             for size, f1, _ in _score_sizes(
-                rows, mft_rank(rows), len(corpus.vocab), sub_ids, sub_labels, k, sizes, seeds
+                rows, mft_rank(rows), n_terms, sub_categories, k, sizes, seeds
             ):
                 scores[(rep, size)].append(f1.overall)
     report.subset_scores = scores

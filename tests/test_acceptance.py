@@ -245,7 +245,7 @@ def test_criterion_6_clustering_sanity(corpus_dir_400):
     start = time.perf_counter()
     manifest = load_manifest(corpus_dir_400 / "manifest.tsv")
     criteria = _build_criteria(manifest, RunConfig(manifest=corpus_dir_400 / "manifest.tsv"))
-    labels = manifest.labels()
+    categories = [e.category for e in manifest.entries]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         kbs = {
@@ -256,11 +256,11 @@ def test_criterion_6_clustering_sanity(corpus_dir_400):
         }
     scores = {}
     for rep, kb in kbs.items():
-        vectors = [weigh_fuzzy(d, criteria[d], kb) for d in manifest.doc_ids()]
+        vectors = [weigh_fuzzy(e.doc_id, criteria[e.doc_id], kb) for e in manifest.entries]
         features = mft_select(vectors, 500)
         projected = [project(v, features) for v in vectors]
-        clustering = repeated_bisections(projected, 4, seed=np.random.SeedSequence(0))
-        scores[rep] = weighted_f1(clustering, labels).overall
+        labels = repeated_bisections(projected, 4, seed=np.random.SeedSequence(0))
+        scores[rep] = weighted_f1(labels, categories).overall
     separable_ok = all(v >= 0.95 for v in scores.values())
 
     # ten-document miniature against the exhaustive optimum
@@ -270,12 +270,10 @@ def test_criterion_6_clustering_sanity(corpus_dir_400):
         weights = {f"dim{i}": 0.1 * float(rng.random()) for i in range(3)}
         weights[f"dim{group}"] = 1.0 + float(rng.random())
         mini.append(DocVector(f"m{d}", weights))
-    clustering = repeated_bisections(mini, 3, seed=np.random.SeedSequence(1))
+    labels = repeated_bisections(mini, 3, seed=np.random.SeedSequence(1))
     X, _vocab = build_matrix(mini)
     X = X / np.linalg.norm(X, axis=1, keepdims=True)
-    achieved = clustering_criterion(
-        X, np.array([clustering.assignment[v.doc_id] for v in mini])
-    )
+    achieved = clustering_criterion(X, labels)
     best = best_partition_criterion(X, 3)
     mini_ok = abs(achieved - best) < 1e-9
     elapsed = time.perf_counter() - start
@@ -308,7 +306,7 @@ def test_criterion_7_representation_ordering(tmp_path):
         )
         manifest = load_manifest(corpus / "manifest.tsv")
         criteria = _build_criteria(manifest, RunConfig(manifest=corpus / "manifest.tsv"))
-        labels = manifest.labels()
+        categories = [e.category for e in manifest.entries]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             kbs = {
@@ -317,16 +315,16 @@ def test_criterion_7_representation_ordering(tmp_path):
                 "afcc": tune_afcc(load_bundled("efcc"), build_profiles(criteria)),
             }
         for rep, kb in kbs.items():
-            vectors = [weigh_fuzzy(d, criteria[d], kb) for d in manifest.doc_ids()]
+            vectors = [weigh_fuzzy(e.doc_id, criteria[e.doc_id], kb) for e in manifest.entries]
             order = mft_order(vectors)
             for size in sizes:
                 features = FeatureSet(tuple(order[:size]), size)
                 projected = [project(v, features) for v in vectors]
-                clustering = repeated_bisections(
+                labels = repeated_bisections(
                     projected, 4, seed=np.random.SeedSequence((seed, size))
                 )
                 scores.setdefault((rep, size), []).append(
-                    weighted_f1(clustering, labels).overall
+                    weighted_f1(labels, categories).overall
                 )
     means = {key: float(np.mean(vals)) for key, vals in scores.items()}
     ordering_ok = all(

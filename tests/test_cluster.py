@@ -1,4 +1,5 @@
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 
 from fuzzterm import repeated_bisections, stratified_subsample, weighted_f1
 from fuzzterm.cluster import (
-    Clustering,
     bisect_labels,
     build_matrix,
     clustering_criterion,
@@ -50,29 +50,27 @@ def two_bundles(n_each=50, rng=None):
     return bundle("red", n_each, 6, rng) + bundle("blue", n_each, 6, rng)
 
 
-def labels_for(vectors, split):
-    return {
-        v.doc_id: ("red" if i < split else "blue") for i, v in enumerate(vectors)
-    }
+def categories_for(vectors, split):
+    return ["red" if i < split else "blue" for i in range(len(vectors))]
 
 
 class TestRepeatedBisections:
     def test_orthogonal_bundles_split_perfectly(self):
         vectors = two_bundles()
-        clustering = repeated_bisections(vectors, 2, seed=7)
-        report = weighted_f1(clustering, labels_for(vectors, 50))
+        labels = repeated_bisections(vectors, 2, seed=7)
+        report = weighted_f1(labels, categories_for(vectors, 50))
         assert report.overall == 1.0
 
     def test_k_one(self):
         vectors = two_bundles(5)
-        clustering = repeated_bisections(vectors, 1, seed=0)
-        assert clustering.k == 1
-        assert set(clustering.assignment.values()) == {0}
+        labels = repeated_bisections(vectors, 1, seed=0)
+        assert np.unique(labels).size == 1
+        assert set(labels.tolist()) == {0}
 
     def test_k_equals_n(self):
         vectors = two_bundles(3)
-        clustering = repeated_bisections(vectors, len(vectors), seed=0)
-        assert sorted(clustering.assignment.values()) == list(range(len(vectors)))
+        labels = repeated_bisections(vectors, len(vectors), seed=0)
+        assert sorted(labels.tolist()) == list(range(len(vectors)))
 
     def test_insufficient_docs(self):
         vectors = two_bundles(2)  # 4 docs
@@ -86,20 +84,20 @@ class TestRepeatedBisections:
 
     def test_leftover_cluster_for_zero_vectors(self):
         vectors = two_bundles(5) + [DocVector("empty1", {}), DocVector("empty2", {})]
-        clustering = repeated_bisections(vectors, 2, seed=1)
-        assert clustering.k == 3
-        assert clustering.leftover == {"empty1", "empty2"}
-        assert clustering.assignment["empty1"] == 2
+        labels = repeated_bisections(vectors, 2, seed=1)
+        assert np.unique(labels).size == 3
+        assert {v.doc_id for v, c in zip(vectors, labels) if c == 2} == {"empty1", "empty2"}
+        assert labels[-2] == 2
         # every doc keeps an assignment so F1 denominators match the corpus
-        labels = labels_for(vectors[:-2], 5) | {"empty1": "red", "empty2": "blue"}
-        report = weighted_f1(clustering, labels)
+        categories = categories_for(vectors[:-2], 5) + ["red", "blue"]
+        report = weighted_f1(labels, categories)
         assert report.per_category["red"].support == 6
 
     def test_deterministic_given_seed(self):
         vectors = two_bundles(20)
         a = repeated_bisections(vectors, 4, seed=42)
         b = repeated_bisections(vectors, 4, seed=42)
-        assert a.assignment == b.assignment
+        np.testing.assert_array_equal(a, b)
 
     def test_global_rescaling_invariance(self):
         vectors = two_bundles(10)
@@ -109,17 +107,16 @@ class TestRepeatedBisections:
         ]
         a = repeated_bisections(vectors, 3, seed=5)
         b = repeated_bisections(scaled, 3, seed=5)
-        assert a.assignment == b.assignment
+        np.testing.assert_array_equal(a, b)
 
     def test_miniature_matches_exhaustive_optimum(self):
         rng = np.random.default_rng(13)
         vectors = bundle("red", 4, 3, rng) + bundle("blue", 3, 3, rng) + bundle(
             "green", 3, 3, rng
         )
-        clustering = repeated_bisections(vectors, 3, seed=2)
+        labels = repeated_bisections(vectors, 3, seed=2)
         X, _ = build_matrix(vectors)
         Xn = X / np.linalg.norm(X, axis=1)[:, None]
-        labels = np.array([clustering.assignment[v.doc_id] for v in vectors])
         achieved = clustering_criterion(Xn, labels)
         optimum = best_partition_criterion(Xn.tolist(), 3)
         assert achieved == pytest.approx(optimum, abs=1e-9)
@@ -281,26 +278,24 @@ class TestClusteringProperties:
             for i, row in enumerate(X)
         ]
         zeros = [DocVector(f"z{i}", {}) for i in range(n_zero)]
-        clustering = repeated_bisections(zeros[:1] + vectors + zeros[1:], k, seed)
-        assert clustering.k == k + 1
-        assert clustering.leftover == {z.doc_id for z in zeros}
-        assert all(clustering.assignment[z.doc_id] == k for z in zeros)
-        assert all(clustering.assignment[v.doc_id] < k for v in vectors)
+        docs = zeros[:1] + vectors + zeros[1:]
+        labels = repeated_bisections(docs, k, seed)
+        assert np.unique(labels).size == k + 1
+        assert {d.doc_id for d, c in zip(docs, labels) if c == k} == {z.doc_id for z in zeros}
+        is_zero = np.array([not d.weights for d in docs])
+        assert (labels[is_zero] == k).all()
+        assert (labels[~is_zero] < k).all()
 
 
 class TestWeightedF1:
     def test_perfect_match(self):
-        clustering = Clustering({"a": 0, "b": 0, "c": 1, "d": 1}, 2)
-        labels = {"a": "x", "b": "x", "c": "y", "d": "y"}
-        report = weighted_f1(clustering, labels)
+        report = weighted_f1(np.array([0, 0, 1, 1]), ["x", "x", "y", "y"])
         assert report.overall == 1.0
         assert report.per_category["x"].precision == 1.0
         assert report.per_category["x"].recall == 1.0
 
     def test_single_cluster_two_equal_categories(self):
-        clustering = Clustering({"a": 0, "b": 0, "c": 0, "d": 0}, 1)
-        labels = {"a": "x", "b": "x", "c": "y", "d": "y"}
-        report = weighted_f1(clustering, labels)
+        report = weighted_f1(np.array([0, 0, 0, 0]), ["x", "x", "y", "y"])
         for cat in ("x", "y"):
             assert report.per_category[cat].f1 == pytest.approx(2 / 3)
             assert report.per_category[cat].precision == 0.5
@@ -308,39 +303,29 @@ class TestWeightedF1:
         assert report.overall == pytest.approx(2 / 3)
 
     def test_support_weighting(self):
-        clustering = Clustering({"a": 0, "b": 0, "c": 1, "d": 0, "e": 0, "f": 1}, 2)
-        labels = {
-            "a": "x",
-            "b": "x",
-            "d": "x",
-            "e": "x",
-            "c": "y",
-            "f": "y",
-        }
-        report = weighted_f1(clustering, labels)
-        want = weighted_f1_reference(clustering.assignment, labels)
+        clusters = np.array([0, 0, 1, 0, 0, 1])
+        categories = ["x", "x", "y", "x", "x", "y"]
+        report = weighted_f1(clusters, categories)
+        want = weighted_f1_reference(dict(enumerate(clusters)), dict(enumerate(categories)))
         assert report.overall == pytest.approx(want)
 
     def test_random_assignments_match_reference(self):
         rng = np.random.default_rng(55)
         cats = ["w", "x", "y", "z"]
         for _ in range(50):
-            docs = [f"d{i}" for i in range(20)]
-            assignment = {d: int(rng.integers(0, 4)) for d in docs}
-            labels = {d: cats[int(rng.integers(0, 4))] for d in docs}
-            report = weighted_f1(Clustering(assignment, 4), labels)
+            clusters = rng.integers(0, 4, size=20)
+            categories = [cats[int(i)] for i in rng.integers(0, 4, size=20)]
+            report = weighted_f1(clusters, categories)
             assert report.overall == pytest.approx(
-                weighted_f1_reference(assignment, labels)
+                weighted_f1_reference(dict(enumerate(clusters)), dict(enumerate(categories)))
             )
 
     def test_missing_labels_rejected(self):
-        clustering = Clustering({"a": 0, "b": 1}, 2)
-        with pytest.raises(ValueError, match="labels missing"):
-            weighted_f1(clustering, {"a": "x"})
+        with pytest.raises(ValueError, match="2 cluster labels for 1 categories"):
+            weighted_f1(np.array([0, 1]), ["x"])
 
     def test_empty_cluster_tolerated(self):
-        clustering = Clustering({"a": 0, "b": 0}, 2)  # cluster 1 unused
-        report = weighted_f1(clustering, {"a": "x", "b": "y"})
+        report = weighted_f1(np.array([0, 0]), ["x", "y"])  # k = 2, cluster 1 unused
         assert 0.0 < report.overall <= 1.0
 
 
@@ -394,8 +379,7 @@ class TestAgainstDictScoring:
         clusters, categories, k = case
         labels = {f"d{i}": c for i, c in enumerate(categories)}
         want = weighted_f1_sets_reference(dict_clustering(clusters, k), labels)
-        got = weighted_f1(Clustering(**vars(dict_clustering(clusters, k))), labels)
-        assert got == want
+        assert weighted_f1(clusters, categories) == want
 
     @properties
     @given(
@@ -410,70 +394,64 @@ class TestAgainstDictScoring:
             [int(e.doc_id[1:]) for e in sub.entries]
             for sub in stratified_subsample_manifest_reference(manifest, fraction, n, seed)
         ]
-        got = [
-            [int(e.doc_id[1:]) for e in sub.entries]
-            for sub in stratified_subsample(manifest, fraction, n, seed)
-        ]
-        assert got == want
+        got = stratified_subsample(categories, fraction, n, seed)
+        assert all(rows.dtype == np.int64 for rows in got)
+        assert [rows.tolist() for rows in got] == want
 
 
-def manifest_of(sizes: dict[str, int]) -> CorpusManifest:
-    entries = []
-    for cat, size in sizes.items():
-        for i in range(size):
-            entries.append(ManifestEntry(f"{cat}{i}", Path(f"{cat}{i}.html"), cat))
-    return CorpusManifest(tuple(entries))
+def categories_of(sizes: dict[str, int]) -> list[str]:
+    return [cat for cat, size in sizes.items() for _ in range(size)]
 
 
 class TestStratifiedSubsample:
     def test_proportional_sizes(self):
-        manifest = manifest_of({"news": 10, "sport": 6})
-        subs = stratified_subsample(manifest, fraction=0.5, n=20, seed=3)
+        categories = categories_of({"news": 10, "sport": 6})
+        subs = stratified_subsample(categories, fraction=0.5, n=20, seed=3)
         assert len(subs) == 20
-        for sub in subs:
-            assert sub.category_sizes() == {"news": 5, "sport": 3}
+        for rows in subs:
+            assert Counter(categories[i] for i in rows) == {"news": 5, "sport": 3}
 
     def test_ceil_on_odd_sizes(self):
-        manifest = manifest_of({"news": 7})
-        (sub,) = stratified_subsample(manifest, fraction=0.5, n=1, seed=0)
+        categories = categories_of({"news": 7})
+        (sub,) = stratified_subsample(categories, fraction=0.5, n=1, seed=0)
         assert len(sub) == 4
 
     def test_half_of_forty(self):
-        manifest = manifest_of({"a": 10, "b": 10, "c": 10, "d": 10})
-        subs = stratified_subsample(manifest, fraction=0.5, n=100, seed=1)
+        categories = categories_of({"a": 10, "b": 10, "c": 10, "d": 10})
+        subs = stratified_subsample(categories, fraction=0.5, n=100, seed=1)
         assert len(subs) == 100
         assert all(len(s) == 20 for s in subs)
 
     def test_deterministic(self):
-        manifest = manifest_of({"news": 10, "sport": 6})
-        a = stratified_subsample(manifest, n=5, seed=11)
-        b = stratified_subsample(manifest, n=5, seed=11)
-        assert [s.doc_ids() for s in a] == [s.doc_ids() for s in b]
+        categories = categories_of({"news": 10, "sport": 6})
+        a = stratified_subsample(categories, n=5, seed=11)
+        b = stratified_subsample(categories, n=5, seed=11)
+        assert [s.tolist() for s in a] == [s.tolist() for s in b]
 
     def test_seeds_differ_across_manifests(self):
-        manifest = manifest_of({"news": 30})
-        subs = stratified_subsample(manifest, n=10, seed=0)
-        assert len({tuple(s.doc_ids()) for s in subs}) > 1
+        categories = categories_of({"news": 30})
+        subs = stratified_subsample(categories, n=10, seed=0)
+        assert len({tuple(s.tolist()) for s in subs}) > 1
 
     def test_without_replacement(self):
-        manifest = manifest_of({"news": 8})
-        for sub in stratified_subsample(manifest, n=10, seed=2):
-            ids = sub.doc_ids()
+        categories = categories_of({"news": 8})
+        for sub in stratified_subsample(categories, n=10, seed=2):
+            ids = sub.tolist()
             assert len(ids) == len(set(ids)) == 4
 
     def test_category_too_small(self):
-        manifest = manifest_of({"news": 5, "tiny": 1})
+        categories = categories_of({"news": 5, "tiny": 1})
         with pytest.raises(CategoryTooSmall, match="tiny"):
-            stratified_subsample(manifest, n=1, seed=0)
+            stratified_subsample(categories, n=1, seed=0)
 
     def test_fraction_validation(self):
-        manifest = manifest_of({"news": 4})
+        categories = categories_of({"news": 4})
         with pytest.raises(ValueError):
-            stratified_subsample(manifest, fraction=0.0, n=1, seed=0)
+            stratified_subsample(categories, fraction=0.0, n=1, seed=0)
         with pytest.raises(ValueError):
-            stratified_subsample(manifest, fraction=1.5, n=1, seed=0)
+            stratified_subsample(categories, fraction=1.5, n=1, seed=0)
 
     def test_full_fraction_keeps_everything(self):
-        manifest = manifest_of({"news": 4, "sport": 2})
-        (sub,) = stratified_subsample(manifest, fraction=1.0, n=1, seed=0)
-        assert sub.doc_ids() == manifest.doc_ids()
+        categories = categories_of({"news": 4, "sport": 2})
+        (sub,) = stratified_subsample(categories, fraction=1.0, n=1, seed=0)
+        assert sub.tolist() == list(range(len(categories)))

@@ -102,7 +102,7 @@ def oracle_run(config):
     criteria = _build_criteria(manifest, config)
     k = len(manifest.categories())
     labels = {e.doc_id: e.category for e in manifest.entries}
-    doc_ids = manifest.doc_ids()
+    doc_ids = [e.doc_id for e in manifest.entries]
     sizes = config.vector_sizes
     records = []
     maps = oracle_weights(config.representation, criteria, doc_ids)
@@ -120,7 +120,7 @@ def oracle_run(config):
     seeds = np.random.SeedSequence((config.seed, 1)).spawn(len(subsets) * len(sizes))
     scores = {(rep, size): [] for rep in reps for size in sizes}
     for si, sub in enumerate(subsets):
-        sub_ids = sub.doc_ids()
+        sub_ids = [e.doc_id for e in sub.entries]
         sub_labels = {e.doc_id: e.category for e in sub.entries}
         for rep in reps:
             maps = oracle_weights(rep, criteria, sub_ids)

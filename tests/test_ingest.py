@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from fuzzterm import (
     load_manifest,
     parse_html,
     read_anchor_texts,
+    stratified_subsample,
     tokenize,
 )
 from fuzzterm.corpus import CorpusBuilder
@@ -501,18 +504,24 @@ class TestManifest:
             ["# comment", "d1\td1.html\tnews", "d2\td2.html\tsport"],
         )
         m = load_manifest(manifest)
-        assert m.doc_ids() == ["d1", "d2"]
+        assert [e.doc_id for e in m.entries] == ["d1", "d2"]
         assert m.categories() == ["news", "sport"]
-        assert m.labels()["d2"] == "sport"
-        assert m.category_sizes() == {"news": 1, "sport": 1}
+        assert {e.doc_id: e.category for e in m.entries}["d2"] == "sport"
+        assert Counter(e.category for e in m.entries) == {"news": 1, "sport": 1}
         assert len(m) == 2
 
     def test_subset_preserves_order(self, tmp_path):
+        # a stratified subset draws category by category; its rows still
+        # list the documents in manifest order
+        docs = ("d1", "d2", "d3", "d4", "d5", "d6")
+        categories = ("news", "sport", "sport", "news", "sport", "news")
         manifest = self.write_corpus(
-            tmp_path, ["d1\td1.html\tnews", "d2\td2.html\tsport"]
+            tmp_path, [f"{d}\t{d}.html\t{c}" for d, c in zip(docs, categories)], docs
         )
-        m = load_manifest(manifest).subset(["d2", "d1"])
-        assert m.doc_ids() == ["d1", "d2"]
+        m = load_manifest(manifest)
+        for rows in stratified_subsample([e.category for e in m.entries], 0.5, n=5, seed=0):
+            ids = [m.entries[i].doc_id for i in rows]
+            assert ids == sorted(ids, key=docs.index)
 
     def test_duplicate_doc_id(self, tmp_path):
         manifest = self.write_corpus(
@@ -557,4 +566,8 @@ class TestAnchorFiles:
             "\n".join(f"anchor {i}" for i in range(400)), encoding="utf-8"
         )
         texts = read_anchor_texts(tmp_path, "d1")
-        assert len(texts) == 300
+        # the file is read whole; merging keeps the first 300 anchors
+        assert len(texts) == 400
+        page = parse_html(b"<p>fuzzy logic</p>")
+        merged = apply_anchor_variant(page, texts, "a1", options=NO_STOP)
+        assert merged.terms[len(page.terms):] == ["anchor"] * 300

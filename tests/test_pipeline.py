@@ -293,7 +293,7 @@ class TestRun:
         # replaying the dumped base reproduces the pipeline's weights exactly
         manifest = load_manifest(config.manifest)
         criteria = _build_criteria(manifest, config)
-        doc_id = manifest.doc_ids()[0]
+        doc_id = manifest.entries[0].doc_id
         from fuzzterm import load_bundled, tune_afcc
         from fuzzterm.pipeline import build_profiles
 
@@ -552,6 +552,23 @@ class TestCli:
         assert main(["run", str(cfg)]) == 1
         assert "error[config]" in capsys.readouterr().err
 
+    def test_run_single_subset_rejected_at_config(self, small_corpus, tmp_path, capsys):
+        # a t-test needs two paired scores; one subset must not be weighed
+        # and clustered before the run fails
+        cfg = write_config(
+            tmp_path / "exp.cfg",
+            [
+                f"manifest = {small_corpus / 'manifest.tsv'}",
+                "representation = afcc",
+                "baselines = efcc",
+                "vector_sizes = 10",
+                "n_subsets = 1",
+            ],
+        )
+        assert main(["run", str(cfg)]) == 1
+        assert capsys.readouterr().err == "error[config]: n_subsets must be 0 or at least 2, got 1\n"
+        assert not (tmp_path / "results.jsonl").exists()
+
     def test_run_missing_manifest_exits_nonzero(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "exp.cfg", ["manifest = nope.tsv"])
         assert main(["run", str(cfg)]) == 1
@@ -590,7 +607,7 @@ class TestAnchorRun:
     def anchored(self, small_corpus, tmp_path):
         anchors = tmp_path / "anchors"
         anchors.mkdir()
-        doc_ids = load_manifest(small_corpus / "manifest.tsv").doc_ids()
+        doc_ids = [e.doc_id for e in load_manifest(small_corpus / "manifest.tsv").entries]
         for i, text in self.ANCHORS.items():
             (anchors / f"{doc_ids[i]}.txt").write_text(text + "\n", encoding="utf-8")
         return anchors, doc_ids
