@@ -215,19 +215,20 @@ def cluster_matrix(X: np.ndarray, k: int, seed) -> np.ndarray:
 
 def weighted_f1(clusters: np.ndarray, categories: Sequence[str]) -> F1Report:
     """Best-matching-cluster F1 per category, support-weighted overall;
-    clusters[i] and categories[i] are row i's cluster label and category.
+    clusters[i] and categories[i] are row i's cluster label (a non-negative
+    integer) and category.
 
     Clusters may serve several categories; 0/0 ratios count as 0.  A
     category's best cluster is the first in label order of largest F1.
     """
-    clusters = np.asarray(clusters)
     if clusters.shape != (len(categories),):
         raise ValueError(f"{clusters.size} cluster labels for {len(categories)} categories")
-    # object arrays sort by Python's str order
-    names, cat_ids = np.unique(np.array(categories, dtype=object), return_inverse=True)
-    used, cols = np.unique(clusters, return_inverse=True)
-    hits = np.bincount(cat_ids * used.size + cols, minlength=names.size * used.size)
-    hits = hits.reshape(names.size, used.size)
+    index = {name: i for i, name in enumerate(sorted(set(categories)))}
+    cat_ids = np.array([index[c] for c in categories], dtype=np.int64)
+    width = int(clusters.max(initial=-1)) + 1
+    hits = np.bincount(cat_ids * width + clusters, minlength=len(index) * width)
+    hits = hits.reshape(len(index), width)
+    hits = hits[:, hits.any(axis=0)]  # the clusters in use, in label order
     support = hits.sum(axis=1)
     precision = hits / hits.sum(axis=0)
     recall = hits / support[:, None]
@@ -237,14 +238,13 @@ def weighted_f1(clusters: np.ndarray, categories: Sequence[str]) -> F1Report:
         out=np.zeros(hits.shape),
         where=hits > 0,
     )
-    n = len(categories)
     per_category: dict[str, CategoryScore] = {}
     overall = 0.0
-    for i, cat in enumerate(names):
+    for i, cat in enumerate(index):
         j = int(np.argmax(f1[i]))
         best = CategoryScore(*(float(v[i, j]) for v in (precision, recall, f1)), int(support[i]))
         per_category[cat] = best
-        overall += best.f1 * best.support / n
+        overall += best.f1 * best.support / len(categories)
     return F1Report(per_category, overall)
 
 

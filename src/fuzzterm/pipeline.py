@@ -419,7 +419,7 @@ def run(config: RunConfig) -> ExperimentReport:
                     k,
                     f1,
                     zero_docs,
-                    np.unique(labels).size,
+                    int(np.count_nonzero(np.bincount(labels))),
                 )
             )
             log.info(
