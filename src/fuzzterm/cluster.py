@@ -8,6 +8,19 @@ single global pass of single-document moves.  The restarts run side by side,
 so each 2-means round is two matrix products over the cluster's rows, and
 the final pass scores all k candidate clusters of a document at once.
 
+On matrices of a few hundred rows the work around those products costs
+more than the products, so it is kept small.  Each cluster keeps its rows
+as one ascending index array beside its cohesion score, and a split
+rescores only the two clusters it leaves.  A 2-means round finds both sides
+from one subtraction, fixes up one-sided splits only when there are any,
+and writes its side indicators into one buffer made per split.  The refine
+pass adds each document to the cluster sums in one reused buffer.  The
+products, their operands' values, shapes and layouts, every comparison and
+every generator draw stay those of the plain code kept as test oracles:
+BLAS picks its summation order from the operands, so only the same
+operands give bit-identical labels, and with them the same results.jsonl
+and report.txt.
+
 A clustering holds two dense (n, d) arrays at most: the doc-term matrix and
 its row-normalized copy.  Row norms are taken in blocks of rows and the
 first split works on the normalized matrix itself, so no other array of
@@ -81,38 +94,51 @@ def clustering_criterion(X: np.ndarray, labels: np.ndarray) -> float:
 def _bisect(Xs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Split rows of Xs (L2-normalized) in two; returns a boolean side mask.
 
-    The restarts run side by side: C[r] holds restart r's two centroids, and
-    one 2-means round of every restart still moving costs one product for
-    the similarities and one for the side sums.
+    The restarts run side by side, and one 2-means round of every restart
+    still moving costs one product for the similarities and one for the
+    side sums.
     """
     m, d = Xs.shape
     seeds = np.array([rng.choice(m, size=2, replace=False) for _ in range(_RESTARTS)])
+    # C and prev hold the centroid pairs and sides of the restarts still
+    # moving, active their numbers; sides and scores keep every restart's
+    # latest, and ind takes the side indicators, rows ~side and side
     C = Xs[seeds]
     sides = np.zeros((_RESTARTS, m), dtype=bool)
     scores = np.empty(_RESTARTS)
+    ind = np.empty((_RESTARTS, 2, m))
     active = np.arange(_RESTARTS)
+    prev = sides
     for _ in range(_MAX_ITER):
-        S = Xs @ C[active].reshape(-1, d).T
-        s0, s1 = S[:, 0::2].T, S[:, 1::2].T
-        new_sides = s1 > s0
-        diff = s0 - s1
-        full = np.flatnonzero(new_sides.all(axis=1))
-        empty = np.flatnonzero(~new_sides.any(axis=1))
-        new_sides[full, diff[full].argmax(axis=1)] = False
-        new_sides[empty, diff[empty].argmin(axis=1)] = True
-        moved = (new_sides != sides[active]).any(axis=1)
-        active, new_sides = active[moved], new_sides[moved]
-        if active.size == 0:
-            break
-        sides[active] = new_sides
-        ind = np.stack([~new_sides, new_sides], axis=1).reshape(-1, m)
-        V = (ind.astype(np.float64) @ Xs).reshape(-1, 2, d)
+        S = Xs @ C.reshape(-1, d).T
+        diff = S[:, 0::2].T - S[:, 1::2].T
+        new_sides = diff < 0  # s1 > s0
+        on_side1 = new_sides.sum(axis=1)
+        if on_side1.min() == 0 or on_side1.max() == m:
+            full = np.flatnonzero(on_side1 == m)
+            empty = np.flatnonzero(on_side1 == 0)
+            new_sides[full, diff[full].argmax(axis=1)] = False
+            new_sides[empty, diff[empty].argmin(axis=1)] = True
+        moved = (new_sides != prev).any(axis=1)
+        if not moved.all():
+            active, new_sides = active[moved], new_sides[moved]
+            if active.size == 0:
+                break
+        sides[active] = prev = new_sides
+        a = active.size
+        ind[:a, 0] = ~new_sides
+        ind[:a, 1] = new_sides
+        V = (ind[:a].reshape(-1, m) @ Xs).reshape(-1, 2, d)
         norms = np.linalg.norm(V, axis=2)
         scores[active] = norms[:, 0] + norms[:, 1]
-        # a side whose rows sum to zero takes row 0 (c0) or row m-1 (c1)
-        nonzero = (norms > 0)[..., None]
-        unit = V / np.where(nonzero, norms[..., None], 1.0)
-        C[active] = np.where(nonzero, unit, Xs[[0, -1]])
+        nonzero = norms > 0
+        if nonzero.all():
+            C = np.divide(V, norms[..., None], out=V)
+        else:
+            # a side whose rows sum to zero takes row 0 (c0) or row m-1 (c1)
+            nonzero = nonzero[..., None]
+            unit = V / np.where(nonzero, norms[..., None], 1.0)
+            C = np.where(nonzero, unit, Xs[[0, -1]])
     best = 0
     for r in range(1, _RESTARTS):
         if scores[r] > scores[best] + 1e-12:
@@ -128,20 +154,22 @@ def _refine(X: np.ndarray, labels: np.ndarray, k: int) -> None:
     """
     sums = np.stack([X[labels == c].sum(axis=0) for c in range(k)])
     norms = np.linalg.norm(sums, axis=1)
-    counts = np.bincount(labels, minlength=k)
+    counts = np.bincount(labels, minlength=k).tolist()
+    gained = np.empty_like(sums)
     for i in range(X.shape[0]):
         a = int(labels[i])
         if counts[a] <= 1:
             continue
-        va = sums[a] - X[i]
-        na = float(np.linalg.norm(va))
-        gained = sums + X[i]
+        x = X[i]
+        va = sums[a] - x
+        na = math.sqrt(va.dot(va))  # np.linalg.norm(va), bit for bit
+        np.add(sums, x, out=gained)
         # each row's own dot product, as np.linalg.norm takes it of one
         # vector; norm(axis=1) sums the squares in another order
         nb = np.sqrt((gained[:, None] @ gained[..., None]).ravel())
         delta = na + nb - norms[a] - norms
         delta[a] = -math.inf
-        b = int(np.argmax(delta))
+        b = int(delta.argmax())
         if delta[b] > _MOVE_TOL:
             labels[i] = b
             sums[a] = va
@@ -157,6 +185,14 @@ def _rows(Xn: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return Xn if idx.size == Xn.shape[0] else Xn[idx]
 
 
+def _cohesion(Xn: np.ndarray, idx: np.ndarray) -> float:
+    """How far the rows idx (ascending) are from one direction: size minus
+    the norm of their sum, or -inf for a cluster too small to split."""
+    if idx.size < 2:
+        return -math.inf
+    return idx.size - float(np.linalg.norm(_rows(Xn, idx).sum(axis=0)))
+
+
 def bisect_labels(X: np.ndarray, k: int, seed) -> np.ndarray:
     """Cluster rows of X (unnormalized ok, no zero rows) into k clusters."""
     n = X.shape[0]
@@ -168,21 +204,21 @@ def bisect_labels(X: np.ndarray, k: int, seed) -> np.ndarray:
     Xn = X / norms[:, None]
     rng = np.random.default_rng(seed)
     labels = np.zeros(n, dtype=np.int64)
+    members = [np.arange(n)]  # each cluster's rows, ascending
+    cohesion = [_cohesion(Xn, members[0])]
     for next_id in range(1, k):
         # least cohesive first: maximize size * (1 - ||sum|| / size)
-        best_cid = -1
-        best_score = -math.inf
-        for cid in range(next_id):
-            idx = np.flatnonzero(labels == cid)
-            if idx.size < 2:
-                continue
-            score = idx.size - float(np.linalg.norm(_rows(Xn, idx).sum(axis=0)))
-            if score > best_score + 1e-12:
-                best_score = score
+        best_cid = 0
+        for cid in range(1, next_id):
+            if cohesion[cid] > cohesion[best_cid] + 1e-12:
                 best_cid = cid
-        idx = np.flatnonzero(labels == best_cid)
+        idx = members[best_cid]
         side = _bisect(_rows(Xn, idx), rng)
-        labels[idx[side]] = next_id
+        members[best_cid] = idx[~side]
+        members.append(idx[side])
+        labels[members[-1]] = next_id
+        cohesion[best_cid] = _cohesion(Xn, members[best_cid])
+        cohesion.append(_cohesion(Xn, members[-1]))
     if k > 1:
         _refine(Xn, labels, k)
     return labels

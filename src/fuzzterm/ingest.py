@@ -371,11 +371,11 @@ class CorpusManifest:
 def load_manifest(path) -> CorpusManifest:
     """Read a `doc_id<TAB>relative_path<TAB>category` manifest.
 
-    Comment lines start with '#'; paths resolve against the manifest's
-    directory and must exist.
+    Comment lines start with '#'; paths are joined to the manifest's
+    directory, resolved once, and must name existing files.
     """
     path = Path(path)
-    base = path.parent
+    base = path.parent.resolve()
     entries: list[ManifestEntry] = []
     seen: set[str] = set()
     for line_no, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
@@ -392,7 +392,7 @@ def load_manifest(path) -> CorpusManifest:
         if doc_id in seen:
             raise ParseError(f"duplicate doc_id {doc_id!r}", path, line_no)
         seen.add(doc_id)
-        doc_path = (base / rel).resolve()
+        doc_path = base / rel
         if not doc_path.is_file():
             raise ParseError(f"document not found: {doc_path}", path, line_no)
         entries.append(ManifestEntry(doc_id, doc_path, category))

@@ -5,7 +5,8 @@ self-adjusting representation) -> reduce -> cluster -> score, optionally a
 significance stage over stratified sub-corpora, then emission of a results
 file (JSON lines) and a human-readable table.  Any stage failure surfaces
 as a StageError tagged with the stage name; a criteria failure also names
-the document.
+the document.  Subsets that the manifest and config alone show cannot be
+drawn or clustered fail at ingest, before any document is read.
 
 The criteria stage reads each document as a columnar token stream, counts
 its criteria into columns (`ingest.extract_criteria`) and appends them to
@@ -23,7 +24,9 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import re
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -32,7 +35,13 @@ import numpy as np
 
 from .cluster import F1Report, cluster_matrix, stratified_subsample, weighted_f1
 from .corpus import Corpus, CorpusBuilder, SparseRows
-from .errors import EmptyProfile, FuzztermError, StageError
+from .errors import (
+    CategoryTooSmall,
+    EmptyProfile,
+    FuzztermError,
+    InsufficientDocs,
+    StageError,
+)
 from .ingest import (
     ANCHOR_VARIANTS,
     CorpusManifest,
@@ -371,14 +380,16 @@ def run(config: RunConfig) -> ExperimentReport:
             len(manifest),
             len(manifest.categories()),
         )
+        categories = [e.category for e in manifest.entries]
+        k = config.k if config.k is not None else len(manifest.categories())
+        if config.n_subsets > 0:
+            _check_subsets(categories, k, config.fraction)
 
     with _stage("criteria"):
         corpus = build_corpus(manifest, config)
         log.info("criteria: %d (doc, term) pairs", corpus.n_pairs)
 
     weigher = _Representations(corpus)
-    k = config.k if config.k is not None else len(manifest.categories())
-    categories = [e.category for e in manifest.entries]
     all_docs = np.arange(corpus.n_docs)
     size_seeds = np.random.SeedSequence(config.seed).spawn(len(config.vector_sizes))
 
@@ -439,6 +450,20 @@ def run(config: RunConfig) -> ExperimentReport:
         report.table_path = config.out_dir / "report.txt"
         report.table_path.write_text(render_table(report), encoding="utf-8")
     return report
+
+
+def _check_subsets(categories: list[str], k: int, fraction: float) -> None:
+    """Raise at ingest what the significance stage would otherwise meet
+    after every stage before it: a category too small to subsample, or
+    stratified subsets, ceil(fraction * |c|) documents per category, too
+    small to fill k clusters."""
+    sizes = Counter(categories)
+    for cat, size in sizes.items():
+        if size < 2:
+            raise CategoryTooSmall(f"category {cat!r} has {size} document(s)")
+    subset = sum(math.ceil(fraction * size) for size in sizes.values())
+    if subset < k:
+        raise InsufficientDocs(f"subsets of {subset} documents cannot fill {k} clusters")
 
 
 def _significance(

@@ -2,8 +2,15 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# Every property runs without a deadline (the clustering and corpus
+# properties take tens of milliseconds an example) and without an example
+# database, so a run replays nothing from an earlier one.
+settings.register_profile("fuzzterm", deadline=None, database=None)
+settings.load_profile("fuzzterm")
 
 from fuzzterm import generate_corpus
 

@@ -22,7 +22,7 @@ import numpy as np
 from fuzzterm.cluster import CategoryScore, F1Report
 from fuzzterm.corpus import Corpus
 from fuzzterm.engine import LinguisticVariable, TrapezoidSet
-from fuzzterm.errors import CategoryTooSmall, EmptyDocument
+from fuzzterm.errors import CategoryTooSmall, EmptyDocument, InsufficientDocs
 from fuzzterm.ingest import (
     CorpusManifest,
     _SKIP_TAGS,
@@ -289,6 +289,123 @@ def bisect_labels_reference(X, k, seed):
         labels[idx[side]] = next_id
     if k > 1:
         refine_reference(Xn, labels, k)
+    return labels
+
+
+# Verbatim copies of `cluster._bisect`, `cluster._refine` and
+# `cluster.bisect_labels` as they were before the clusters' cohesion scores
+# were cached: every round restacks the side indicators and every split
+# rescores every cluster.  They hold the package to the same floating-point
+# products and generator draws, ties and degenerate splits included, which
+# the loop references above cannot promise.  Two edits: the split records
+# the degenerate cases it meets, and the row norms come from one
+# np.linalg.norm call, which `cluster._row_norms` equals bit for bit.
+
+
+def bisect_lockstep_reference(
+    Xs: np.ndarray, rng: np.random.Generator, branches: set | None = None
+) -> np.ndarray:
+    """The split; when given, `branches` collects the degenerate cases it
+    met: "full side", "empty side" and "zero-norm centroid"."""
+    m, d = Xs.shape
+    seeds = np.array([rng.choice(m, size=2, replace=False) for _ in range(_RESTARTS)])
+    C = Xs[seeds]
+    sides = np.zeros((_RESTARTS, m), dtype=bool)
+    scores = np.empty(_RESTARTS)
+    active = np.arange(_RESTARTS)
+    for _ in range(_MAX_ITER):
+        S = Xs @ C[active].reshape(-1, d).T
+        s0, s1 = S[:, 0::2].T, S[:, 1::2].T
+        new_sides = s1 > s0
+        diff = s0 - s1
+        full = np.flatnonzero(new_sides.all(axis=1))
+        empty = np.flatnonzero(~new_sides.any(axis=1))
+        new_sides[full, diff[full].argmax(axis=1)] = False
+        new_sides[empty, diff[empty].argmin(axis=1)] = True
+        if branches is not None:
+            branches.update(
+                name for name, rows in (("full side", full), ("empty side", empty)) if rows.size
+            )
+        moved = (new_sides != sides[active]).any(axis=1)
+        active, new_sides = active[moved], new_sides[moved]
+        if active.size == 0:
+            break
+        sides[active] = new_sides
+        ind = np.stack([~new_sides, new_sides], axis=1).reshape(-1, m)
+        V = (ind.astype(np.float64) @ Xs).reshape(-1, 2, d)
+        norms = np.linalg.norm(V, axis=2)
+        scores[active] = norms[:, 0] + norms[:, 1]
+        # a side whose rows sum to zero takes row 0 (c0) or row m-1 (c1)
+        nonzero = (norms > 0)[..., None]
+        if branches is not None and not nonzero.all():
+            branches.add("zero-norm centroid")
+        unit = V / np.where(nonzero, norms[..., None], 1.0)
+        C[active] = np.where(nonzero, unit, Xs[[0, -1]])
+    best = 0
+    for r in range(1, _RESTARTS):
+        if scores[r] > scores[best] + 1e-12:
+            best = r
+    return sides[best]
+
+
+def refine_vectorized_reference(X: np.ndarray, labels: np.ndarray, k: int) -> None:
+    sums = np.stack([X[labels == c].sum(axis=0) for c in range(k)])
+    norms = np.linalg.norm(sums, axis=1)
+    counts = np.bincount(labels, minlength=k)
+    for i in range(X.shape[0]):
+        a = int(labels[i])
+        if counts[a] <= 1:
+            continue
+        va = sums[a] - X[i]
+        na = float(np.linalg.norm(va))
+        gained = sums + X[i]
+        # each row's own dot product, as np.linalg.norm takes it of one
+        # vector; norm(axis=1) sums the squares in another order
+        nb = np.sqrt((gained[:, None] @ gained[..., None]).ravel())
+        delta = na + nb - norms[a] - norms
+        delta[a] = -math.inf
+        b = int(np.argmax(delta))
+        if delta[b] > _MOVE_TOL:
+            labels[i] = b
+            sums[a] = va
+            norms[a] = na
+            sums[b] = gained[b]
+            norms[b] = nb[b]
+            counts[a] -= 1
+            counts[b] += 1
+
+
+def _rows_reference(Xn: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    return Xn if idx.size == Xn.shape[0] else Xn[idx]
+
+
+def bisect_labels_lockstep_reference(X: np.ndarray, k: int, seed) -> np.ndarray:
+    n = X.shape[0]
+    if n < k:
+        raise InsufficientDocs(f"{n} documents cannot fill {k} clusters")
+    norms = np.linalg.norm(X, axis=1)
+    if (norms == 0).any():
+        raise ValueError("zero rows must be diverted before clustering")
+    Xn = X / norms[:, None]
+    rng = np.random.default_rng(seed)
+    labels = np.zeros(n, dtype=np.int64)
+    for next_id in range(1, k):
+        # least cohesive first: maximize size * (1 - ||sum|| / size)
+        best_cid = -1
+        best_score = -math.inf
+        for cid in range(next_id):
+            idx = np.flatnonzero(labels == cid)
+            if idx.size < 2:
+                continue
+            score = idx.size - float(np.linalg.norm(_rows_reference(Xn, idx).sum(axis=0)))
+            if score > best_score + 1e-12:
+                best_score = score
+                best_cid = cid
+        idx = np.flatnonzero(labels == best_cid)
+        side = bisect_lockstep_reference(_rows_reference(Xn, idx), rng)
+        labels[idx[side]] = next_id
+    if k > 1:
+        refine_vectorized_reference(Xn, labels, k)
     return labels
 
 

@@ -39,9 +39,8 @@ from oracles import (
     weigh_fuzzy_reference,
 )
 
-properties = settings(deadline=None, database=None)
 # drawing whole corpora is slow; fewer examples keep the module quick
-corpus_properties = settings(deadline=None, database=None, max_examples=40)
+corpus_properties = settings(max_examples=40)
 
 # mixed case, shared prefixes and non-ASCII, so string order is exercised
 TERMS = ("a", "ab", "abc", "b", "B", "ba", "x1", "z", "zz", "é", "ü", "ω")
@@ -211,7 +210,6 @@ class TestWeighing:
 
 
 class TestIdf:
-    @properties
     @given(
         n=st.integers(1, 10**7),
         fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=30),
@@ -267,7 +265,6 @@ tied_maps = st.lists(
 
 
 class TestMftRank:
-    @properties
     @given(maps=tied_maps)
     def test_array_order_equals_reference(self, maps):
         vectors = [DocVector(f"d{i}", m) for i, m in enumerate(maps)]
@@ -284,7 +281,6 @@ class TestMftRank:
 
 
 class TestProjection:
-    @properties
     @given(
         maps=tied_maps,
         others=tied_maps,

@@ -2,7 +2,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from fuzzterm import (
@@ -343,7 +343,6 @@ OPTIONS = st.builds(
     stem=st.booleans(),
 )
 ANCHORS = st.none() | st.lists(TEXT, max_size=4)
-properties = settings(deadline=None, database=None)
 
 
 def flags(stream):
@@ -378,12 +377,10 @@ def parse_both(html, options):
 
 
 class TestAgainstOffsetTokenizer:
-    @properties
     @given(text=TEXT, options=OPTIONS)
     def test_tokenize(self, text, options):
         assert tokenize(text, options) == tokenize_reference(text, options)
 
-    @properties
     @given(html=HTML, options=OPTIONS)
     def test_parse_and_criteria(self, html, options):
         got, want = parse_both(html, options)
@@ -391,7 +388,6 @@ class TestAgainstOffsetTokenizer:
             assert flags(got) == flags(want)
             assert criteria_items(got) == criteria_items(want)
 
-    @properties
     @given(html=HTML, anchors=ANCHORS, options=OPTIONS)
     def test_anchor_variants(self, html, anchors, options):
         got, want = parse_both(html, options)
@@ -463,7 +459,6 @@ class TestAgainstTokenOracle:
     """The criteria path from markup to Corpus, byte for byte against the
     per-token path it replaced."""
 
-    @properties
     @given(html=DOCUMENT, options=CORPUS_OPTIONS)
     def test_token_flags(self, html, options):
         try:
@@ -474,7 +469,6 @@ class TestAgainstTokenOracle:
             return
         assert rows(parse_html(html, options=options)) == flags(want)
 
-    @properties
     @given(docs=CORPUS_DOCS, options=CORPUS_OPTIONS)
     def test_corpus_arrays(self, docs, options):
         for variant in (None, *ANCHOR_VARIANTS):
@@ -522,6 +516,26 @@ class TestManifest:
         for rows in stratified_subsample([e.category for e in m.entries], 0.5, n=5, seed=0):
             ids = [m.entries[i].doc_id for i in rows]
             assert ids == sorted(ids, key=docs.index)
+
+    def test_paths_through_parent_and_symlinked_directories(self, tmp_path):
+        # the manifest directory is resolved once; entry paths keep their
+        # ".." and symlinked parts and still name the documents
+        docs = tmp_path / "docs"
+        docs.mkdir()
+        (docs / "d1.html").write_text("<p>d1 text</p>", encoding="utf-8")
+        (docs / "d2.html").write_text("<p>d2 text</p>", encoding="utf-8")
+        sub = tmp_path / "sub"
+        sub.mkdir()
+        (sub / "link").symlink_to(docs, target_is_directory=True)
+        manifest = sub / "manifest.tsv"
+        manifest.write_text("d1\t../docs/d1.html\tnews\nd2\tlink/d2.html\tsport\n", encoding="utf-8")
+        m = load_manifest(manifest)
+        assert [e.path.read_text(encoding="utf-8") for e in m.entries] == [
+            "<p>d1 text</p>",
+            "<p>d2 text</p>",
+        ]
+        want = [(docs / name).resolve() for name in ("d1.html", "d2.html")]
+        assert [e.path.resolve() for e in m.entries] == want
 
     def test_duplicate_doc_id(self, tmp_path):
         manifest = self.write_corpus(

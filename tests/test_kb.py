@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from fuzzterm import check_completeness, dumps_kb, load_bundled, load_kb, loads_kb
@@ -361,7 +361,6 @@ def rule_bases(draw):
 
 
 class TestCoverage:
-    @settings(deadline=None, database=None)
     @given(system=rule_bases(), grid_per_axis=st.sampled_from([2, 3, 5, 8, 11]))
     def test_factored_coverage_equals_kernel_on_the_mesh(self, system, grid_per_axis):
         _, covered = _coverage(system, grid_per_axis)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from fuzzterm import load_bundled
@@ -11,7 +11,6 @@ from oracles import trapezoid_membership
 BUNDLED = ("fcc", "addfcc", "efcc", "emph")
 unit = st.floats(0.0, 1.0)
 rows = st.lists(unit, min_size=4, max_size=4)
-properties = settings(deadline=None, database=None)
 
 
 def test_vectorized_membership_matches_scalar():
@@ -56,7 +55,6 @@ def _inputs(system, row):
 
 
 @pytest.mark.parametrize("name", BUNDLED)
-@properties
 @given(row=rows)
 def test_explain_reproduces_infer(name, row):
     system = load_bundled(name).system()
@@ -71,7 +69,6 @@ def test_explain_reproduces_infer(name, row):
 
 
 @pytest.mark.parametrize("name", BUNDLED)
-@properties
 @given(X=st.lists(rows, min_size=1, max_size=20))
 def test_infer_batch_matches_row_by_row_infer(name, X):
     system = load_bundled(name).system()
@@ -80,7 +77,6 @@ def test_infer_batch_matches_row_by_row_infer(name, X):
 
 
 @pytest.mark.parametrize("name", BUNDLED)
-@properties
 @given(X=st.lists(rows, min_size=1, max_size=50))
 def test_output_within_importance_domain(name, X):
     kb = load_bundled(name)
@@ -89,7 +85,6 @@ def test_output_within_importance_domain(name, X):
 
 
 @pytest.mark.parametrize("name", BUNDLED)
-@properties
 @given(x=st.floats(-0.5, 1.5))
 def test_membership_matches_oracle(name, x):
     # the bundled sets include shoulders (a == b, c == d) on every variable

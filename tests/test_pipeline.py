@@ -569,6 +569,54 @@ class TestCli:
         assert capsys.readouterr().err == "error[config]: n_subsets must be 0 or at least 2, got 1\n"
         assert not (tmp_path / "results.jsonl").exists()
 
+    @staticmethod
+    def significance_config(path, manifest, *extra):
+        return write_config(
+            path,
+            [
+                f"manifest = {manifest}",
+                "representation = afcc",
+                "baselines = efcc",
+                "vector_sizes = 10",
+                "n_subsets = 3",
+                *extra,
+            ],
+        )
+
+    def test_run_one_document_category_rejected_at_ingest(self, small_corpus, tmp_path, capsys):
+        # subsets draw from every category; a category of one document
+        # shows in the manifest, before any document is read
+        lines = []
+        for line in (small_corpus / "manifest.tsv").read_text(encoding="utf-8").splitlines():
+            if line and not line.startswith("#"):
+                doc_id, rel, category = line.split("\t")
+                lines.append(f"{doc_id}\t{small_corpus / rel}\t{category}")
+        doc_id, path, _ = lines[0].split("\t")
+        lines.append(f"{doc_id}-solo\t{path}\tsolo")
+        manifest = tmp_path / "manifest.tsv"
+        manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        cfg = self.significance_config(tmp_path / "exp.cfg", manifest, "out_dir = out")
+        assert main(["run", str(cfg)]) == 1
+        assert capsys.readouterr().err == "error[ingest]: category 'solo' has 1 document(s)\n"
+        assert not (tmp_path / "out" / "results.jsonl").exists()
+
+    def test_run_subsets_smaller_than_k_rejected_at_ingest(self, small_corpus, tmp_path, capsys):
+        # 16 documents in two categories of 8: a tenth of each is one
+        # document, so every subset holds 2 documents and cannot fill 12
+        # clusters
+        cfg = self.significance_config(
+            tmp_path / "exp.cfg",
+            small_corpus / "manifest.tsv",
+            "k = 12",
+            "fraction = 0.1",
+            "out_dir = out",
+        )
+        assert main(["run", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            "error[ingest]: subsets of 2 documents cannot fill 12 clusters\n"
+        )
+        assert not (tmp_path / "out" / "results.jsonl").exists()
+
     def test_run_missing_manifest_exits_nonzero(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "exp.cfg", ["manifest = nope.tsv"])
         assert main(["run", str(cfg)]) == 1

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from fuzzterm import (
@@ -251,8 +251,6 @@ _profiles = st.fixed_dictionaries(
 )
 _threshold = st.floats(0.0, 1.0)
 _cut = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
-properties = settings(deadline=None, database=None)
-
 
 def _tune_recording(tuner, base, profiles, threshold, cut):
     with warnings.catch_warnings(record=True) as caught:
@@ -267,7 +265,6 @@ def _edges(var):
 
 
 class TestTunerProperties:
-    @properties
     @given(
         base=st.sampled_from(BUNDLED_NAMES),
         profiles=_profiles,
@@ -281,7 +278,6 @@ class TestTunerProperties:
         assert dumps_kb(kb) == dumps_kb(ref)
         assert warned == ref_warned
 
-    @properties
     @given(profiles=_profiles, threshold=_threshold, cut=_cut)
     def test_edges_strictly_increasing_in_unit_interval(self, profiles, threshold, cut):
         kb, _ = _tune_recording(tune_afcc, load_bundled("efcc"), profiles, threshold, cut)
@@ -291,7 +287,6 @@ class TestTunerProperties:
             assert edges[-1] <= 1.0
             assert all(a < b for a, b in zip(edges, edges[1:])), edges
 
-    @properties
     @given(
         base=st.sampled_from(BUNDLED_NAMES),
         profiles=_profiles,
