@@ -8,10 +8,18 @@ title and emphasis flags, index in the stream) and the anchor-text variants
 (link flag) read.  `extract_criteria` counts a stream into one document's
 `CriteriaColumns`, which `corpus.CorpusBuilder` packs and which read as a
 term -> `TermCriteria` map.
+
+Text and flags come from a regex scanner when the markup lies inside its
+grammar: start, end and self-closing tags whose bodies hold no quote, "<"
+or NUL, no "&" in the document, no script or style tag, and every "<"
+opening such a tag.  Any other document (character references, quoted
+attributes, comments, doctype, stray "<") is parsed by html.parser through
+`_TextExtractor`, the reference the scanner is tested against.
 """
 
 from __future__ import annotations
 
+import logging
 import re
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -40,6 +48,17 @@ _VOID_TAGS = frozenset(
 )
 _SKIP_TAGS = frozenset({"script", "style"})
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
+# One tag of the scanner's grammar: "/" for an end tag, html.parser's tag
+# name without whitespace, quotes or "<", and a body without quotes, "<" or
+# NUL that starts where html.parser's name ends.  re.split yields (slash,
+# name, body) between the text runs.
+_TAG_RE = re.compile(r"<(/?)([a-zA-Z][^\s/>\x00<\"']*)((?:[\t\n\r\f /][^<>\"'\x00]*)?)>")
+# html.parser's attribute loop over a start-tag body (tagfind_tolerant's
+# tail, then attrfind_tolerant repeated): it stops on a body's final "/"
+# exactly when the tag is self-closing, and a bare value may take that "/".
+_ATTRS_RE = re.compile(r"(?:\s|/(?!\Z))*(?:[^\s/][^\s/=]*(?:\s*=+\s*\S*)?(?:\s|/(?!\Z))*)*")
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,6 +247,54 @@ class _TextExtractor(HTMLParser):
         self.segments.append((data, self._title > 0, self._emphasis > 0, self._link > 0))
 
 
+def _scan_tags(
+    text: str, emphasis_tags: frozenset[str]
+) -> list[tuple[str, bool, bool, bool]] | None:
+    """`_TextExtractor(emphasis_tags).segments` of a document inside the
+    grammar the module docstring names, or None for any other document.
+
+    Inside the grammar html.parser reports the same tags and text runs, so
+    the semantics are `_TextExtractor`'s: a void start tag opens nothing, an
+    end tag closes through its unclosed children only when it is open, and
+    a self-closing tag (a start tag, then its end tag) changes nothing.
+    Each open tag keeps the flags from before it opened and closing it
+    restores them, so a flag is set exactly while a tag that sets it is
+    open, as under the reference's depth counters.
+    """
+    if "&" in text:
+        return None
+    parts = _TAG_RE.split(text)
+    if len(parts) // 4 != text.count("<"):
+        return None
+    flags = (False, False, False)
+    segments = [(parts[0], *flags)] if parts[0] else []
+    stack: list[str] = []
+    before: list[tuple[bool, bool, bool]] = []
+    tags = iter(parts)
+    next(tags)
+    for slash, name, body, data in zip(tags, tags, tags, tags):
+        name = name.lower()
+        if name in _SKIP_TAGS:
+            return None
+        if slash:
+            if name in stack:
+                while stack.pop() != name:
+                    before.pop()
+                flags = before.pop()
+        elif name not in _VOID_TAGS and not (
+            body[-1:] == "/" and _ATTRS_RE.match(body).end() == len(body) - 1
+        ):
+            stack.append(name)
+            before.append(flags)
+            title, emphasis, link = flags
+            flags = (
+                title or name == "title", emphasis or name in emphasis_tags, link or name == "a"
+            )
+        if data:
+            segments.append((data, *flags))
+    return segments
+
+
 def parse_html(
     raw,
     emphasis_tags: Iterable[str] | None = None,
@@ -239,6 +306,12 @@ def parse_html(
     tag sits in emphasis_tags, nesting collapsed to a single boolean.
     Tokens come in document order and carry no offsets: a token's place is
     its index in the stream.
+
+    Plain tag markup (tags without quoted attributes, no "&", comment,
+    doctype, script or style; see `_scan_tags`) is split by one regex.  Any
+    other document falls back to html.parser through `_TextExtractor`,
+    which stays the reference: both give the same text segments and flags.
+    Each fallback logs one DEBUG line on the `fuzzterm.ingest` logger.
     """
     text = raw if isinstance(raw, str) else decode_text(raw)
     tags = (
@@ -246,10 +319,13 @@ def parse_html(
         if emphasis_tags is None
         else frozenset(t.lower() for t in emphasis_tags)
     )
-    extractor = _TextExtractor(tags)
-    extractor.feed(text)
-    extractor.close()
-    segments = extractor.segments
+    segments = _scan_tags(text, tags)
+    if segments is None:
+        log.debug("markup outside the scanner's grammar (%d chars): html.parser", len(text))
+        extractor = _TextExtractor(tags)
+        extractor.feed(text)
+        extractor.close()
+        segments = extractor.segments
     terms: list[str] = []
     sizes = []
     for segment, *_ in segments:
@@ -402,9 +478,16 @@ def load_manifest(path) -> CorpusManifest:
 
 
 def read_anchor_texts(anchors_dir, doc_id: str) -> list[str] | None:
-    """Anchor strings for one document, or None when no file exists."""
+    """Anchor strings for one document, or None when no file exists.
+
+    The file is `<doc_id>.txt` directly inside anchors_dir, so a doc_id
+    that is absolute, holds a path separator or is "." or ".." raises
+    ParseError instead of naming a file elsewhere.
+    """
     if anchors_dir is None:
         return None
+    if doc_id in (".", "..") or Path(doc_id).name != doc_id:
+        raise ParseError(f"doc_id {doc_id!r} is not a plain file name", anchors_dir)
     path = Path(anchors_dir) / f"{doc_id}.txt"
     if not path.is_file():
         return None

@@ -1,3 +1,5 @@
+import logging
+import re
 from collections import Counter
 
 import numpy as np
@@ -10,6 +12,7 @@ from fuzzterm import (
     TokenStream,
     apply_anchor_variant,
     extract_criteria,
+    generate_corpus,
     load_manifest,
     parse_html,
     read_anchor_texts,
@@ -18,7 +21,14 @@ from fuzzterm import (
 )
 from fuzzterm.corpus import CorpusBuilder
 from fuzzterm.errors import EmptyDocument, ParseError
-from fuzzterm.ingest import ANCHOR_VARIANTS, DEFAULT_STOPWORDS, strip_suffix
+from fuzzterm.ingest import (
+    ANCHOR_VARIANTS,
+    DEFAULT_EMPHASIS_TAGS,
+    DEFAULT_STOPWORDS,
+    _scan_tags,
+    _TextExtractor,
+    strip_suffix,
+)
 
 from oracles import (
     CorpusBuilderReference,
@@ -483,6 +493,140 @@ class TestAgainstTokenOracle:
                 assert a.tobytes() == b.tobytes(), (variant, name)
 
 
+# In-grammar tag soup for the scanner: nested elements in any case, some
+# left unclosed or closed in another case, among void, self-closing and
+# stray end tags, with unquoted attributes (a bare value takes a final "/",
+# so <b class=k/> opens b) and text runs of non-ASCII words and of the
+# characters that are plain text outside a tag.
+SCAN_NAMES = st.sampled_from("b B i em STRONG h1 title Title a A p div span".split())
+SCAN_ATTRS = st.sampled_from(["", " ", " href=x", " class=k", " x", " a=b c", "\tx=1", "/x"])
+SCAN_TEXT = st.lists(
+    st.sampled_from(
+        ["fuzzy", "Logic", "web", "Σ", "ΟΔΟΣ", "İstanbul", "naïve", "日本語", " ", "\n",
+         "x>y", "1/2", "a=b", '"quoted"', "it's"]
+    ),
+    min_size=1,
+    max_size=3,
+).map("".join)
+SCAN_EMPTY = st.tuples(
+    st.sampled_from(["<{}{}/>", "<{}{} />", "<{}{}>", "</{}{}>"]),
+    SCAN_NAMES | st.sampled_from(["br", "BR", "img"]),
+    SCAN_ATTRS,
+).map(lambda t: t[0].format(t[1], t[2]))
+
+
+def _scan_element(args):
+    name, attrs, children, end = args
+    return f"<{name}{attrs}>" + "".join(children) + end.format(name.swapcase())
+
+
+SCAN_NODE = st.recursive(
+    SCAN_TEXT | SCAN_EMPTY,
+    lambda children: st.tuples(
+        SCAN_NAMES, SCAN_ATTRS, st.lists(children, max_size=4),
+        st.sampled_from(["", "</{}>", "</{} x>", "</{}/>"]),
+    ).map(_scan_element),
+    max_leaves=24,
+)
+SCAN_HTML = st.lists(SCAN_NODE, max_size=4).map("".join)
+SCAN_EMPHASIS = st.sampled_from(
+    [DEFAULT_EMPHASIS_TAGS, frozenset({"title", "b"}), frozenset({"a"}), frozenset({"p", "em"}),
+     frozenset({"title", "a", "p", "i"})]
+)
+
+
+def extractor_segments(html, emphasis_tags):
+    extractor = _TextExtractor(emphasis_tags)
+    extractor.feed(html)
+    extractor.close()
+    return extractor.segments
+
+
+# Documents outside the scanner's grammar: character references, comments,
+# doctype, processing instructions, script and style, a "<" that opens no
+# tag, a tag left open at the end, and quoted attributes.
+OUT_OF_GRAMMAR = [
+    "<p>fish &amp; chips</p>",
+    "<p>fuzzy <!-- c --> logic</p>",
+    "<!DOCTYPE html><p>fuzzy logic</p>",
+    "<?xml ?><p>fuzzy logic</p>",
+    "<script>var hidden;</script><p>fuzzy logic</p>",
+    "<STYLE>p {}</STYLE><p>fuzzy logic</p>",
+    "<p>fuzzy a < b logic</p>",
+    "<p>fuzzy < b> logic</p>",
+    "<b>fuzzy</ b> logic",
+    "<b>fuzzy</> logic",
+    "fuzzy logic <b",
+    '<a title="x>y">fuzzy</a> logic',
+    '<a x=y"z>w">fuzzy</a> logic',
+]
+
+
+class TestTagScanner:
+    """The regex scanner against html.parser's `_TextExtractor`, which
+    stays the reference and the fallback."""
+
+    @given(html=SCAN_HTML, emphasis_tags=SCAN_EMPHASIS)
+    def test_segments_equal_extractor(self, html, emphasis_tags):
+        got = _scan_tags(html, emphasis_tags)
+        assert got is not None
+        assert got == extractor_segments(html, emphasis_tags)
+
+    @pytest.mark.parametrize(
+        "html, tail_emphasis",
+        [
+            ("<b/>after", False),
+            ("<b />after", False),
+            ("<b x/>after", False),
+            ("<b class=k/>after", True),
+            ("<b class= />after", True),
+            ("<br>after", False),
+            ("<b><br/>after", True),
+            # a void tag never opens, so its end tag closes nothing
+            ("<br><b></br>after", True),
+        ],
+    )
+    def test_self_closing_and_void_tags(self, html, tail_emphasis):
+        segments = _scan_tags(html, DEFAULT_EMPHASIS_TAGS)
+        assert segments == extractor_segments(html, DEFAULT_EMPHASIS_TAGS)
+        assert segments[-1] == ("after", False, tail_emphasis, False)
+
+    @pytest.mark.parametrize("html", OUT_OF_GRAMMAR)
+    def test_out_of_grammar_falls_back(self, html, caplog):
+        assert _scan_tags(html, DEFAULT_EMPHASIS_TAGS) is None
+        caplog.set_level(logging.DEBUG, logger="fuzzterm.ingest")
+        got = parse_html(html, options=NO_STOP)
+        assert flags(got) == flags(parse_html_reference(html, options=NO_STOP))
+        fallbacks = [r for r in caplog.records if r.name == "fuzzterm.ingest"]
+        assert len(fallbacks) == 1 and "html.parser" in fallbacks[0].getMessage()
+
+    def test_in_grammar_logs_nothing(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="fuzzterm.ingest")
+        parse_html("<title>Fuzzy</title><p>web <b>logic</b></p>")
+        assert not [r for r in caplog.records if r.name == "fuzzterm.ingest"]
+
+    @pytest.mark.parametrize(
+        "seed, kwargs",
+        [
+            (0, {}),
+            (1, {"with_titles": False}),
+            (2, {"title_rhetoric": 3, "emphasis_prob": 0.5}),
+            (3, {"doc_length": (1500, 3000), "vocab_per_category": 400, "shared_vocab": 3000}),
+        ],
+    )
+    def test_generated_corpora_inside_grammar(self, tmp_path, seed, kwargs):
+        # the benchmark's corpora come from generate_corpus: every document
+        # it writes takes the scanner's path
+        manifest = load_manifest(
+            generate_corpus(tmp_path, categories=2, docs_per_category=4, seed=seed, **kwargs)
+        )
+        for entry in manifest.entries:
+            html = entry.path.read_text(encoding="utf-8")
+            segments = _scan_tags(html, DEFAULT_EMPHASIS_TAGS)
+            assert segments is not None, entry.doc_id
+            assert segments == extractor_segments(html, DEFAULT_EMPHASIS_TAGS)
+
+
 class TestManifest:
     @staticmethod
     def write_corpus(tmp_path, lines, docs=("d1", "d2")):
@@ -574,6 +718,19 @@ class TestAnchorFiles:
     def test_missing_file(self, tmp_path):
         assert read_anchor_texts(tmp_path, "nope") is None
         assert read_anchor_texts(None, "d1") is None
+
+    @pytest.mark.parametrize("doc_id", ["../outside", "sub/d1", ".", "..", "ABSOLUTE"])
+    def test_doc_id_outside_dir(self, tmp_path, doc_id):
+        # a doc_id names a file directly inside anchors_dir, never one
+        # elsewhere, even when that file exists
+        anchors = tmp_path / "anchors"
+        (anchors / "sub").mkdir(parents=True)
+        (anchors / "sub" / "d1.txt").write_text("nested\n", encoding="utf-8")
+        (tmp_path / "outside.txt").write_text("secret\n", encoding="utf-8")
+        if doc_id == "ABSOLUTE":
+            doc_id = str(tmp_path / "outside")
+        with pytest.raises(ParseError, match=re.escape(repr(doc_id))):
+            read_anchor_texts(anchors, doc_id)
 
     def test_cap(self, tmp_path):
         (tmp_path / "d1.txt").write_text(

@@ -682,6 +682,20 @@ class TestAnchorRun:
             if doc_id not in (doc_ids[0], doc_ids[9]):
                 assert doc_rows(b1, doc_id) == doc_rows(plain, doc_id)
 
+    def test_doc_id_outside_anchors_dir(self, small_corpus, anchored, tmp_path):
+        # a doc_id that is a path names no anchor file, even one that exists
+        anchors, _ = anchored
+        (tmp_path / "secret.txt").write_text("leaked\n", encoding="utf-8")
+        page = load_manifest(small_corpus / "manifest.tsv").entries[0].path
+        manifest = tmp_path / "manifest.tsv"
+        manifest.write_text(f"../secret\t{page}\tnews\n", encoding="utf-8")
+        config = self.config(small_corpus, tmp_path, anchor_variant="b1", anchors_dir=anchors)
+        with pytest.raises(StageError) as exc:
+            pipeline.build_corpus(load_manifest(manifest), config)
+        assert exc.value.stage == "criteria"
+        assert exc.value.detail.startswith(f"../secret ({page}): ")
+        assert "'../secret' is not a plain file name" in exc.value.detail
+
     def test_run_writes_outputs(self, small_corpus, anchored, tmp_path):
         anchors, _ = anchored
         report = run(
