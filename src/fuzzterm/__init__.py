@@ -10,7 +10,6 @@ from . import errors
 from .cluster import (
     CategoryScore,
     F1Report,
-    repeated_bisections,
     stratified_subsample,
     weighted_f1,
 )
@@ -24,7 +23,6 @@ from .engine import (
 )
 from .ingest import (
     CorpusManifest,
-    TermCriteria,
     TokenStream,
     TokenizerOptions,
     apply_anchor_variant,
@@ -43,26 +41,20 @@ from .kb import (
     load_bundled,
     load_kb,
     loads_kb,
-    profile_criterion,
     tune_afcc,
 )
 from .pipeline import ExperimentReport, RunConfig, load_config, run
-from .reduction import FeatureSet, mft_select, project
 from .stats import TTestResult, paired_ttest
 from .synth import generate_corpus
-from .weighting import CorpusStats, DocVector, efcc_idf, tf_idf, weigh_fuzzy
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CategoryScore",
     "CorpusManifest",
-    "CorpusStats",
     "DistributionProfile",
-    "DocVector",
     "ExperimentReport",
     "F1Report",
-    "FeatureSet",
     "FiringRecord",
     "FuzzySystem",
     "KnowledgeBase",
@@ -70,7 +62,6 @@ __all__ = [
     "Rule",
     "RunConfig",
     "TTestResult",
-    "TermCriteria",
     "TokenStream",
     "TokenizerOptions",
     "TrapezoidSet",
@@ -78,7 +69,6 @@ __all__ = [
     "check_completeness",
     "dump_kb",
     "dumps_kb",
-    "efcc_idf",
     "errors",
     "extract_criteria",
     "generate_corpus",
@@ -88,18 +78,12 @@ __all__ = [
     "load_kb",
     "load_manifest",
     "loads_kb",
-    "mft_select",
     "paired_ttest",
     "parse_html",
-    "profile_criterion",
-    "project",
     "read_anchor_texts",
-    "repeated_bisections",
     "run",
     "stratified_subsample",
-    "tf_idf",
     "tokenize",
     "tune_afcc",
-    "weigh_fuzzy",
     "weighted_f1",
 ]

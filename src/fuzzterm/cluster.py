@@ -28,11 +28,14 @@ that size is made, and a run's peak memory does not depend on where the
 allocator puts such copies.
 
 The pipeline hands `cluster_matrix` the matrix `reduction.project_rows`
-writes; `repeated_bisections` takes DocVectors and lays them out with
-`build_matrix` first.  Both return one cluster label per row, label k
-marking the rows with no weight.  `weighted_f1` scores such labels against
-a per-row list of categories, and `stratified_subsample` draws sub-corpora
-as ascending row indices.
+writes and gets one cluster label per row back, label k marking the rows
+with no weight.  `weighted_f1` scores such labels against a per-row list of
+categories, and `stratified_subsample` draws sub-corpora as ascending row
+indices.
+
+`repeated_bisections` and `build_matrix` are an older form over lists of
+`weighting.DocVector` that no run path calls.  They stay only because the
+benchmark tracer still wraps them.
 """
 
 from __future__ import annotations
@@ -81,14 +84,6 @@ def _row_norms(X: np.ndarray) -> np.ndarray:
         block = slice(start, start + _NORM_ROWS)
         out[block] = np.linalg.norm(X[block], axis=1)
     return out
-
-
-def clustering_criterion(X: np.ndarray, labels: np.ndarray) -> float:
-    """Sum over clusters of the norm of the cluster's vector sum."""
-    total = 0.0
-    for cid in np.unique(labels):
-        total += float(np.linalg.norm(X[labels == cid].sum(axis=0)))
-    return total
 
 
 def _bisect(Xs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -225,15 +220,15 @@ def bisect_labels(X: np.ndarray, k: int, seed) -> np.ndarray:
 
 
 def repeated_bisections(vectors: Sequence[DocVector], k: int, seed) -> np.ndarray:
-    """Cluster documents into k groups: label i is vectors[i]'s cluster, and
-    zero vectors take the extra leftover label k, so every document stays
-    assigned."""
+    """cluster_matrix on the vectors' matrix: label i is vectors[i]'s."""
     X, _ = build_matrix(vectors)
     return cluster_matrix(X, k, seed)
 
 
 def cluster_matrix(X: np.ndarray, k: int, seed) -> np.ndarray:
-    """repeated_bisections on the doc-term matrix X: one label per row."""
+    """Cluster the rows of the doc-term matrix X into k groups: one label
+    per row, and rows with no weight take the extra leftover label k, so
+    every document stays assigned."""
     if k < 1:
         raise ValueError("k must be at least 1")
     norms = _row_norms(X)

@@ -8,10 +8,13 @@ occurrence positions are positions[pos_offsets[i]:pos_offsets[i+1]].
 
 `CorpusBuilder` appends one document's `ingest.extract_criteria` columns at
 a time, so no per-term object is built and no corpus-wide criteria map is
-held; `Corpus.from_criteria` adapts TermCriteria maps to the same columns.  A
-sub-corpus is a selection of document rows.  Document vectors use the
-matching layout, `SparseRows`; the weighing, ranking and projection
+held.  A sub-corpus is a selection of document rows.  Document vectors use
+the matching layout, `SparseRows`; the weighing, ranking and projection
 functions of `weighting`, `reduction` and `cluster` work on these arrays.
+
+`Corpus.from_criteria` packs term -> `ingest.TermCriteria` maps through the
+same builder.  No run path calls it; it stays only for
+`weighting.weigh_fuzzy`, which the benchmark tracer still wraps.
 """
 
 from __future__ import annotations

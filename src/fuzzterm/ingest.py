@@ -6,8 +6,12 @@ as boolean columns beside them, whether each sat inside the title, inside
 an emphasis tag or inside a link.  That is everything the criteria (term,
 title and emphasis flags, index in the stream) and the anchor-text variants
 (link flag) read.  `extract_criteria` counts a stream into one document's
-`CriteriaColumns`, which `corpus.CorpusBuilder` packs and which read as a
-term -> `TermCriteria` map.
+`CriteriaColumns`, which `corpus.CorpusBuilder` packs.
+
+`TermCriteria` and the term -> `TermCriteria` `Mapping` view of
+`CriteriaColumns` are an older per-term form that no run path reads.  They
+stay only because the benchmark tracer counts pairs and positions through
+`len()` and `.values()` of `extract_criteria`'s result.
 
 Text and flags come from a regex scanner when the markup lies inside its
 grammar: start, end and self-closing tags whose bodies hold no quote, "<"
@@ -102,8 +106,9 @@ class CriteriaColumns(Mapping):
     terms in string order.  Row i's occurrence positions are the
     n_positions[i] entries of `positions` that follow the earlier rows'.
 
-    The columns also read as a term -> `TermCriteria` map, in term order;
-    the per-term objects are built on first lookup, never by the packer."""
+    The columns also read as a term -> `TermCriteria` map, in term order
+    (see the module doc); the per-term objects are built on first lookup,
+    never by the packer."""
 
     terms: list[str]
     freq: np.ndarray
@@ -334,8 +339,8 @@ def parse_html(
         sizes.append(len(terms) - before)
     if not terms:
         raise EmptyDocument("document yields no tokens after filtering")
-    flags = np.array([flag for _, *flag in segments], dtype=bool).T
-    title, emphasis, link = (np.repeat(column, sizes) for column in flags)
+    _, *flags = zip(*segments)
+    title, emphasis, link = np.repeat(np.array(flags, dtype=bool), sizes, axis=1)
     return TokenStream(terms, title, emphasis, link)
 
 
@@ -346,8 +351,7 @@ def _normalized(counts: np.ndarray) -> np.ndarray:
 
 
 def extract_criteria(stream: TokenStream) -> CriteriaColumns:
-    """Per-term normalized criteria for one document, as columns that also
-    read as a term -> TermCriteria map.
+    """Per-term normalized criteria for one document, as columns.
 
     Frequencies normalize against the document's max term count; title and
     emphasis counts against their own maxima (0 when the document has no

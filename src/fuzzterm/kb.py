@@ -24,6 +24,10 @@ distributions, leaving rules, Position and Importance untouched.
 Frequency and Emphasis edges are quantiles of the pool, or of its tail
 above a cut when the pool is heavy-tailed, at the fractions the
 `_EDGE_FRACTIONS` table gives; Title edges come from its lowest band.
+The pipeline pools those values from corpus columns
+(`pipeline.corpus_profiles`).  `profile_criterion` pools them from
+term -> `ingest.TermCriteria` maps; no run path calls it, and it stays only
+because the benchmark tracer still wraps it.
 """
 
 from __future__ import annotations

@@ -8,8 +8,8 @@ trapezoid formula, `rule_degrees` the only min conjunction, and
 
 import numpy as np
 
-# There is no compiled backend; the flag stays for callers that record which
-# kernel backend produced a run.
+# There is no compiled backend.  The flag stays only because the benchmark
+# child (perfbench/child.py) records it with each run.
 NUMBA_ENABLED = False
 
 

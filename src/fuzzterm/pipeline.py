@@ -35,13 +35,7 @@ import numpy as np
 
 from .cluster import F1Report, cluster_matrix, stratified_subsample, weighted_f1
 from .corpus import Corpus, CorpusBuilder, SparseRows
-from .errors import (
-    CategoryTooSmall,
-    EmptyProfile,
-    FuzztermError,
-    InsufficientDocs,
-    StageError,
-)
+from .errors import CategoryTooSmall, FuzztermError, InsufficientDocs, StageError
 from .ingest import (
     ANCHOR_VARIANTS,
     CorpusManifest,
@@ -58,10 +52,9 @@ from .kb import (
     KnowledgeBase,
     dump_kb,
     load_bundled,
-    profile_criterion,
     tune_afcc,
 )
-from .reduction import FeatureSet, dump_features, mft_rank, project_rows
+from .reduction import dump_features, mft_rank, project_rows
 from .stats import TTestResult, paired_ttest
 from .weighting import (
     dump_vectors,
@@ -69,7 +62,6 @@ from .weighting import (
     global_positions,
     idf_rows,
     tfidf_rows,
-    unpack_rows,
 )
 
 log = logging.getLogger(__name__)
@@ -152,15 +144,19 @@ def _as_bool(value: str) -> bool:
     return _BOOL_VALUES[value.lower()]
 
 
+def _sizes(value: str) -> tuple[int, ...]:
+    sizes = tuple(int(s) for s in _words(value))
+    if not sizes:
+        raise ValueError("no vector sizes")
+    return sizes
+
+
 # config key -> (parser of its value, what the value must be); the keys in
 # _PATH_KEYS resolve against the config file's directory instead
 _PARSERS = {
     "representation": (str, "a name"),
     "anchor_variant": (lambda v: v or None, "a name"),
-    "vector_sizes": (
-        lambda v: tuple(int(s) for s in _words(v)) or DEFAULT_VECTOR_SIZES,
-        "a list of integers",
-    ),
+    "vector_sizes": (_sizes, "a list of integers"),
     "k": (int, "an integer"),
     "seed": (int, "an integer"),
     "n_subsets": (int, "an integer"),
@@ -282,12 +278,6 @@ def build_corpus(manifest: CorpusManifest, config: RunConfig) -> Corpus:
     return builder.build()
 
 
-def _build_criteria(manifest: CorpusManifest, config: RunConfig) -> dict:
-    """doc_id -> term -> TermCriteria dict for the whole corpus, for the
-    dict API."""
-    return {e.doc_id: dict(_doc_criteria(e, config)) for e in manifest.entries}
-
-
 def corpus_profiles(corpus: Corpus, docs: np.ndarray | None = None) -> dict:
     """Distribution profiles per criterion over the pairs of the selected
     documents (all when docs is None); None where they have no nonzero
@@ -299,18 +289,6 @@ def corpus_profiles(corpus: Corpus, docs: np.ndarray | None = None) -> dict:
         values = columns[criterion][pairs]
         values = values[values > 0.0]
         profiles[criterion] = DistributionProfile(criterion, values) if values.size else None
-    return profiles
-
-
-def build_profiles(criteria_by_doc) -> dict:
-    """Distribution profiles per criterion; None where the corpus has no
-    nonzero values (the tuner then keeps the base sets)."""
-    profiles = {}
-    for criterion in TUNED_CRITERIA:
-        try:
-            profiles[criterion] = profile_criterion(criteria_by_doc, criterion)
-        except EmptyProfile:
-            profiles[criterion] = None
     return profiles
 
 
@@ -405,16 +383,14 @@ def run(config: RunConfig) -> ExperimentReport:
             report.tuned_kb_path = config.out_dir / "afcc.tuned.kb"
             dump_kb(tuned_kb, report.tuned_kb_path)
         if config.dump_vectors:
-            dump_vectors(
-                unpack_rows(rows, corpus.doc_ids, corpus.vocab), config.out_dir / "vectors.txt"
-            )
+            dump_vectors(rows, corpus.doc_ids, corpus.vocab, config.out_dir / "vectors.txt")
 
     with _stage("reduce"):
         order = mft_rank(rows)
         log.info("reduce: vocabulary %d terms", len(order))
         if config.dump_features:
             for size in config.vector_sizes:
-                features = FeatureSet(tuple(corpus.vocab[t] for t in order[:size]), size)
+                features = [corpus.vocab[t] for t in order[:size].tolist()]
                 dump_features(features, config.out_dir / f"features_{size}.txt")
 
     with _stage("cluster"):

@@ -6,14 +6,17 @@ how many documents it tops and, on ties, by its best weight there.  Slot 1
 follows, and so on, until enough distinct terms have accumulated.
 
 The pipeline ranks `corpus.SparseRows` with `mft_rank`, two lexsorts over
-the (document, term) entries, and projects them with `project_rows`, a
-column mask that writes the dense matrix clustering takes.  `mft_order`,
-`mft_select` and `project` are the same steps for lists of DocVectors.
+the (document, term) entries; a selection of k features is the first k
+term ids of that order.  `project_rows`, a column mask, writes the dense
+matrix clustering takes, and `dump_features` writes a selection as text.
+
+`FeatureSet`, `mft_order` and `project` are an older form over lists of
+`weighting.DocVector` that no run path calls.  They stay only because the
+benchmark tracer still wraps `mft_order` and `project`.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -21,8 +24,6 @@ import numpy as np
 
 from .corpus import SparseRows
 from .weighting import DocVector, pack_vectors
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -39,11 +40,6 @@ class FeatureSet:
 
     def __len__(self) -> int:
         return len(self.terms)
-
-
-def ranked_terms(vec: DocVector) -> list[str]:
-    """Document-level ranking: weight descending, term ascending on ties."""
-    return [t for t, _ in sorted(vec.weights.items(), key=lambda kv: (-kv[1], kv[0]))]
 
 
 def mft_rank(rows: SparseRows) -> np.ndarray:
@@ -81,8 +77,7 @@ def mft_rank(rows: SparseRows) -> np.ndarray:
 def project_rows(rows: SparseRows, features: np.ndarray, n_terms: int) -> np.ndarray:
     """Dense matrix of the rows restricted to the feature term ids.
 
-    Columns are the features that occur in the rows, in ascending term id,
-    as `cluster.build_matrix` lays out projected vectors.
+    Columns are the features that occur in the rows, in ascending term id.
     """
     keep = np.zeros(n_terms, dtype=bool)
     keep[features] = True
@@ -90,23 +85,9 @@ def project_rows(rows: SparseRows, features: np.ndarray, n_terms: int) -> np.nda
 
 
 def mft_order(vectors) -> list[str]:
-    """Full global term ordering; mft_select takes prefixes of this list."""
+    """Full global term ordering of DocVectors (see mft_rank)."""
     rows, vocab = pack_vectors(list(vectors))
     return [vocab[t] for t in mft_rank(rows).tolist()]
-
-
-def mft_select(vectors, k: int) -> FeatureSet:
-    """Top-k features by the most-frequent-terms ordering.
-
-    When the corpus vocabulary is smaller than k, the full vocabulary is
-    returned (with a log note) and `requested` keeps the asked-for size.
-    """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    order = mft_order(vectors)
-    if len(order) < k:
-        log.info("vocabulary has %d terms, fewer than the %d requested", len(order), k)
-    return FeatureSet(tuple(order[:k]), k)
 
 
 def project(vec: DocVector, features: FeatureSet) -> DocVector:
@@ -114,6 +95,6 @@ def project(vec: DocVector, features: FeatureSet) -> DocVector:
     return DocVector(vec.doc_id, {t: w for t, w in vec.weights.items() if t in features})
 
 
-def dump_features(features: FeatureSet, path) -> None:
+def dump_features(terms, path) -> None:
     """One feature per line, in selection order."""
-    Path(path).write_text("\n".join(features.terms) + "\n", encoding="utf-8")
+    Path(path).write_text("\n".join(terms) + "\n", encoding="utf-8")

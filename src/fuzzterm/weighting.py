@@ -16,9 +16,12 @@ The pipeline weighs a `corpus.Corpus` selection in arrays and gets
 - `tfidf_rows` and `idf_rows` take document frequencies as a bincount and
   the IDF once per distinct document frequency.
 
-`weigh_fuzzy` and `efcc_idf` are the dict forms for one document and run
-the same array code.  `tf_idf` and `apply_idf` scale by `CorpusStats.idf`,
-which `idf_values` equals bit for bit.
+`dump_vectors` writes such rows as text.
+
+`DocVector`, `CorpusStats`, `pack_vectors`, `unpack_rows`, `weigh_fuzzy`
+and `tf_idf` are an older per-document dict form that no run path calls.
+They stay only because the benchmark tracer still wraps `weigh_fuzzy` and
+`tf_idf`; they go once it traces the array functions instead.
 """
 
 from __future__ import annotations
@@ -61,14 +64,6 @@ class CorpusStats:
 
     n_docs: int
     doc_freq: Mapping[str, int]
-
-    @classmethod
-    def from_criteria(cls, criteria_by_doc: Mapping[str, Mapping[str, TermCriteria]]):
-        df: dict[str, int] = {}
-        for doc in criteria_by_doc.values():
-            for term in doc:
-                df[term] = df.get(term, 0) + 1
-        return cls(len(criteria_by_doc), df)
 
     def idf(self, term: str) -> float:
         df = self.doc_freq.get(term)
@@ -175,31 +170,14 @@ def tf_idf(doc_id: str, criteria: Mapping[str, TermCriteria], stats: CorpusStats
     return DocVector(doc_id, weights)
 
 
-def efcc_idf(
-    doc_id: str,
-    criteria: Mapping[str, TermCriteria],
-    kb: KnowledgeBase,
-    stats: CorpusStats,
-) -> DocVector:
-    """Fuzzy weight scaled by IDF; zero products are dropped."""
-    return apply_idf(weigh_fuzzy(doc_id, criteria, kb), stats)
-
-
-def apply_idf(vec: DocVector, stats: CorpusStats) -> DocVector:
-    """Scale every weight of `vec` by its term's IDF; zero products are dropped."""
-    weights: dict[str, float] = {}
-    for term, w in vec.weights.items():
-        scaled = w * stats.idf(term)
-        if scaled != 0.0:
-            weights[term] = scaled
-    return DocVector(vec.doc_id, weights)
-
-
-def dump_vectors(vectors, path) -> None:
-    """One line per document: doc_id then term:weight pairs, 6 significant digits."""
+def dump_vectors(rows: SparseRows, doc_ids: Sequence[str], vocab: Sequence[str], path) -> None:
+    """One line per row: doc_id then term:weight pairs in term order, 6
+    significant digits."""
+    terms, weights = rows.term_ids.tolist(), rows.weights.tolist()
+    bounds = rows.offsets.tolist()
     lines = []
-    for vec in vectors:
-        parts = [vec.doc_id]
-        parts.extend(f"{term}:{w:.6g}" for term, w in sorted(vec.weights.items()))
+    for doc_id, start, stop in zip(doc_ids, bounds, bounds[1:]):
+        parts = [doc_id]
+        parts.extend(f"{vocab[t]}:{w:.6g}" for t, w in zip(terms[start:stop], weights[start:stop]))
         lines.append(" ".join(parts))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

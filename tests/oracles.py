@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple
 import numpy as np
 
 from fuzzterm.cluster import CategoryScore, F1Report
-from fuzzterm.corpus import Corpus
+from fuzzterm.corpus import Corpus, SparseRows
 from fuzzterm.engine import LinguisticVariable, TrapezoidSet
 from fuzzterm.errors import CategoryTooSmall, EmptyDocument, InsufficientDocs
 from fuzzterm.ingest import (
@@ -39,6 +39,8 @@ from fuzzterm.ingest import (
     strip_suffix,
     tokenize,
 )
+from fuzzterm.pipeline import _doc_criteria
+from fuzzterm.weighting import CorpusStats
 
 # The repeated-bisections constants: 10 seeded restarts, at most 100 2-means
 # rounds each, and the smallest criterion gain that moves a document.
@@ -169,6 +171,53 @@ def best_partition_criterion(rows, k):
 
 def tfidf_reference(tf, df, n_docs):
     return tf * math.log(n_docs / df)
+
+
+def corpus_stats(criteria_by_doc) -> CorpusStats:
+    """Corpus size and per-term document frequencies of
+    {doc_id: {term: TermCriteria}} maps."""
+    df: dict[str, int] = {}
+    for doc in criteria_by_doc.values():
+        for term in doc:
+            df[term] = df.get(term, 0) + 1
+    return CorpusStats(len(criteria_by_doc), df)
+
+
+def apply_idf_reference(weights, stats: CorpusStats) -> dict[str, float]:
+    """A {term: weight} map scaled term by term by its IDF; zero products
+    dropped."""
+    out = {}
+    for term, w in weights.items():
+        scaled = w * stats.idf(term)
+        if scaled != 0.0:
+            out[term] = scaled
+    return out
+
+
+def sparse_rows_of(weight_maps, vocab) -> SparseRows:
+    """{term: weight} maps as SparseRows over vocab, a sorted list holding
+    every term of the maps."""
+    index = {t: i for i, t in enumerate(vocab)}
+    rows = [sorted((index[t], w) for t, w in m.items()) for m in weight_maps]
+    offsets = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum([len(row) for row in rows], out=offsets[1:])
+    terms = np.array([t for row in rows for t, _ in row], dtype=np.int64)
+    weights = np.array([w for row in rows for _, w in row], dtype=np.float64)
+    return SparseRows(offsets, terms, weights)
+
+
+def criteria_by_doc(manifest: CorpusManifest, config) -> dict[str, dict[str, TermCriteria]]:
+    """{doc_id: {term: TermCriteria}} for the whole corpus, each document's
+    criteria read as the pipeline reads them (`pipeline._doc_criteria`)."""
+    return {e.doc_id: dict(_doc_criteria(e, config)) for e in manifest.entries}
+
+
+def clustering_criterion(X: np.ndarray, labels: np.ndarray) -> float:
+    """Sum over clusters of the norm of the cluster's vector sum."""
+    total = 0.0
+    for cid in np.unique(labels):
+        total += float(np.linalg.norm(X[labels == cid].sum(axis=0)))
+    return total
 
 
 def weighted_f1_reference(cluster_of, category_of):

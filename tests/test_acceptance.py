@@ -6,42 +6,51 @@ them live) and enforces both the numeric tolerance and the runtime budget.
 Runtime budgets assume the JIT warm-up fixture in conftest has already run.
 """
 
+import math
 import time
 import warnings
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from fuzzterm import (
-    CorpusStats,
-    FeatureSet,
     check_completeness,
     generate_corpus,
     load_bundled,
     load_manifest,
-    mft_select,
     paired_ttest,
-    project,
-    repeated_bisections,
     tune_afcc,
-    weigh_fuzzy,
     weighted_f1,
 )
 from fuzzterm.cli import main as cli_main
-from fuzzterm.cluster import build_matrix, clustering_criterion
-from fuzzterm.kb import DistributionProfile, profile_criterion
-from fuzzterm.pipeline import RunConfig, _build_criteria, build_profiles
-from fuzzterm.reduction import mft_order
-from fuzzterm.weighting import DocVector
+from fuzzterm.cluster import cluster_matrix
+from fuzzterm.corpus import Corpus, CorpusBuilder
+from fuzzterm.ingest import CriteriaColumns
+from fuzzterm.kb import DistributionProfile
+from fuzzterm.pipeline import RunConfig, build_corpus, corpus_profiles
+from fuzzterm.reduction import mft_rank, project_rows
+from fuzzterm.weighting import fuzzy_rows, global_positions, idf_rows, tfidf_rows
 
 from oracles import (
     best_partition_criterion,
     centroid_of_mixture,
+    clustering_criterion,
     mft_brute_force,
+    sparse_rows_of,
     tfidf_reference,
     trapezoid_membership,
 )
+
+
+def _corpus(manifest_path: Path) -> Corpus:
+    return build_corpus(load_manifest(manifest_path), RunConfig(manifest=manifest_path))
+
+
+def _cluster_f1(rows, n_terms, size, k, seed, categories) -> float:
+    """Overall F1 of the rows projected on their top `size` MFT features
+    and clustered into k groups, as one vector size of a run scores."""
+    X = project_rows(rows, mft_rank(rows)[:size], n_terms)
+    return weighted_f1(cluster_matrix(X, k, seed), categories).overall
 
 
 def _outcome(num: int, ok: bool, detail: str) -> None:
@@ -123,13 +132,13 @@ def test_criterion_3_tuner_convergence(corpus_dir_200):
         for got, want in zip(medium, (0.2, 0.4, 0.6, 0.8))
     )
 
-    manifest = load_manifest(corpus_dir_200 / "manifest.tsv")
-    criteria = _build_criteria(manifest, RunConfig(manifest=corpus_dir_200 / "manifest.tsv"))
-    freq_profile = profile_criterion(criteria, "frequency")
+    corpus = _corpus(corpus_dir_200 / "manifest.tsv")
+    profiles = corpus_profiles(corpus)
+    freq_profile = profiles["frequency"]
     fired = freq_profile.frac_below(0.2) > 0.55
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        corpus_tuned = tune_afcc(load_bundled("efcc"), build_profiles(criteria))
+        corpus_tuned = tune_afcc(load_bundled("efcc"), profiles)
     first_edge = corpus_tuned.frequency.sets[1].params[0]
     elapsed = time.perf_counter() - start
     ok = uniform_ok and fired and first_edge == 0.2 and elapsed < 10.0
@@ -143,10 +152,24 @@ def test_criterion_3_tuner_convergence(corpus_dir_200):
     )
 
 
-def test_criterion_4_tfidf_oracle():
-    from fuzzterm.ingest import TermCriteria
-    from fuzzterm.weighting import efcc_idf, tf_idf
+def _one_term_corpus(n_docs: int, df: int, tf: int) -> Corpus:
+    """n_docs documents; the first df hold the one term "w", tf times."""
+    zeros = np.zeros(df)
+    return Corpus(
+        doc_ids=tuple(map(str, range(n_docs))),
+        vocab=("w",),
+        doc_offsets=np.minimum(np.arange(n_docs + 1), df),
+        term_ids=np.zeros(df, dtype=np.int64),
+        freq=np.ones(df),
+        title=zeros,
+        emph=zeros,
+        raw_tf=np.full(df, tf, dtype=np.int64),
+        positions=zeros,
+        pos_offsets=np.arange(df + 1),
+    )
 
+
+def test_criterion_4_tfidf_oracle():
     rng = np.random.default_rng(77)
     worst = 0.0
     dropped_ok = True
@@ -154,48 +177,58 @@ def test_criterion_4_tfidf_oracle():
         n_docs = int(rng.integers(2, 10_000))
         df = int(rng.integers(1, n_docs + 1))
         tf = int(rng.integers(1, 500))
-        stats = CorpusStats(n_docs, {"w": df})
-        crit = {
-            "w": TermCriteria(
-                freq_norm=1.0, title_norm=0.0, emph_norm=0.0,
-                positions=(0.0,), raw_tf=tf,
-            )
-        }
-        vec = tf_idf("d", crit, stats)
+        rows = tfidf_rows(_one_term_corpus(n_docs, df, tf), np.arange(n_docs))
         expected = tfidf_reference(tf, df, n_docs)
         if expected == 0.0:
-            dropped_ok = dropped_ok and "w" not in vec.weights
+            dropped_ok = dropped_ok and rows.weights.size == 0
         else:
-            worst = max(worst, abs(vec.weights["w"] - expected) / abs(expected))
+            assert rows.weights.size == df
+            worst = max(worst, float(np.abs(rows.weights - expected).max()) / abs(expected))
     arithmetic_ok = worst < 1e-12 and dropped_ok
 
     # EFCC-IDF must equal the product of the separately computed factors
     kb = load_bundled("efcc")
-    criteria_by_doc = {}
+    builder = CorpusBuilder()
+    doc_terms = []
     term_rng = np.random.default_rng(78)
     for i in range(6):
-        doc = {}
+        terms, columns = [], []
         for j in range(10):
             if term_rng.random() < 0.6:
-                doc[f"t{j}"] = TermCriteria(
-                    freq_norm=float(term_rng.random()),
-                    title_norm=float(term_rng.random()),
-                    emph_norm=float(term_rng.random()),
-                    positions=(float(term_rng.random()),),
-                    raw_tf=int(term_rng.integers(1, 9)),
+                terms.append(f"t{j}")
+                columns.append(
+                    (
+                        float(term_rng.random()),
+                        float(term_rng.random()),
+                        float(term_rng.random()),
+                        float(term_rng.random()),
+                        int(term_rng.integers(1, 9)),
+                    )
                 )
-        criteria_by_doc[f"d{i}"] = doc
-    stats = CorpusStats.from_criteria(criteria_by_doc)
+        freq, title, emph, position, raw_tf = (np.array(c) for c in zip(*columns))
+        builder.add(
+            f"d{i}",
+            CriteriaColumns(
+                terms, freq, title, emph, raw_tf, position, np.ones(len(terms), dtype=np.int64)
+            ),
+        )
+        doc_terms.append(terms)
+    corpus = builder.build()
+    docs = np.arange(corpus.n_docs)
+    fuzzy = fuzzy_rows(corpus, docs, kb, global_positions(corpus, kb))
+    combined = idf_rows(fuzzy, corpus, docs)
+    df = {t: sum(t in terms for terms in doc_terms) for t in corpus.vocab}
     product_ok = True
-    for doc_id, crit in criteria_by_doc.items():
-        fuzzy = weigh_fuzzy(doc_id, crit, kb)
-        combined = efcc_idf(doc_id, crit, kb, stats)
-        for term, fw in fuzzy.weights.items():
-            expected = fw * stats.idf(term)
+    for d in docs:
+        span = slice(combined.offsets[d], combined.offsets[d + 1])
+        got = dict(zip(combined.term_ids[span].tolist(), combined.weights[span].tolist()))
+        span = slice(fuzzy.offsets[d], fuzzy.offsets[d + 1])
+        for t, fw in zip(fuzzy.term_ids[span].tolist(), fuzzy.weights[span].tolist()):
+            expected = fw * math.log(len(docs) / df[corpus.vocab[t]])
             if expected == 0.0:
-                product_ok = product_ok and term not in combined.weights
+                product_ok = product_ok and t not in got
             else:
-                product_ok = product_ok and combined.weights[term] == expected
+                product_ok = product_ok and got[t] == expected
     ok = arithmetic_ok and product_ok
     _outcome(
         4,
@@ -213,24 +246,21 @@ def test_criterion_5_feature_selection_brute_force():
     for _ in range(200):
         n_docs = int(rng.integers(2, 16))
         vocab = [f"w{i:02d}" for i in range(int(rng.integers(2, 31)))]
-        vectors = []
         weight_maps = []
         for d in range(n_docs):
             terms = rng.choice(len(vocab), size=int(rng.integers(1, len(vocab) + 1)), replace=False)
             # quantized weights force rank ties across documents
-            weights = {vocab[t]: float(rng.integers(1, 5)) / 4.0 for t in terms}
-            vectors.append(DocVector(f"d{d}", weights))
-            weight_maps.append(weights)
-        order = mft_order(vectors)
+            weight_maps.append({vocab[t]: float(rng.integers(1, 5)) / 4.0 for t in terms})
+        order = [vocab[t] for t in mft_rank(sparse_rows_of(weight_maps, vocab)).tolist()]
         previous: set[str] = set()
         for k in range(1, len(vocab) + 1):
-            selected = set(mft_select(vectors, k).terms)
-            if selected != set(mft_brute_force(weight_maps, k)):
+            # a selection of k features is the first k of the order
+            selected = set(mft_brute_force(weight_maps, k))
+            if set(order[:k]) != selected:
                 mismatches += 1
             if not previous <= selected:
                 monotone_ok = False
             previous = selected
-        assert [t for t in order if t in previous] == list(order[: len(previous)])
     elapsed = time.perf_counter() - start
     ok = mismatches == 0 and monotone_ok and elapsed < 60.0
     _outcome(
@@ -244,7 +274,7 @@ def test_criterion_5_feature_selection_brute_force():
 def test_criterion_6_clustering_sanity(corpus_dir_400):
     start = time.perf_counter()
     manifest = load_manifest(corpus_dir_400 / "manifest.tsv")
-    criteria = _build_criteria(manifest, RunConfig(manifest=corpus_dir_400 / "manifest.tsv"))
+    corpus = _corpus(corpus_dir_400 / "manifest.tsv")
     categories = [e.category for e in manifest.entries]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -252,26 +282,24 @@ def test_criterion_6_clustering_sanity(corpus_dir_400):
             "fcc": load_bundled("fcc"),
             "addfcc": load_bundled("addfcc"),
             "efcc": load_bundled("efcc"),
-            "afcc": tune_afcc(load_bundled("efcc"), build_profiles(criteria)),
+            "afcc": tune_afcc(load_bundled("efcc"), corpus_profiles(corpus)),
         }
+    every = np.arange(corpus.n_docs)
     scores = {}
     for rep, kb in kbs.items():
-        vectors = [weigh_fuzzy(e.doc_id, criteria[e.doc_id], kb) for e in manifest.entries]
-        features = mft_select(vectors, 500)
-        projected = [project(v, features) for v in vectors]
-        labels = repeated_bisections(projected, 4, seed=np.random.SeedSequence(0))
-        scores[rep] = weighted_f1(labels, categories).overall
+        rows = fuzzy_rows(corpus, every, kb, global_positions(corpus, kb))
+        scores[rep] = _cluster_f1(
+            rows, len(corpus.vocab), 500, 4, np.random.SeedSequence(0), categories
+        )
     separable_ok = all(v >= 0.95 for v in scores.values())
 
     # ten-document miniature against the exhaustive optimum
     rng = np.random.default_rng(9)
-    mini = []
+    X = np.empty((10, 3))
     for d, group in enumerate([0] * 4 + [1] * 3 + [2] * 3):
-        weights = {f"dim{i}": 0.1 * float(rng.random()) for i in range(3)}
-        weights[f"dim{group}"] = 1.0 + float(rng.random())
-        mini.append(DocVector(f"m{d}", weights))
-    labels = repeated_bisections(mini, 3, seed=np.random.SeedSequence(1))
-    X, _vocab = build_matrix(mini)
+        X[d] = [0.1 * float(rng.random()) for _ in range(3)]
+        X[d, group] = 1.0 + float(rng.random())
+    labels = cluster_matrix(X, 3, np.random.SeedSequence(1))
     X = X / np.linalg.norm(X, axis=1, keepdims=True)
     achieved = clustering_criterion(X, labels)
     best = best_partition_criterion(X, 3)
@@ -305,27 +333,24 @@ def test_criterion_7_representation_ordering(tmp_path):
             title_rhetoric=6,
         )
         manifest = load_manifest(corpus / "manifest.tsv")
-        criteria = _build_criteria(manifest, RunConfig(manifest=corpus / "manifest.tsv"))
+        packed = _corpus(corpus / "manifest.tsv")
         categories = [e.category for e in manifest.entries]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             kbs = {
                 "fcc": load_bundled("fcc"),
                 "efcc": load_bundled("efcc"),
-                "afcc": tune_afcc(load_bundled("efcc"), build_profiles(criteria)),
+                "afcc": tune_afcc(load_bundled("efcc"), corpus_profiles(packed)),
             }
+        every = np.arange(packed.n_docs)
         for rep, kb in kbs.items():
-            vectors = [weigh_fuzzy(e.doc_id, criteria[e.doc_id], kb) for e in manifest.entries]
-            order = mft_order(vectors)
+            rows = fuzzy_rows(packed, every, kb, global_positions(packed, kb))
             for size in sizes:
-                features = FeatureSet(tuple(order[:size]), size)
-                projected = [project(v, features) for v in vectors]
-                labels = repeated_bisections(
-                    projected, 4, seed=np.random.SeedSequence((seed, size))
+                f1 = _cluster_f1(
+                    rows, len(packed.vocab), size, 4, np.random.SeedSequence((seed, size)),
+                    categories,
                 )
-                scores.setdefault((rep, size), []).append(
-                    weighted_f1(labels, categories).overall
-                )
+                scores.setdefault((rep, size), []).append(f1)
     means = {key: float(np.mean(vals)) for key, vals in scores.items()}
     ordering_ok = all(
         means[("efcc", s)] >= means[("fcc", s)]

@@ -7,13 +7,13 @@ import pytest
 from hypothesis import event, example, given
 from hypothesis import strategies as st
 
-from fuzzterm import repeated_bisections, stratified_subsample, weighted_f1
+from fuzzterm import stratified_subsample, weighted_f1
 import fuzzterm.cluster
 from fuzzterm.cluster import (
     bisect_labels,
     build_matrix,
     cluster_matrix,
-    clustering_criterion,
+    repeated_bisections,
     _bisect,
     _refine,
     _row_norms,
@@ -29,6 +29,7 @@ from oracles import (
     bisect_labels_reference,
     bisect_lockstep_reference,
     bisect_reference,
+    clustering_criterion,
     refine_reference,
     refine_vectorized_reference,
     stratified_subsample_manifest_reference,

@@ -9,21 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fuzzterm import CorpusStats, TermCriteria, load_bundled, load_manifest, tune_afcc
+from fuzzterm import load_bundled, load_manifest, tune_afcc
 from fuzzterm.errors import EmptyPositions, NoRuleFired
 from fuzzterm import engine, kernels, pipeline, weighting
 from fuzzterm.corpus import Corpus, SparseRows
-from fuzzterm.pipeline import (
-    RunConfig,
-    _build_criteria,
-    _Representations,
-    build_corpus,
-    corpus_profiles,
-)
+from fuzzterm.ingest import TermCriteria
+from fuzzterm.pipeline import RunConfig, _Representations, build_corpus, corpus_profiles
 from fuzzterm.reduction import mft_order, mft_rank, project_rows
 from fuzzterm.weighting import (
+    CorpusStats,
     DocVector,
-    apply_idf,
     fuzzy_rows,
     global_positions,
     idf_rows,
@@ -34,6 +29,9 @@ from fuzzterm.weighting import (
 )
 
 from oracles import (
+    apply_idf_reference,
+    corpus_stats,
+    criteria_by_doc,
     mft_order_reference,
     projected_matrix_reference,
     weigh_fuzzy_reference,
@@ -104,7 +102,7 @@ class TestCorpusLayout:
     def test_criteria_maps_pack_as_the_pipeline_does(self, corpus_dir_200):
         manifest = load_manifest(corpus_dir_200 / "manifest.tsv")
         config = RunConfig(manifest=corpus_dir_200 / "manifest.tsv")
-        got = Corpus.from_criteria(_build_criteria(manifest, config))
+        got = Corpus.from_criteria(criteria_by_doc(manifest, config))
         want = build_corpus(manifest, config)
         assert got.doc_ids == want.doc_ids
         assert got.vocab == want.vocab
@@ -234,7 +232,7 @@ class TestIdf:
         by_doc, docs = data
         corpus = Corpus.from_criteria(by_doc)
         subset = {corpus.doc_ids[d]: by_doc[corpus.doc_ids[d]] for d in docs}
-        stats = CorpusStats.from_criteria(subset)
+        stats = corpus_stats(subset)
         want = [tf_idf(doc_id, crit, stats).weights for doc_id, crit in subset.items()]
         assert maps_of(tfidf_rows(corpus, docs), corpus, docs) == want
 
@@ -245,12 +243,12 @@ class TestIdf:
         kb = load_bundled(kb_name)
         corpus = Corpus.from_criteria(by_doc)
         subset = {corpus.doc_ids[d]: by_doc[corpus.doc_ids[d]] for d in docs}
-        stats = CorpusStats.from_criteria(subset)
+        stats = corpus_stats(subset)
         fuzzy = weigh(corpus, np.arange(corpus.n_docs), kb).select(docs)
         got = maps_of(idf_rows(fuzzy, corpus, docs), corpus, docs)
         want = [
-            apply_idf(DocVector(doc_id, weigh_fuzzy_reference(crit, kb)), stats).weights
-            for doc_id, crit in subset.items()
+            apply_idf_reference(weigh_fuzzy_reference(crit, kb), stats)
+            for crit in subset.values()
         ]
         assert got == want
 
@@ -357,7 +355,7 @@ class TestMemory:
     def test_build_holds_no_corpus_wide_criteria(self, corpus_dir_200):
         manifest = load_manifest(corpus_dir_200 / "manifest.tsv")
         config = RunConfig(manifest=corpus_dir_200 / "manifest.tsv")
-        by_doc, held = _traced_peak(lambda: _build_criteria(manifest, config))
+        by_doc, held = _traced_peak(lambda: criteria_by_doc(manifest, config))
         assert len(by_doc) == 200
         del by_doc
         corpus, peak = _traced_peak(lambda: build_corpus(manifest, config))

@@ -7,23 +7,18 @@ import warnings
 import numpy as np
 import pytest
 
-from fuzzterm import (
-    CorpusStats,
-    generate_corpus,
-    load_bundled,
-    load_manifest,
-    profile_criterion,
-    run,
-    tune_afcc,
-)
+from fuzzterm import generate_corpus, load_bundled, load_manifest, run, tune_afcc
 from fuzzterm.cluster import bisect_labels
 from fuzzterm.errors import EmptyProfile
-from fuzzterm.kb import TUNED_CRITERIA
-from fuzzterm.pipeline import REPRESENTATIONS, RunConfig, _build_criteria
+from fuzzterm.kb import TUNED_CRITERIA, profile_criterion
+from fuzzterm.pipeline import REPRESENTATIONS, RunConfig
 from fuzzterm.stats import paired_ttest
 
 from oracles import (
     Clustering,
+    apply_idf_reference,
+    corpus_stats,
+    criteria_by_doc,
     mft_order_reference,
     projected_matrix_reference,
     stratified_subsample_manifest_reference,
@@ -50,7 +45,7 @@ def weak_corpus(tmp_path_factory):
 def oracle_weights(rep, criteria, doc_ids):
     """One {term: weight} map per document, from the dict references."""
     subset = {d: criteria[d] for d in doc_ids}
-    stats = CorpusStats.from_criteria(subset)
+    stats = corpus_stats(subset)
     if rep == "tfidf":
         return [
             {t: w for t, c in subset[d].items() if (w := c.raw_tf * stats.idf(t)) != 0.0}
@@ -59,12 +54,7 @@ def oracle_weights(rep, criteria, doc_ids):
     if rep == "efcc-idf":
         efcc = load_bundled("efcc")
         return [
-            {
-                t: s
-                for t, w in weigh_fuzzy_reference(subset[d], efcc).items()
-                if (s := w * stats.idf(t)) != 0.0
-            }
-            for d in doc_ids
+            apply_idf_reference(weigh_fuzzy_reference(subset[d], efcc), stats) for d in doc_ids
         ]
     if rep == "afcc":
         profiles = {}
@@ -99,7 +89,7 @@ def oracle_score(maps, order, size, doc_ids, labels, k, seed):
 
 def oracle_run(config):
     manifest = load_manifest(config.manifest)
-    criteria = _build_criteria(manifest, config)
+    criteria = criteria_by_doc(manifest, config)
     k = len(manifest.categories())
     labels = {e.doc_id: e.category for e in manifest.entries}
     doc_ids = [e.doc_id for e in manifest.entries]

@@ -2,17 +2,19 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fuzzterm import (
     RunConfig,
     generate_corpus,
+    load_bundled,
     load_config,
     load_kb,
     load_manifest,
     run,
     pipeline,
-    weigh_fuzzy,
+    tune_afcc,
 )
 from fuzzterm.cli import main
 from fuzzterm.cluster import CategoryScore, F1Report
@@ -21,11 +23,14 @@ from fuzzterm.pipeline import (
     ExperimentReport,
     RunRecord,
     SignificanceRecord,
-    _build_criteria,
+    build_corpus,
+    corpus_profiles,
     render_results,
     render_table,
 )
+from fuzzterm.reduction import mft_rank
 from fuzzterm.stats import TTestResult
+from fuzzterm.weighting import fuzzy_rows, global_positions
 
 
 @pytest.fixture(scope="module")
@@ -129,6 +134,7 @@ class TestLoadConfig:
             ),
             (["dump_features = maybe"], "{cfg}: dump_features must be a boolean, got 'maybe'"),
             (["seed = 1", "# again", "seed = 2"], "{cfg}:4: seed is set twice"),
+            (["vector_sizes ="], "{cfg}: vector_sizes must be a list of integers, got ''"),
         ],
     )
     def test_bad_value_names_file_and_key(self, lines, message, tmp_path, capsys):
@@ -291,16 +297,15 @@ class TestRun:
         assert replayed.name == "afcc"
         assert replayed.flags == ("tuned",)
         # replaying the dumped base reproduces the pipeline's weights exactly
-        manifest = load_manifest(config.manifest)
-        criteria = _build_criteria(manifest, config)
-        doc_id = manifest.entries[0].doc_id
-        from fuzzterm import load_bundled, tune_afcc
-        from fuzzterm.pipeline import build_profiles
-
-        fresh = tune_afcc(load_bundled("efcc"), build_profiles(criteria))
-        w_replay = weigh_fuzzy(doc_id, criteria[doc_id], replayed).weights
-        w_fresh = weigh_fuzzy(doc_id, criteria[doc_id], fresh).weights
-        assert w_replay == w_fresh
+        corpus = build_corpus(load_manifest(config.manifest), config)
+        fresh = tune_afcc(load_bundled("efcc"), corpus_profiles(corpus))
+        every = np.arange(corpus.n_docs)
+        w_replay, w_fresh = (
+            fuzzy_rows(corpus, every, kb, global_positions(corpus, kb)) for kb in (replayed, fresh)
+        )
+        assert w_replay.weights.size > 0
+        assert w_replay.weights.tobytes() == w_fresh.weights.tobytes()
+        assert w_replay.offsets.tolist() == w_fresh.offsets.tolist()
 
     def test_significance_cardinality(self, small_corpus, tmp_path):
         config = RunConfig(
@@ -353,16 +358,29 @@ class TestRun:
         config = RunConfig(
             manifest=small_corpus / "manifest.tsv",
             representation="efcc",
-            vector_sizes=(15,),
+            vector_sizes=(15, 40),
             seed=0,
             out_dir=tmp_path,
             dump_vectors=True,
             dump_features=True,
         )
         run(config)
-        assert (tmp_path / "vectors.txt").is_file()
-        features = (tmp_path / "features_15.txt").read_text(encoding="utf-8")
-        assert len(features.splitlines()) == 15
+        # the dumps hold the run's weights and MFT order, byte for byte
+        corpus = build_corpus(load_manifest(config.manifest), config)
+        kb = load_bundled("efcc")
+        rows = fuzzy_rows(corpus, np.arange(corpus.n_docs), kb, global_positions(corpus, kb))
+        lines = []
+        for d, doc_id in enumerate(corpus.doc_ids):
+            span = range(rows.offsets[d], rows.offsets[d + 1])
+            pairs = [f"{corpus.vocab[rows.term_ids[i]]}:{rows.weights[i]:.6g}" for i in span]
+            lines.append(" ".join([doc_id, *pairs]))
+        vectors = (tmp_path / "vectors.txt").read_text(encoding="utf-8")
+        assert vectors == "\n".join(lines) + "\n"
+        order = [corpus.vocab[t] for t in mft_rank(rows)]
+        for size in config.vector_sizes:
+            features = (tmp_path / f"features_{size}.txt").read_text(encoding="utf-8")
+            assert features == "".join(f"{term}\n" for term in order[:size])
+            assert len(features.splitlines()) == size
 
     def test_missing_manifest_tagged_ingest(self, tmp_path):
         config = RunConfig(manifest=tmp_path / "nope.tsv", out_dir=tmp_path)

@@ -6,18 +6,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fuzzterm import (
-    DistributionProfile,
-    TermCriteria,
-    check_completeness,
-    dumps_kb,
-    load_bundled,
-    profile_criterion,
-    tune_afcc,
-)
+from fuzzterm import DistributionProfile, check_completeness, dumps_kb, load_bundled, tune_afcc
 from fuzzterm.engine import LinguisticVariable
 from fuzzterm.errors import EmptyProfile
-from fuzzterm.kb import BUNDLED_NAMES
+from fuzzterm.ingest import TermCriteria
+from fuzzterm.kb import BUNDLED_NAMES, profile_criterion
 
 from oracles import tune_afcc_reference
 

@@ -3,16 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from fuzzterm import (
+from fuzzterm import load_bundled
+from fuzzterm.corpus import Corpus, SparseRows
+from fuzzterm.errors import UnknownTerm
+from fuzzterm.ingest import TermCriteria
+from fuzzterm.weighting import (
     CorpusStats,
-    TermCriteria,
-    efcc_idf,
-    load_bundled,
+    DocVector,
+    dump_vectors,
+    fuzzy_rows,
+    global_positions,
+    idf_rows,
     tf_idf,
     weigh_fuzzy,
 )
-from fuzzterm.errors import UnknownTerm
-from fuzzterm.weighting import DocVector, dump_vectors
 
 from oracles import tfidf_reference
 
@@ -22,16 +26,6 @@ def crit(freq=1.0, title=0.0, emph=0.0, positions=(0.5,), raw_tf=1):
 
 
 class TestCorpusStats:
-    def test_from_criteria(self):
-        stats = CorpusStats.from_criteria(
-            {
-                "d1": {"alpha": crit(), "beta": crit()},
-                "d2": {"alpha": crit()},
-            }
-        )
-        assert stats.n_docs == 2
-        assert stats.doc_freq == {"alpha": 2, "beta": 1}
-
     def test_idf(self):
         stats = CorpusStats(4, {"rare": 1, "everywhere": 4})
         assert stats.idf("rare") == pytest.approx(math.log(4))
@@ -125,6 +119,27 @@ class TestWeighFuzzy:
         assert vec.weights == {}
 
 
+def efcc_idf_rows(criteria, n_docs, doc_freq, kb):
+    """(fuzzy, fuzzy * idf) weights of document 0, as {term: weight} maps, in
+    a corpus of n_docs documents: document 0 holds `criteria`, and each term
+    is placed in the next doc_freq[term] - 1 documents with a filler term."""
+    by_doc = {f"d{i}": {"filler": crit()} for i in range(n_docs)}
+    by_doc["d0"] = dict(criteria)
+    for term, df in doc_freq.items():
+        for i in range(1, df):
+            by_doc[f"d{i}"][term] = crit()
+    corpus = Corpus.from_criteria(by_doc)
+    docs = np.arange(n_docs)
+    fuzzy = fuzzy_rows(corpus, docs, kb, global_positions(corpus, kb))
+    combined = idf_rows(fuzzy, corpus, docs)
+
+    def first_row(rows):
+        span = slice(rows.offsets[0], rows.offsets[1])
+        return {corpus.vocab[t]: w for t, w in zip(rows.term_ids[span], rows.weights[span])}
+
+    return first_row(fuzzy), first_row(combined)
+
+
 class TestEfccIdf:
     def test_exact_product(self):
         kb = load_bundled("efcc")
@@ -132,27 +147,25 @@ class TestEfccIdf:
             "alpha": crit(freq=0.8, title=1.0, positions=(0.0, 0.6)),
             "beta": crit(freq=0.5, emph=0.7, positions=(0.9,)),
         }
-        stats = CorpusStats(10, {"alpha": 3, "beta": 7})
-        combined = efcc_idf("d", criteria, kb, stats)
-        fuzzy = weigh_fuzzy("d", criteria, kb)
-        for term, w in combined.weights.items():
-            assert w == fuzzy.weights[term] * stats.idf(term)
+        fuzzy, combined = efcc_idf_rows(criteria, 10, {"alpha": 3, "beta": 7}, kb)
+        assert set(combined) == {"alpha", "beta"}
+        assert combined["alpha"] == fuzzy["alpha"] * math.log(10 / 3)
+        assert combined["beta"] == fuzzy["beta"] * math.log(10 / 7)
 
     def test_idf_zero_dropped_despite_fuzzy_weight(self):
         kb = load_bundled("efcc")
-        stats = CorpusStats(5, {"alpha": 5})
-        vec = efcc_idf("d", {"alpha": crit(freq=1.0, title=1.0)}, kb, stats)
-        assert vec.weights == {}
+        fuzzy, combined = efcc_idf_rows(
+            {"alpha": crit(freq=1.0, title=1.0)}, 5, {"alpha": 5}, kb
+        )
+        assert fuzzy["alpha"] > 0.0
+        assert "alpha" not in combined
 
     def test_unit_idf_is_identity_factor(self):
         # df chosen so ln(n/df) == 1 exactly is impossible with integers;
-        # approximate by checking the scaling matches idf()
+        # approximate by checking the scaling matches the idf
         kb = load_bundled("efcc")
-        stats = CorpusStats(8, {"alpha": 2})
-        criteria = {"alpha": crit(freq=1.0, emph=0.9)}
-        combined = efcc_idf("d", criteria, kb, stats).weights["alpha"]
-        fuzzy = weigh_fuzzy("d", criteria, kb).weights["alpha"]
-        assert combined / fuzzy == pytest.approx(math.log(4), rel=1e-15)
+        fuzzy, combined = efcc_idf_rows({"alpha": crit(freq=1.0, emph=0.9)}, 8, {"alpha": 2}, kb)
+        assert combined["alpha"] / fuzzy["alpha"] == pytest.approx(math.log(4), rel=1e-15)
 
 
 class TestDocVector:
@@ -163,13 +176,8 @@ class TestDocVector:
 
     def test_dump_format(self, tmp_path):
         out = tmp_path / "vectors.txt"
-        dump_vectors(
-            [
-                DocVector("d1", {"beta": 0.123456789, "alpha": 2.0}),
-                DocVector("d2", {}),
-            ],
-            out,
-        )
+        rows = SparseRows(np.array([0, 2, 2]), np.array([0, 1]), np.array([2.0, 0.123456789]))
+        dump_vectors(rows, ["d1", "d2"], ["alpha", "beta"], out)
         lines = out.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "d1 alpha:2 beta:0.123457"
         assert lines[1] == "d2"
