@@ -11,15 +11,22 @@ the final pass scores all k candidate clusters of a document at once.
 On matrices of a few hundred rows the work around those products costs
 more than the products, so it is kept small.  Each cluster keeps its rows
 as one ascending index array beside its cohesion score, and a split
-rescores only the two clusters it leaves.  A 2-means round finds both sides
-from one subtraction, fixes up one-sided splits only when there are any,
-and writes its side indicators into one buffer made per split.  The refine
-pass adds each document to the cluster sums in one reused buffer.  The
-products, their operands' values, shapes and layouts, every comparison and
-every generator draw stay those of the plain code kept as test oracles:
-BLAS picks its summation order from the operands, so only the same
-operands give bit-identical labels, and with them the same results.jsonl
-and report.txt.
+rescores only the two clusters it leaves.  A split draws its ten restarts'
+seed pairs from one generator call, equal in values and generator state
+to one rng.choice(m, 2, replace=False) per restart.  A 2-means round finds
+both sides from one subtraction, fixes up one-sided splits only when there
+are any, and writes its side indicators into one buffer made per split.
+The refine pass estimates every document's best gain from one product with
+the cluster sums and runs the exact per-document step only where the
+estimate, within a proven rounding bound, allows a move; on well separated
+clusters it runs for no document.  Norms are taken with the formulas
+np.linalg.norm uses, without its wrapper.
+
+The products, their operands' values, shapes and layouts, every comparison
+that decides a label and every generator draw stay those of the plain code
+kept as test oracles: BLAS picks its summation order from the operands, so
+only the same operands give bit-identical labels, and with them the same
+results.jsonl and report.txt.
 
 A clustering holds two dense (n, d) arrays at most: the doc-term matrix and
 its row-normalized copy.  Row norms are taken in blocks of rows and the
@@ -52,8 +59,9 @@ from .weighting import DocVector, pack_vectors
 _RESTARTS = 10
 _MAX_ITER = 100
 _MOVE_TOL = 1e-10
-# Rows per np.linalg.norm call in _row_norms.
-_NORM_ROWS = 64
+_UNIT_ROUNDOFF = 2.0**-53
+# Rows per block of squares in _row_norms and of estimated gains in _refine.
+_BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -77,13 +85,28 @@ def build_matrix(vectors: Sequence[DocVector]) -> tuple[np.ndarray, list[str]]:
 
 
 def _row_norms(X: np.ndarray) -> np.ndarray:
-    """np.linalg.norm(X, axis=1), bit for bit, _NORM_ROWS rows at a time:
+    """np.linalg.norm(X, axis=1), bit for bit, _BLOCK_ROWS rows at a time:
     the squares it sums never fill an array the size of X."""
     out = np.empty(X.shape[0])
-    for start in range(0, X.shape[0], _NORM_ROWS):
-        block = slice(start, start + _NORM_ROWS)
-        out[block] = np.linalg.norm(X[block], axis=1)
+    for start in range(0, X.shape[0], _BLOCK_ROWS):
+        block = X[start : start + _BLOCK_ROWS]
+        out[start : start + _BLOCK_ROWS] = np.sqrt(np.add.reduce(block * block, axis=1))
     return out
+
+
+def _seed_pairs(m: int, rng: np.random.Generator) -> np.ndarray:
+    """The restarts' seed rows, one pair per row: the values and generator
+    state of one rng.choice(m, size=2, replace=False) per restart, from one
+    call.  numpy's choice draws in 0..m-2 and then in 0..m-1 (Floyd's
+    algorithm: a repeat becomes m-1), then once in 0..1, swapping the pair
+    on 0; integers with an array of bounds makes the same bounded draws in
+    order."""
+    draws = rng.integers(0, np.array((m - 1, m, 2) * _RESTARTS)).reshape(_RESTARTS, 3)
+    pairs = draws[:, :2]
+    pairs[pairs[:, 1] == pairs[:, 0], 1] = m - 1
+    swap = draws[:, 2] == 0
+    pairs[swap] = pairs[swap, ::-1]
+    return pairs
 
 
 def _bisect(Xs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -94,7 +117,7 @@ def _bisect(Xs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     side sums.
     """
     m, d = Xs.shape
-    seeds = np.array([rng.choice(m, size=2, replace=False) for _ in range(_RESTARTS)])
+    seeds = _seed_pairs(m, rng)
     # C and prev hold the centroid pairs and sides of the restarts still
     # moving, active their numbers; sides and scores keep every restart's
     # latest, and ind takes the side indicators, rows ~side and side
@@ -124,7 +147,7 @@ def _bisect(Xs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         ind[:a, 0] = ~new_sides
         ind[:a, 1] = new_sides
         V = (ind[:a].reshape(-1, m) @ Xs).reshape(-1, 2, d)
-        norms = np.linalg.norm(V, axis=2)
+        norms = np.sqrt(np.add.reduce(V * V, axis=2))
         scores[active] = norms[:, 0] + norms[:, 1]
         nonzero = norms > 0
         if nonzero.all():
@@ -144,35 +167,106 @@ def _bisect(Xs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 def _refine(X: np.ndarray, labels: np.ndarray, k: int) -> None:
     """One pass of greedy single-document moves; never lowers the criterion.
 
-    Each document scores every candidate cluster at once and moves to the
-    first one of largest gain, if that gain exceeds _MOVE_TOL.
+    In row order, each document scores every candidate cluster at once and
+    moves to the first one of largest gain, if that gain exceeds _MOVE_TOL
+    (`_move`, the exact step).  Most documents cannot move, so the exact
+    step runs only for documents whose estimated best gain exceeds -tau.
+
+    The estimate takes G = X @ sums.T for _BLOCK_ROWS rows at a time: with
+    N_c the stored norm of cluster c's sum s_c and x a row of cluster a, a
+    move's norms are sqrt(N_a^2 - 2 G_a + |x|^2) and
+    sqrt(N_c^2 + 2 G_c + |x|^2), its gain their sum minus N_a + N_c.  After
+    a move, the two changed columns of G are taken again for the block's
+    rows after the moved one.  No array the size of X is made.
+
+    Why tau suffices, to first order in u = 2^-53, with
+    gamma = d u / (1 - d u) for rows of d entries, N = max N_c and
+    R = max |x|.  A dot product of d terms, summed in any order, is off by
+    at most gamma times the sum of the absolute products.  So every stored
+    N_c is |s_c| (1 + e) with |e| <= gamma/2 + 2u, N_c^2 is off by at most
+    (gamma + 5u) N_c^2, G_c by gamma |x| N_c and |x|^2 by
+    (gamma + 3u) |x|^2; with the two additions, an estimated radicand is
+    off by at most e = (gamma + 8u) (N + R)^2 from the squared norm it
+    stands for.  Clamped at 0, rooted and rounded, it is off by at most
+    sqrt(e) + u (N + R), because |sqrt(p) - sqrt(q)| <= sqrt(|p - q|) for
+    p, q >= 0.  The exact step's norms are off by at most
+    (gamma + 3u) (N + R), and each gain, exact or estimated, adds three
+    roundings of at most 4u (N + R).  In all, |estimate - exact gain| <=
+    2 sqrt(gamma + 8u) (N + R) + (2 gamma + 32u) (N + R), which is at most
+    3 sqrt(gamma + 8u) (N + R) while gamma + 8u <= 1/16.
+    tau = 16 sqrt(gamma + 8u) (N + R) is more than 5 times that, so a
+    document whose estimated best gain is at most -tau has every exact
+    gain below -tau/2 < _MOVE_TOL: the exact step would leave it where it
+    is.
     """
+    n, d = X.shape
     sums = np.stack([X[labels == c].sum(axis=0) for c in range(k)])
-    norms = np.linalg.norm(sums, axis=1)
+    norms = np.sqrt(np.add.reduce(sums * sums, axis=1))
     counts = np.bincount(labels, minlength=k).tolist()
     gained = np.empty_like(sums)
-    for i in range(X.shape[0]):
-        a = int(labels[i])
-        if counts[a] <= 1:
-            continue
-        x = X[i]
-        va = sums[a] - x
-        na = math.sqrt(va.dot(va))  # np.linalg.norm(va), bit for bit
-        np.add(sums, x, out=gained)
-        # each row's own dot product, as np.linalg.norm takes it of one
-        # vector; norm(axis=1) sums the squares in another order
-        nb = np.sqrt((gained[:, None] @ gained[..., None]).ravel())
-        delta = na + nb - norms[a] - norms
-        delta[a] = -math.inf
-        b = int(delta.argmax())
-        if delta[b] > _MOVE_TOL:
-            labels[i] = b
-            sums[a] = va
-            norms[a] = na
-            sums[b] = gained[b]
-            norms[b] = nb[b]
-            counts[a] -= 1
-            counts[b] += 1
+    xx = _row_norms(X) ** 2
+    gamma = d * _UNIT_ROUNDOFF / (1 - d * _UNIT_ROUNDOFF)
+    slack = 16 * math.sqrt(gamma + 8 * _UNIT_ROUNDOFF)
+    x_max = math.sqrt(xx.max(initial=0.0))
+    for block in range(0, n, _BLOCK_ROWS):
+        stop = min(block + _BLOCK_ROWS, n)
+        G = X[block:stop] @ sums.T
+        start = block
+        while start < stop:
+            tau = slack * (float(norms.max()) + x_max)
+            gain = _estimated_gains(G[start - block :], labels[start:stop], norms, xx[start:stop])
+            for i in (np.flatnonzero(gain > -tau) + start).tolist():
+                a = _move(X, i, labels, sums, norms, counts, gained)
+                if a >= 0:
+                    changed = [a, int(labels[i])]
+                    G[i + 1 - block :, changed] = X[i + 1 : stop] @ sums[changed].T
+                    start = i + 1
+                    break
+            else:
+                break
+
+
+def _estimated_gains(
+    G: np.ndarray, labels: np.ndarray, norms: np.ndarray, xx: np.ndarray
+) -> np.ndarray:
+    """Each row's estimated best gain from a move to another cluster, from
+    its products G with the cluster sums and its squared norm xx."""
+    rows = np.arange(labels.size)
+    own = norms[labels]
+    squares = norms * norms
+    leave = np.sqrt(np.maximum(squares[labels] - 2 * G[rows, labels] + xx, 0.0)) - own
+    join = np.sqrt(np.maximum(squares + 2 * G + xx[:, None], 0.0)) - norms
+    join[rows, labels] = -math.inf
+    return leave + join.max(axis=1)
+
+
+def _move(X, i, labels, sums, norms, counts, gained) -> int:
+    """The exact step of `_refine` for document i: move it to the first
+    cluster of largest gain if that gain exceeds _MOVE_TOL, updating the
+    labels, sums, norms and counts.  Returns the cluster it left, or -1."""
+    a = int(labels[i])
+    if counts[a] <= 1:
+        return -1
+    x = X[i]
+    va = sums[a] - x
+    na = math.sqrt(va.dot(va))  # np.linalg.norm(va), bit for bit
+    np.add(sums, x, out=gained)
+    # each row's own dot product, as np.linalg.norm takes it of one
+    # vector; norm(axis=1) sums the squares in another order
+    nb = np.sqrt((gained[:, None] @ gained[..., None]).ravel())
+    delta = na + nb - norms[a] - norms
+    delta[a] = -math.inf
+    b = int(delta.argmax())
+    if delta[b] > _MOVE_TOL:
+        labels[i] = b
+        sums[a] = va
+        norms[a] = na
+        sums[b] = gained[b]
+        norms[b] = nb[b]
+        counts[a] -= 1
+        counts[b] += 1
+        return a
+    return -1
 
 
 def _rows(Xn: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -185,7 +279,8 @@ def _cohesion(Xn: np.ndarray, idx: np.ndarray) -> float:
     the norm of their sum, or -inf for a cluster too small to split."""
     if idx.size < 2:
         return -math.inf
-    return idx.size - float(np.linalg.norm(_rows(Xn, idx).sum(axis=0)))
+    v = _rows(Xn, idx).sum(axis=0)
+    return idx.size - math.sqrt(v.dot(v))
 
 
 def bisect_labels(X: np.ndarray, k: int, seed) -> np.ndarray:

@@ -97,8 +97,10 @@ def t_two_tailed_p(t: float, df: int) -> float:
 def paired_ttest(scores_a, scores_b) -> TTestResult:
     """Two-tailed paired t-test of scores_a against scores_b.
 
-    Identical samples report t=0, p=1; zero-variance differences with a
-    nonzero mean report an infinite t and p=0, flagged via zero_variance.
+    Differences that are all equal have zero variance, even where their
+    float mean rounds away from them: identical samples report t=0, p=1,
+    and a nonzero difference an infinite t and p=0, flagged via
+    zero_variance.
     """
     a = [float(x) for x in scores_a]
     b = [float(x) for x in scores_b]
@@ -111,7 +113,7 @@ def paired_ttest(scores_a, scores_b) -> TTestResult:
     mean = sum(diffs) / n
     var = sum((d - mean) ** 2 for d in diffs) / (n - 1)
     df = n - 1
-    if var == 0.0:
+    if var == 0.0 or min(diffs) == max(diffs):
         if mean == 0.0:
             return TTestResult(0.0, 0.0, df, 1.0, zero_variance=True)
         t = math.inf if mean > 0 else -math.inf

@@ -346,8 +346,9 @@ def bisect_labels_reference(X, k, seed):
 # were cached: every round restacks the side indicators and every split
 # rescores every cluster.  They hold the package to the same floating-point
 # products and generator draws, ties and degenerate splits included, which
-# the loop references above cannot promise.  Two edits: the split records
-# the degenerate cases it meets, and the row norms come from one
+# the loop references above cannot promise.  Three edits: the split
+# records the degenerate cases it meets, the refine pass records each
+# scored document's best gain, and the row norms come from one
 # np.linalg.norm call, which `cluster._row_norms` equals bit for bit.
 
 
@@ -397,7 +398,11 @@ def bisect_lockstep_reference(
     return sides[best]
 
 
-def refine_vectorized_reference(X: np.ndarray, labels: np.ndarray, k: int) -> None:
+def refine_vectorized_reference(
+    X: np.ndarray, labels: np.ndarray, k: int, gains: dict | None = None
+) -> None:
+    """The refine pass; when given, `gains` maps each document it scores to
+    its best gain, the one it moves on if above _MOVE_TOL."""
     sums = np.stack([X[labels == c].sum(axis=0) for c in range(k)])
     norms = np.linalg.norm(sums, axis=1)
     counts = np.bincount(labels, minlength=k)
@@ -414,6 +419,8 @@ def refine_vectorized_reference(X: np.ndarray, labels: np.ndarray, k: int) -> No
         delta = na + nb - norms[a] - norms
         delta[a] = -math.inf
         b = int(np.argmax(delta))
+        if gains is not None:
+            gains[i] = float(delta[b])
         if delta[b] > _MOVE_TOL:
             labels[i] = b
             sums[a] = va

@@ -17,6 +17,7 @@ from fuzzterm.cluster import (
     _bisect,
     _refine,
     _row_norms,
+    _seed_pairs,
 )
 from fuzzterm.errors import CategoryTooSmall, InsufficientDocs
 from fuzzterm.ingest import CorpusManifest, ManifestEntry
@@ -169,6 +170,103 @@ class TestRefinement:
         assert labels[0] == 0
 
 
+# (rows, labels, k) on which the reference's best gain for some document
+# lies in (1e-10, 1e-6], from a seeded search over small integer rows
+NEAR_THRESHOLD = {
+    "empty cluster": ([[3, 2], [1, 0], [1, 2], [3, 2], [3, 0], [1, 3]], [1] * 6, 2),
+    "first row": ([[2, 3], [2, 3], [1, 3], [3, 3], [1, 2], [1, 1]], [2, 0, 2, 2, 2, 2], 3),
+    "first row, then moves": (
+        [[2, 3], [1, 3], [0, 2], [1, 1], [3, 3], [1, 2], [2, 0], [1, 1]],
+        [0, 0, 2, 0, 0, 0, 2, 2],
+        3,
+    ),
+    "after a move": (
+        [[3, 2, 1], [3, 1, 2], [1, 1, 3], [3, 3, 3], [3, 0, 1], [3, 0, 1], [1, 0, 0], [3, 2, 0]],
+        [0, 2, 2, 2, 1, 0, 1, 2],
+        3,
+    ),
+    "signed": ([[1, 0], [0, 3], [2, -1], [3, -2]], [1, 1, 1, 1], 2),
+    "signed, duplicate pair": (
+        [[2, 2], [2, 2], [2, 1], [1, 3], [1, 0], [-1, 3], [2, 1], [3, 3]],
+        [0, 1, 0, 0, 0, 0, 0, 0],
+        2,
+    ),
+}
+# exact ties from duplicate rows in two clusters: x, x | x, x gains 0 up to
+# the last bit, and equal clusters give two targets the same gain
+TIES = {
+    "zero gain": ([[1, 2]] * 4, [0, 0, 1, 1], 2),
+    "zero gain, three clusters": ([[1, 2]] * 6, [0, 0, 1, 1, 2, 2], 3),
+    "equal targets": ([[1, 3], [3, 0], [1, 2], [1, 2]], [0, 0, 1, 2], 3),
+    "equal target pairs": (
+        [[1, 3], [3, 0], [1, 2], [2, 1], [1, 2], [2, 1]],
+        [0, 0, 1, 1, 2, 2],
+        3,
+    ),
+}
+
+
+def refine_case(rows, labels, k):
+    X = np.array(rows, dtype=np.float64)
+    return X / np.linalg.norm(X, axis=1)[:, None], np.array(labels, dtype=np.int64), k
+
+
+def exact_steps(monkeypatch):
+    """The documents `_refine` runs its exact step for, in order."""
+    stepped = []
+    real = fuzzterm.cluster._move
+
+    def counting(X, i, *state):
+        stepped.append(i)
+        return real(X, i, *state)
+
+    monkeypatch.setattr(fuzzterm.cluster, "_move", counting)
+    return stepped
+
+
+class TestRefineFilter:
+    """The refine pass runs its exact step only where its estimate, within
+    the rounding bound, allows a move; labels stay the reference's."""
+
+    @pytest.mark.parametrize("name", sorted(NEAR_THRESHOLD) + sorted(TIES))
+    def test_near_threshold_equals_reference(self, name, monkeypatch):
+        Xn, labels, k = refine_case(*{**NEAR_THRESHOLD, **TIES}[name])
+        want, gains = labels.copy(), {}
+        refine_vectorized_reference(Xn, want, k, gains)
+        if name in NEAR_THRESHOLD:
+            assert any(1e-10 < g <= 1e-6 for g in gains.values())
+        stepped = exact_steps(monkeypatch)
+        _refine(Xn, labels, k)
+        np.testing.assert_array_equal(labels, want)
+        # one pass in row order, and the exact step decides every near
+        # tie, not the estimate
+        assert stepped == sorted(set(stepped))
+        near = [i for i, g in gains.items() if g > -1e-9]
+        assert near and set(near) <= set(stepped)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_no_exact_step_where_nothing_moves(self, seed, monkeypatch):
+        # k topics, each over its own terms plus faint weight on all the
+        # others, and each row in its own topic's cluster
+        rng = np.random.default_rng(seed)
+        k, per, terms = 3 + seed, 12, 5
+        X = np.zeros((k * per, k * terms))
+        for c in range(k):
+            X[c * per : (c + 1) * per, c * terms : (c + 1) * terms] = rng.random((per, terms)) + 0.2
+        X += 0.05 * rng.random(X.shape)
+        Xn = X / np.linalg.norm(X, axis=1)[:, None]
+        labels = np.repeat(np.arange(k), per)
+        rows = rng.permutation(k * per)
+        Xn, labels = Xn[rows], labels[rows]
+        want = labels.copy()
+        refine_vectorized_reference(Xn, want, k)
+        np.testing.assert_array_equal(want, labels)
+        stepped = exact_steps(monkeypatch)
+        _refine(Xn, labels, k)
+        assert stepped == []
+        np.testing.assert_array_equal(labels, want)
+
+
 @st.composite
 def sparse_rows(draw, four_valued=False, max_rows=40):
     """A nonnegative matrix with no zero rows and some duplicated rows.
@@ -301,6 +399,27 @@ class TestLockstepReferences:
         )
 
 
+class TestSeedPairs:
+    """One generator call gives the seed pairs and generator state of one
+    Generator.choice(m, size=2, replace=False) per restart; on a numpy
+    whose choice draws otherwise, this fails first."""
+
+    @pytest.mark.parametrize(
+        "m", [2, 3, 4, 5, 7, 64, 999, 4096, 10_000, 10_001, 65_537, 1_000_003, 2**32 + 5]
+    )
+    @pytest.mark.parametrize("advance", [0, 1, 3, 8])
+    def test_equal_to_choice(self, m, advance):
+        for seed in range(5):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            for g in (rng, ref):
+                # 32-bit draws; an odd count leaves PCG64 half a word buffered
+                g.integers(0, 2**32, size=advance, dtype=np.uint32)
+            assert ref.bit_generator.state["has_uint32"] == advance % 2
+            want = np.array([ref.choice(m, size=2, replace=False) for _ in range(10)])
+            np.testing.assert_array_equal(_seed_pairs(m, rng), want)
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+
 class TestMatrixCopies:
     @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 200])
     def test_row_norms_equal_linalg_norm(self, n):
@@ -314,6 +433,20 @@ class TestMatrixCopies:
         tracemalloc.start()
         try:
             _row_norms(X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * X.nbytes
+
+    def test_refine_makes_no_full_temporary(self):
+        # the cluster sums copy one cluster's rows at a time, an eighth of X
+        rng = np.random.default_rng(5)
+        X = rng.random((1000, 200))
+        Xn = X / np.linalg.norm(X, axis=1)[:, None]
+        labels = np.arange(1000) % 8
+        tracemalloc.start()
+        try:
+            _refine(Xn, labels, 8)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -85,6 +85,22 @@ class TestPairedTTest:
         down = paired_ttest([1.0, 2.0, 3.0], [1.1, 2.1, 3.1])
         assert down.t == -math.inf
 
+    def test_equal_differences_whose_mean_rounds_off(self):
+        # 0.9 - 0.55 summed seven times and divided by 7 is one ulp off the
+        # difference, which once left a variance of 3.6e-33 and t = 1.5e16
+        result = paired_ttest([0.9] * 7, [0.55] * 7)
+        assert result.zero_variance
+        assert result.t == math.inf
+        assert result.p == 0.0
+        assert result.mean_diff == sum([0.9 - 0.55] * 7) / 7
+
+    def test_equal_differences_whose_mean_is_exact(self):
+        result = paired_ttest([0.5] * 10, [0.4] * 10)
+        assert result.zero_variance
+        assert result.t == math.inf
+        assert result.p == 0.0
+        assert result.mean_diff == 0.5 - 0.4
+
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             paired_ttest([1, 2], [1, 2, 3])
