@@ -23,6 +23,7 @@ from .engine import (
 )
 from .ingest import (
     CorpusManifest,
+    TermTable,
     TokenStream,
     TokenizerOptions,
     apply_anchor_variant,
@@ -62,6 +63,7 @@ __all__ = [
     "Rule",
     "RunConfig",
     "TTestResult",
+    "TermTable",
     "TokenStream",
     "TokenizerOptions",
     "TrapezoidSet",

@@ -200,7 +200,10 @@ def _refine(X: np.ndarray, labels: np.ndarray, k: int) -> None:
     is.
     """
     n, d = X.shape
-    sums = np.stack([X[labels == c].sum(axis=0) for c in range(k)])
+    # added in row order, as an axis-0 sum adds them, without copying rows
+    sums = np.zeros((k, d))
+    for i, c in enumerate(labels.tolist()):
+        sums[c] += X[i]
     norms = np.sqrt(np.add.reduce(sums * sums, axis=1))
     counts = np.bincount(labels, minlength=k).tolist()
     gained = np.empty_like(sums)

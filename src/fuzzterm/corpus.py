@@ -6,27 +6,35 @@ doc_offsets[d]:doc_offsets[d+1], listed by ascending term id; the
 vocabulary is sorted, so term-id order is string order.  Pair i's
 occurrence positions are positions[pos_offsets[i]:pos_offsets[i+1]].
 
-`CorpusBuilder` appends one document's `ingest.extract_criteria` columns at
-a time, so no per-term object is built and no corpus-wide criteria map is
-held.  A sub-corpus is a selection of document rows.  Document vectors use
-the matching layout, `SparseRows`; the weighing, ranking and projection
+`CorpusBuilder` owns the corpus's `ingest.TermTable` and appends one
+document's `ingest.extract_criteria` columns at a time, as term ids of that
+table, so no per-term object is built and no corpus-wide criteria map is
+held.  `build` ranks the vocabulary by string once and reorders each
+document's pairs and positions into that order in place, a block of
+documents at a time, so no array the size of the positions is made.  A
+sub-corpus is a selection of document rows.  Document vectors use the
+matching layout, `SparseRows`; the weighing, ranking and projection
 functions of `weighting`, `reduction` and `cluster` work on these arrays.
 
 `Corpus.from_criteria` packs term -> `ingest.TermCriteria` maps through the
-same builder.  No run path calls it; it stays only for
-`weighting.weigh_fuzzy`, which the benchmark tracer still wraps.
+same builder, interning their terms without the tokenizer's filter.  No
+run path calls it; it stays only for `weighting.weigh_fuzzy`, which the
+benchmark tracer still wraps.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, compress
 from typing import Mapping
 
 import numpy as np
 
-from .ingest import CriteriaColumns, TermCriteria
+from .ingest import DEFAULT_TOKENIZER, CriteriaColumns, TermCriteria, TermTable, TokenizerOptions
+
+# Positions per block of documents that CorpusBuilder.build reorders at once.
+_BLOCK_POSITIONS = 8192
 
 
 def _select(offsets: np.ndarray, docs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -37,7 +45,8 @@ def _select(offsets: np.ndarray, docs: np.ndarray) -> tuple[np.ndarray, np.ndarr
     lengths = offsets[docs + 1] - starts
     sub = np.zeros(docs.size + 1, dtype=np.int64)
     np.cumsum(lengths, out=sub[1:])
-    index = np.arange(sub[-1], dtype=np.int64) + np.repeat(starts - sub[:-1], lengths)
+    index = np.repeat(starts - sub[:-1], lengths)
+    index += np.arange(sub[-1], dtype=np.int64)
     return index, sub
 
 
@@ -60,7 +69,7 @@ class Corpus:
     def from_criteria(cls, criteria_by_doc: Mapping[str, Mapping[str, TermCriteria]]) -> "Corpus":
         builder = CorpusBuilder()
         for doc_id, criteria in criteria_by_doc.items():
-            builder.add(doc_id, _columns(criteria))
+            builder.add(doc_id, _columns(criteria, builder.table))
         return builder.build()
 
     @property
@@ -76,14 +85,14 @@ class Corpus:
         return _select(self.doc_offsets, docs)
 
 
-def _columns(criteria: Mapping[str, TermCriteria]) -> CriteriaColumns:
-    """A TermCriteria map as criteria columns.  The position counts are
-    taken from the positions, since a map built by hand need not have one
-    position per occurrence."""
-    terms = sorted(criteria)
-    crits = [criteria[t] for t in terms]
+def _columns(criteria: Mapping[str, TermCriteria], table: TermTable) -> CriteriaColumns:
+    """A TermCriteria map as criteria columns, its terms interned in table.
+    The position counts are taken from the positions, since a map built by
+    hand need not have one position per occurrence."""
+    crits = list(criteria.values())
     return CriteriaColumns(
-        terms=terms,
+        table=table,
+        term_ids=np.fromiter(map(table.intern, criteria), np.int64, len(crits)),
         freq=np.array([c.freq_norm for c in crits], dtype=np.float64),
         title=np.array([c.title_norm for c in crits], dtype=np.float64),
         emph=np.array([c.emph_norm for c in crits], dtype=np.float64),
@@ -95,12 +104,13 @@ def _columns(criteria: Mapping[str, TermCriteria]) -> CriteriaColumns:
 
 class CorpusBuilder:
     """Packs documents into a Corpus one document's criteria columns at a
-    time.  `build` hands the packed buffers to the Corpus; add no document
-    after it."""
+    time; the columns hold ids of the builder's `table`, which tokenizes
+    with `options`.  `build` hands the packed buffers to the Corpus; add no
+    document after it."""
 
-    def __init__(self):
+    def __init__(self, options: TokenizerOptions = DEFAULT_TOKENIZER):
+        self.table = TermTable(options)
         self._doc_ids: list[str] = []
-        self._ids: dict[str, int] = {}  # term -> id in first-seen order
         self._doc_sizes = array("q")
         self._terms = array("q")
         self._freq = array("d")
@@ -111,12 +121,13 @@ class CorpusBuilder:
         self._positions = array("d")
 
     def add(self, doc_id: str, columns: CriteriaColumns) -> None:
-        """Append one document; its columns list the terms in string order."""
-        ids = self._ids
+        """Append one document; its rows are distinct term ids, in any order."""
+        if columns.table is not self.table:
+            raise ValueError(f"criteria of {doc_id!r} hold ids of another term table")
         self._doc_ids.append(doc_id)
-        self._doc_sizes.append(len(columns.terms))
-        self._terms.extend([ids.setdefault(t, len(ids)) for t in columns.terms])
+        self._doc_sizes.append(len(columns.term_ids))
         for buffer, column in (
+            (self._terms, columns.term_ids),
             (self._freq, columns.freq),
             (self._title, columns.title),
             (self._emph, columns.emph),
@@ -127,24 +138,60 @@ class CorpusBuilder:
             buffer.frombytes(np.asarray(column, dtype=buffer.typecode).tobytes())
 
     def build(self) -> Corpus:
-        vocab = sorted(self._ids)
-        first_seen = np.fromiter((self._ids[t] for t in vocab), np.int64, len(vocab))
-        rank = np.empty(len(vocab), dtype=np.int64)
-        rank[first_seen] = np.arange(len(vocab))
-        # terms were packed in string order per document, so the sorted ids
-        # ascend within each document
-        term_ids = rank[np.frombuffer(self._terms, dtype=np.int64)]
+        """The corpus: its vocabulary is the table's terms that some
+        document holds, in string order, and each document's pairs follow
+        that order."""
+        table = self.table
+        columns = [
+            np.frombuffer(buffer, dtype=buffer.typecode)
+            for buffer in (
+                self._terms, self._freq, self._title, self._emph, self._raw_tf, self._n_positions
+            )
+        ]
+        term_ids, freq, title, emph, raw_tf, n_positions = columns
+        held = np.zeros(len(table.terms), dtype=bool)
+        held[term_ids] = True
+        vocab = sorted(compress(table.terms, held.tolist()))
+        rank = np.zeros(len(table.terms), dtype=np.int64)
+        # interning a held term gives its id
+        rank[np.fromiter(map(table.intern, vocab), np.int64, len(vocab))] = np.arange(len(vocab))
+        doc_offsets = _offsets(self._doc_sizes)
+        pos_offsets = _offsets(self._n_positions)
+        positions = np.frombuffer(self._positions, dtype=np.float64)
+        doc_positions = pos_offsets[doc_offsets]
+        n_docs = len(self._doc_ids)
+        start = 0
+        while start < n_docs:
+            # the documents whose positions fit in one block, at least one
+            stop = int(np.searchsorted(
+                doc_positions, doc_positions[start] + _BLOCK_POSITIONS, side="right"
+            )) - 1
+            stop = max(stop, start + 1)
+            pairs = slice(doc_offsets[start], doc_offsets[stop])
+            ids = term_ids[pairs]
+            ids[:] = rank[ids]
+            doc = np.repeat(np.arange(stop - start), np.diff(doc_offsets[start:stop + 1]))
+            # the keys are distinct, so any sort gives this order; the stable
+            # one is the sort extract_criteria runs, and no other sort's
+            # code is loaded
+            perm = np.argsort(doc * len(vocab) + ids, kind="stable")
+            index, _ = _select(pos_offsets, perm + pairs.start)
+            positions[doc_positions[start]:doc_positions[stop]] = positions[index]
+            for column in columns:
+                column[pairs] = column[pairs][perm]
+            start = stop
+        np.cumsum(n_positions, out=pos_offsets[1:])
         return Corpus(
             doc_ids=tuple(self._doc_ids),
             vocab=tuple(vocab),
-            doc_offsets=_offsets(self._doc_sizes),
+            doc_offsets=doc_offsets,
             term_ids=term_ids,
-            freq=np.frombuffer(self._freq, dtype=np.float64),
-            title=np.frombuffer(self._title, dtype=np.float64),
-            emph=np.frombuffer(self._emph, dtype=np.float64),
-            raw_tf=np.frombuffer(self._raw_tf, dtype=np.int64),
-            positions=np.frombuffer(self._positions, dtype=np.float64),
-            pos_offsets=_offsets(self._n_positions),
+            freq=freq,
+            title=title,
+            emph=emph,
+            raw_tf=raw_tf,
+            positions=positions,
+            pos_offsets=pos_offsets,
         )
 
 

@@ -1,12 +1,19 @@
 """Corpus ingestion: manifests, HTML text extraction, term criteria.
 
 Documents arrive as HTML files listed in a tab-separated manifest.  Parsing
-gives one `TokenStream` per document: the kept terms in document order and,
-as boolean columns beside them, whether each sat inside the title, inside
-an emphasis tag or inside a link.  That is everything the criteria (term,
-title and emphasis flags, index in the stream) and the anchor-text variants
-(link flag) read.  `extract_criteria` counts a stream into one document's
-`CriteriaColumns`, which `corpus.CorpusBuilder` packs.
+gives one `TokenStream` per document: the kept tokens in document order as
+ids of the corpus's `TermTable` and, as boolean columns beside them,
+whether each sat inside the title, inside an emphasis tag or inside a
+link.  That is everything the criteria (term, title and emphasis flags,
+index in the stream) and the anchor-text variants (link flag) read.
+`extract_criteria` counts a stream into one document's `CriteriaColumns`,
+one row per distinct id, which `corpus.CorpusBuilder` packs.
+
+A text run is split into raw tokens once (`_split`): ASCII text by one
+`str.translate` and `str.split`, other text by `_TOKEN_RE`.  The term table
+maps each distinct raw token to its term id, or to -1 when the filter drops
+it, so the filter and the suffix stripper run once per distinct raw token
+of the corpus, and no per-document work handles strings after the split.
 
 `TermCriteria` and the term -> `TermCriteria` `Mapping` view of
 `CriteriaColumns` are an older per-term form that no run path reads.  They
@@ -30,6 +37,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from html.parser import HTMLParser
 from importlib import resources
+from itertools import chain
 from pathlib import Path
 from typing import Iterable
 
@@ -52,6 +60,12 @@ _VOID_TAGS = frozenset(
 )
 _SKIP_TAGS = frozenset({"script", "style"})
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
+# ASCII text folded for str.split: A-Z to a-z, a-z and 0-9 kept, every other
+# ASCII character to a space.  On ASCII text `[^\W_]` matches exactly
+# [A-Za-z0-9], so the split gives the tokens _TOKEN_RE finds in text.lower().
+_ASCII_FOLD = str.maketrans(
+    {chr(c): chr(c).lower() if chr(c).isalnum() else " " for c in range(128)}
+)
 # One tag of the scanner's grammar: "/" for an end tag, html.parser's tag
 # name without whitespace, quotes or "<", and a body without quotes, "<" or
 # NUL that starts where html.parser's name ends.  re.split yields (slash,
@@ -67,26 +81,36 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True, eq=False)
 class TokenStream:
-    """One document's kept tokens in document order, as columns: token i is
-    terms[i], and title[i], emphasis[i] and link[i] say whether it sat
-    inside the title, an emphasis tag or a link.  A token's place is its
-    index.  The flags are stored as boolean arrays, so 0/1 integers are
-    taken as truth values, never as indices."""
+    """One document's kept tokens in document order, as columns: token i
+    has the term id ids[i] of `table`, and title[i], emphasis[i] and
+    link[i] say whether it sat inside the title, an emphasis tag or a link.
+    A token's place is its index.  The ids are stored as an int64 array
+    and the flags as boolean arrays, so 0/1 integers are taken as truth
+    values, never as indices."""
 
-    terms: list[str]
+    table: TermTable
+    ids: np.ndarray
     title: np.ndarray
     emphasis: np.ndarray
     link: np.ndarray
 
     def __post_init__(self):
+        ids = np.asarray(self.ids, dtype=np.int64)
+        object.__setattr__(self, "ids", ids)
         for name in ("title", "emphasis", "link"):
             column = np.asarray(getattr(self, name), dtype=bool)
-            if column.shape != (len(self.terms),):
+            if column.shape != (len(ids),):
                 raise ValueError(
                     f"TokenStream.{name} has shape {column.shape}, "
-                    f"expected one flag per term ({len(self.terms)})"
+                    f"expected one flag per term ({len(ids)})"
                 )
             object.__setattr__(self, name, column)
+
+    @property
+    def terms(self) -> list[str]:
+        """The tokens' terms, in document order."""
+        terms = self.table.terms
+        return [terms[i] for i in self.ids.tolist()]
 
 
 @dataclass(frozen=True)
@@ -102,21 +126,28 @@ class TermCriteria:
 
 @dataclass(frozen=True, eq=False)
 class CriteriaColumns(Mapping):
-    """One document's criteria as columns, one row per distinct term, the
-    terms in string order.  Row i's occurrence positions are the
-    n_positions[i] entries of `positions` that follow the earlier rows'.
+    """One document's criteria as columns, one row per distinct term: row i
+    is term id term_ids[i] of `table`.  Row i's occurrence positions are
+    the n_positions[i] entries of `positions` that follow the earlier
+    rows'.
 
-    The columns also read as a term -> `TermCriteria` map, in term order
-    (see the module doc); the per-term objects are built on first lookup,
-    never by the packer."""
+    The columns also read as a term -> `TermCriteria` map, in row order
+    (see the module doc); the terms and the per-term objects are built on
+    first lookup, never by the packer."""
 
-    terms: list[str]
+    table: TermTable
+    term_ids: np.ndarray
     freq: np.ndarray
     title: np.ndarray
     emph: np.ndarray
     raw_tf: np.ndarray
     positions: np.ndarray
     n_positions: np.ndarray
+
+    @cached_property
+    def terms(self) -> list[str]:
+        terms = self.table.terms
+        return [terms[i] for i in self.term_ids.tolist()]
 
     @cached_property
     def _by_term(self) -> dict[str, TermCriteria]:
@@ -142,7 +173,7 @@ class CriteriaColumns(Mapping):
         return iter(self.terms)
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return len(self.term_ids)
 
 
 def _load_default_stopwords() -> frozenset[str]:
@@ -179,19 +210,68 @@ def strip_suffix(term: str) -> str:
     return term
 
 
-def tokenize(text: str, options: TokenizerOptions = DEFAULT_TOKENIZER) -> list[str]:
-    """Lowercase, split on non-alphanumeric runs, filter, optionally stem.
+class TermTable(dict):
+    """A corpus's term ids: raw token -> the id of the term it keeps, or -1
+    when the filter drops it.  Term i is terms[i]; ids are given in
+    first-seen order.
 
-    Filters run in order: minimum length, all-digit tokens, stopwords; the
-    suffix stripper sees only the tokens they keep.
-    """
-    min_length, drop_digits, stopwords = options.min_length, options.drop_digits, options.stopwords
-    terms = [
-        tok
-        for tok in _TOKEN_RE.findall(text.lower())
-        if len(tok) >= min_length and not (drop_digits and tok.isdigit()) and tok not in stopwords
-    ]
-    return [strip_suffix(tok) for tok in terms] if options.stem else terms
+    Looking up a token not seen before runs the filter once for it, in
+    order: minimum length, all-digit tokens, stopwords; the suffix stripper
+    sees only the tokens they keep, so two raw tokens may share a term.
+    `intern` gives a term its id without the filter."""
+
+    def __init__(self, options: TokenizerOptions = DEFAULT_TOKENIZER):
+        super().__init__()
+        self.options = options
+        self.terms: list[str] = []
+        self._ids: dict[str, int] = {}
+
+    def __missing__(self, token: str) -> int:
+        opts = self.options
+        if (
+            len(token) < opts.min_length
+            or (opts.drop_digits and token.isdigit())
+            or token in opts.stopwords
+        ):
+            term_id = -1
+        else:
+            term_id = self.intern(strip_suffix(token) if opts.stem else token)
+        self[token] = term_id
+        return term_id
+
+    def intern(self, term: str) -> int:
+        """The id of a term, a new one when the term is new."""
+        term_id = self._ids.setdefault(term, len(self.terms))
+        if term_id == len(self.terms):
+            self.terms.append(term)
+        return term_id
+
+
+def _term_table(options: TokenizerOptions | None, table: TermTable | None) -> TermTable:
+    """The given table, or a new one for the options (the defaults when
+    None).  Options given beside a table must be the table's."""
+    if table is None:
+        return TermTable(DEFAULT_TOKENIZER if options is None else options)
+    if options is not None and options != table.options:
+        raise ValueError("tokenizer options differ from the term table's")
+    return table
+
+
+def _split(text: str) -> list[str]:
+    """A text run's raw tokens: `_TOKEN_RE.findall(text.lower())`.  ASCII
+    text takes one translate and a C-level split instead; any other text
+    keeps the regex, because str.lower depends on context (final sigma) and
+    can lengthen a string (U+0130 lowers to "i" and U+0307)."""
+    if text.isascii():
+        return text.translate(_ASCII_FOLD).split()
+    return _TOKEN_RE.findall(text.lower())
+
+
+def tokenize(text: str, options: TokenizerOptions = DEFAULT_TOKENIZER) -> list[str]:
+    """Lowercase, split on non-alphanumeric runs, filter, optionally stem,
+    as a new `TermTable` does."""
+    table = TermTable(options)
+    return [table.terms[i] for i in map(table.__getitem__, _split(text)) if i >= 0]
 
 
 def decode_text(raw: bytes) -> str:
@@ -303,7 +383,8 @@ def _scan_tags(
 def parse_html(
     raw,
     emphasis_tags: Iterable[str] | None = None,
-    options: TokenizerOptions = DEFAULT_TOKENIZER,
+    options: TokenizerOptions | None = None,
+    table: TermTable | None = None,
 ) -> TokenStream:
     """Extract the flagged token stream of an HTML document (bytes or str).
 
@@ -317,7 +398,11 @@ def parse_html(
     other document falls back to html.parser through `_TextExtractor`,
     which stays the reference: both give the same text segments and flags.
     Each fallback logs one DEBUG line on the `fuzzterm.ingest` logger.
+
+    Tokens are looked up in `table`, the corpus's term table; without one
+    a new table for `options` (the defaults when None) is used.
     """
+    table = _term_table(options, table)
     text = raw if isinstance(raw, str) else decode_text(raw)
     tags = (
         DEFAULT_EMPHASIS_TAGS
@@ -331,17 +416,17 @@ def parse_html(
         extractor.feed(text)
         extractor.close()
         segments = extractor.segments
-    terms: list[str] = []
-    sizes = []
-    for segment, *_ in segments:
-        before = len(terms)
-        terms.extend(tokenize(segment, options))
-        sizes.append(len(terms) - before)
-    if not terms:
+    tokens = [_split(segment) for segment, _, _, _ in segments]
+    sizes = list(map(len, tokens))
+    ids = np.fromiter(map(table.__getitem__, chain.from_iterable(tokens)), np.int64, sum(sizes))
+    kept = ids >= 0
+    if not kept.any():
         raise EmptyDocument("document yields no tokens after filtering")
     _, *flags = zip(*segments)
-    title, emphasis, link = np.repeat(np.array(flags, dtype=bool), sizes, axis=1)
-    return TokenStream(terms, title, emphasis, link)
+    flags = np.repeat(np.array(flags, dtype=bool), sizes, axis=1)
+    if not kept.all():
+        ids, flags = ids[kept], flags[:, kept]
+    return TokenStream(table, ids, *flags)
 
 
 def _normalized(counts: np.ndarray) -> np.ndarray:
@@ -358,24 +443,28 @@ def extract_criteria(stream: TokenStream) -> CriteriaColumns:
     title/emphasis at all); each occurrence position is token index divided
     by (token count - 1), a single-token document mapping to 0.  Every
     division is of integers below 2**53, so each value rounds as Python's
-    int / int does.
+    int / int does.  The rows list the distinct term ids in ascending order.
     """
-    terms = stream.terms
-    n = len(terms)
+    ids = stream.ids
+    n = ids.size
     if not n:
         raise EmptyDocument("empty token stream")
-    vocab = sorted(set(terms))
-    index = {term: i for i, term in enumerate(vocab)}
-    ids = np.fromiter(map(index.__getitem__, terms), np.int64, n)
-    k = len(vocab)
-    tf = np.bincount(ids, minlength=k)
     # stable: each term's occurrences stay in document order
     order = np.argsort(ids, kind="stable")
+    ranked = ids[order]
+    first = np.concatenate(([True], ranked[1:] != ranked[:-1]))
+    term_ids = ranked[first]
+    # each token's row: the number of distinct ids up to it in sorted order
+    rows = np.empty(n, dtype=np.int64)
+    rows[order] = np.cumsum(first) - 1
+    k = term_ids.size
+    tf = np.bincount(rows, minlength=k)
     return CriteriaColumns(
-        terms=vocab,
+        table=stream.table,
+        term_ids=term_ids,
         freq=_normalized(tf),
-        title=_normalized(np.bincount(ids[stream.title], minlength=k)),
-        emph=_normalized(np.bincount(ids[stream.emphasis], minlength=k)),
+        title=_normalized(np.bincount(rows[stream.title], minlength=k)),
+        emph=_normalized(np.bincount(rows[stream.emphasis], minlength=k)),
         raw_tf=tf,
         positions=order / (n - 1) if n > 1 else np.zeros(n),
         n_positions=tf,
@@ -386,7 +475,7 @@ def apply_anchor_variant(
     doc_stream: TokenStream,
     anchor_texts: list[str] | None,
     variant: str,
-    options: TokenizerOptions = DEFAULT_TOKENIZER,
+    options: TokenizerOptions | None = None,
     anchor_stopwords: frozenset[str] = DEFAULT_ANCHOR_STOPWORDS,
 ) -> TokenStream:
     """Merge a document's incoming anchor texts into its token stream.
@@ -397,28 +486,34 @@ def apply_anchor_variant(
     are never emphasis or link tokens; only the first MAX_ANCHORS anchor
     texts count.  A missing anchor file (anchor_texts None) passes a copy of
     the stream through unchanged.
+
+    Anchor texts are tokenized through the stream's term table; `options`,
+    when given, must be that table's.
     """
     v = variant.lower()
     if v not in ANCHOR_VARIANTS:
         raise ValueError(f"unknown anchor variant {variant!r}; choose from {ANCHOR_VARIANTS}")
-    terms, title = doc_stream.terms, doc_stream.title
+    table = _term_table(options, doc_stream.table)
+    ids, title = doc_stream.ids, doc_stream.title
     emphasis, link = doc_stream.emphasis, doc_stream.link
     if anchor_texts is None:
-        return TokenStream(list(terms), title.copy(), emphasis.copy(), link.copy())
+        return TokenStream(table, ids.copy(), title.copy(), emphasis.copy(), link.copy())
     as_title = v[0] == "b"
     setting = v[1]
     if setting == "2":
         keep = ~link
-        terms = [term for term, kept in zip(terms, keep.tolist()) if kept]
-        title, emphasis, link = title[keep], emphasis[keep], link[keep]
-    anchor_terms: list[str] = []
-    for text in anchor_texts[:MAX_ANCHORS]:
-        anchor_terms.extend(tokenize(text, options))
-    if setting == "3":
-        anchor_terms = [t for t in anchor_terms if t not in anchor_stopwords]
-    m = len(anchor_terms)
+        ids, title, emphasis, link = ids[keep], title[keep], emphasis[keep], link[keep]
+    lookup, terms = table.__getitem__, table.terms
+    anchor_ids = [
+        i
+        for text in anchor_texts[:MAX_ANCHORS]
+        for i in map(lookup, _split(text))
+        if i >= 0 and not (setting == "3" and terms[i] in anchor_stopwords)
+    ]
+    m = len(anchor_ids)
     return TokenStream(
-        terms + anchor_terms,
+        table,
+        np.concatenate([ids, np.array(anchor_ids, dtype=np.int64)]),
         np.concatenate([title, np.full(m, as_title)]),
         np.concatenate([emphasis, np.zeros(m, dtype=bool)]),
         np.concatenate([link, np.zeros(m, dtype=bool)]),

@@ -8,9 +8,10 @@ as a StageError tagged with the stage name; a criteria failure also names
 the document.  Subsets that the manifest and config alone show cannot be
 drawn or clustered fail at ingest, before any document is read.
 
-The criteria stage reads each document as a columnar token stream, counts
-its criteria into columns (`ingest.extract_criteria`) and appends them to
-one columnar `corpus.Corpus` before the next document is read.  From there
+The criteria stage reads each document as a columnar token stream of term
+ids, counts its criteria into columns (`ingest.extract_criteria`) and
+appends them to one columnar `corpus.Corpus` before the next document is
+read; one term table per corpus gives the ids.  From there
 every step works on arrays: a sub-corpus is an ascending array of document
 rows, each rule base weighs a selection in one batch (bundled bases once
 per corpus, afcc once per tuning; the global positions once per distinct
@@ -40,6 +41,7 @@ from .ingest import (
     ANCHOR_VARIANTS,
     CorpusManifest,
     ManifestEntry,
+    TermTable,
     apply_anchor_variant,
     extract_criteria,
     load_manifest,
@@ -256,11 +258,11 @@ def _stage(name: str):
     log.info("stage %s: done", name)
 
 
-def _doc_criteria(entry: ManifestEntry, config: RunConfig):
-    """One document's criteria columns; a failure is raised as a criteria
-    StageError naming the document."""
+def _doc_criteria(entry: ManifestEntry, config: RunConfig, table: TermTable):
+    """One document's criteria columns, as ids of the corpus's term table;
+    a failure is raised as a criteria StageError naming the document."""
     try:
-        stream = parse_html(entry.path.read_bytes())
+        stream = parse_html(entry.path.read_bytes(), table=table)
         if config.anchor_variant:
             anchors = read_anchor_texts(config.anchors_dir, entry.doc_id)
             stream = apply_anchor_variant(stream, anchors, config.anchor_variant)
@@ -274,7 +276,7 @@ def build_corpus(manifest: CorpusManifest, config: RunConfig) -> Corpus:
     stream) are dropped once packed, before the next document is read."""
     builder = CorpusBuilder()
     for entry in manifest.entries:
-        builder.add(entry.doc_id, _doc_criteria(entry, config))
+        builder.add(entry.doc_id, _doc_criteria(entry, config, builder.table))
     return builder.build()
 
 

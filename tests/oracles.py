@@ -36,8 +36,8 @@ from fuzzterm.ingest import (
     TokenizerOptions,
     _TextExtractor,
     decode_text,
+    TermTable,
     strip_suffix,
-    tokenize,
 )
 from fuzzterm.pipeline import _doc_criteria
 from fuzzterm.weighting import CorpusStats
@@ -209,7 +209,8 @@ def sparse_rows_of(weight_maps, vocab) -> SparseRows:
 def criteria_by_doc(manifest: CorpusManifest, config) -> dict[str, dict[str, TermCriteria]]:
     """{doc_id: {term: TermCriteria}} for the whole corpus, each document's
     criteria read as the pipeline reads them (`pipeline._doc_criteria`)."""
-    return {e.doc_id: dict(_doc_criteria(e, config)) for e in manifest.entries}
+    table = TermTable()
+    return {e.doc_id: dict(_doc_criteria(e, config, table)) for e in manifest.entries}
 
 
 def clustering_criterion(X: np.ndarray, labels: np.ndarray) -> float:
@@ -781,7 +782,8 @@ def tune_afcc_reference(base_kb, profiles, threshold: float = 0.55, cut: float =
 # columnar `ingest.extract_criteria` replaced, kept as it was: the open-tag stack
 # scanned once per text chunk, one tuple per kept token, per-token dict
 # counting, one TermCriteria per term, and a builder that unpacks those maps
-# back into columns.  Tokenizing and decoding come from the package.
+# back into columns.  Tokens come from `tokenize_reference`, the per-token
+# filter; decoding comes from the package.
 
 
 class Token(NamedTuple):
@@ -853,7 +855,7 @@ def parse_tokens_reference(
     tokens = [
         Token(term, in_title, in_emph, in_link)
         for segment, in_title, in_emph, in_link in extractor.segments
-        for term in tokenize(segment, options)
+        for term in tokenize_reference(segment, options)
     ]
     if not tokens:
         raise EmptyDocument("document yields no tokens after filtering")
@@ -923,7 +925,7 @@ def apply_anchor_variant_tokens_reference(
         out = [t for t in out if not t.in_link]
     terms: list[str] = []
     for text in anchor_texts[:MAX_ANCHORS]:
-        terms.extend(tokenize(text, options))
+        terms.extend(tokenize_reference(text, options))
     if setting == "3":
         terms = [t for t in terms if t not in anchor_stopwords]
     out.extend(Token(term, in_title=as_title) for term in terms)

@@ -209,7 +209,9 @@ def test_criterion_4_tfidf_oracle():
         builder.add(
             f"d{i}",
             CriteriaColumns(
-                terms, freq, title, emph, raw_tf, position, np.ones(len(terms), dtype=np.int64)
+                builder.table,
+                np.fromiter(map(builder.table.intern, terms), np.int64),
+                freq, title, emph, raw_tf, position, np.ones(len(terms), dtype=np.int64),
             ),
         )
         doc_terms.append(terms)

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from fuzzterm import load_bundled, load_manifest, tune_afcc
 from fuzzterm.errors import EmptyPositions, NoRuleFired
 from fuzzterm import engine, kernels, pipeline, weighting
-from fuzzterm.corpus import Corpus, SparseRows
-from fuzzterm.ingest import TermCriteria
+from fuzzterm.corpus import Corpus, CorpusBuilder, SparseRows
+from fuzzterm.ingest import CriteriaColumns, TermCriteria
 from fuzzterm.pipeline import RunConfig, _Representations, build_corpus, corpus_profiles
 from fuzzterm.reduction import mft_order, mft_rank, project_rows
 from fuzzterm.weighting import (
@@ -29,6 +29,7 @@ from fuzzterm.weighting import (
 )
 
 from oracles import (
+    CorpusBuilderReference,
     apply_idf_reference,
     corpus_stats,
     criteria_by_doc,
@@ -362,3 +363,36 @@ class TestMemory:
         assert corpus.n_docs == 200
         # holding every document's criteria map at once would exceed this
         assert peak < held / 2
+
+    def test_build_makes_no_corpus_sized_temporary(self):
+        # 400 documents of about 800 positions each, their term ids interned
+        # in an order unlike string order, so every block of documents is
+        # reordered; gathering the positions of the whole corpus at once
+        # would take a few times their bytes
+        rng = np.random.default_rng(16)
+        builder, reference = CorpusBuilder(), CorpusBuilderReference()
+        for word in rng.permutation([f"t{i:04d}" for i in range(2000)]).tolist():
+            builder.table.intern(word)
+        for d in range(400):
+            ids = rng.choice(2000, size=100, replace=False)
+            n_positions = rng.integers(1, 16, size=100)
+            columns = CriteriaColumns(
+                builder.table, ids, *rng.random((3, 100)), n_positions,
+                rng.random(int(n_positions.sum())), n_positions,
+            )
+            builder.add(f"d{d}", columns)
+            reference.add(f"d{d}", columns)
+        tracemalloc.start()
+        try:
+            corpus = builder.build()
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - kept < 0.25 * corpus.positions.nbytes
+        want = reference.build()
+        assert corpus.vocab == want.vocab
+        for name in (
+            "doc_offsets", "term_ids", "freq", "title", "emph", "raw_tf",
+            "positions", "pos_offsets",
+        ):
+            assert getattr(corpus, name).tobytes() == getattr(want, name).tobytes(), name

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fuzzterm import (
+    TermTable,
     TokenizerOptions,
     TokenStream,
     apply_anchor_variant,
@@ -22,10 +23,12 @@ from fuzzterm import (
 from fuzzterm.corpus import CorpusBuilder
 from fuzzterm.errors import EmptyDocument, ParseError
 from fuzzterm.ingest import (
+    _TOKEN_RE,
     ANCHOR_VARIANTS,
     DEFAULT_EMPHASIS_TAGS,
     DEFAULT_STOPWORDS,
     _scan_tags,
+    _split,
     _TextExtractor,
     strip_suffix,
 )
@@ -43,15 +46,18 @@ from oracles import (
 NO_STOP = TokenizerOptions(stopwords=frozenset())
 
 
-def stream_of(tokens):
+def stream_of(tokens, table=None):
     """A TokenStream of (term, in_title, in_emphasis, in_link) tuples, or of
-    objects with those attributes."""
+    objects with those attributes, its terms interned in order in table (a
+    new default one when None)."""
+    table = TermTable() if table is None else table
     tokens = [
         (t.term, t.in_title, t.in_emphasis, t.in_link) if hasattr(t, "term") else t
         for t in tokens
     ]
+    ids = [table.intern(t[0]) for t in tokens]
     columns = [np.array([t[j] for t in tokens], dtype=bool) for j in (1, 2, 3)]
-    return TokenStream([t[0] for t in tokens], *columns)
+    return TokenStream(table, ids, *columns)
 
 
 def rows(stream):
@@ -92,6 +98,46 @@ class TestTokenize:
     def test_default_stopwords_loaded(self):
         assert "the" in DEFAULT_STOPWORDS
         assert "now" not in DEFAULT_STOPWORDS  # kept: carries anchor meaning
+
+
+# ASCII text of any characters, and runs of the ones the fold treats apart:
+# separators, controls, "_", digits and letters of either case.
+ASCII_TEXT = st.text(st.characters(max_codepoint=127), max_size=40) | st.lists(
+    st.sampled_from(
+        ["_", "__", " ", "  ", "\t", "\n\r", "\x0b\x0c", "\x00", "\x1f", "\x7f", "-",
+         "0", "42", "a", "Z", "ipv6", "Snake_Case", "x_1", "\x1c\x1d"]
+    ),
+    max_size=12,
+).map("".join)
+# Text that lowercases by context or into more characters, and digits and
+# letters outside ASCII: each takes the regex path.
+NON_ASCII = ["ΟΔΟΣ", "İstanbul", "naïve", "１２", "Straße"]
+WIDE = TokenizerOptions(stopwords=frozenset(), min_length=1, drop_digits=False)
+
+
+class TestSplit:
+    @given(text=ASCII_TEXT)
+    def test_ascii_fold_equals_regex(self, text):
+        assert text.isascii()
+        assert _split(text) == _TOKEN_RE.findall(text.lower())
+
+    @pytest.mark.parametrize("options", [WIDE, TokenizerOptions()])
+    @pytest.mark.parametrize("text", NON_ASCII)
+    def test_non_ascii_takes_the_regex(self, text, options):
+        assert _split(text) == _TOKEN_RE.findall(text.lower())
+        assert tokenize(text, options) == tokenize_reference(text, options)
+        assert tokenize(f"Plain {text} TEXT_42", options) == tokenize_reference(
+            f"Plain {text} TEXT_42", options
+        )
+
+    def test_document_of_ascii_and_non_ascii_runs(self):
+        html = (
+            "<title>ΟΔΟΣ Straße</title><p>Plain ASCII_text 42 <b>naïve İstanbul</b>"
+            " ipv6 １２</p><p>more ASCII</p>"
+        )
+        for options in (WIDE, TokenizerOptions()):
+            got = parse_html(html, options=options)
+            assert flags(got) == flags(parse_html_reference(html, options=options))
 
 
 class TestParseHtml:
@@ -240,11 +286,13 @@ class TestExtractCriteria:
         raw = b"<title>Topic One</title><p>alpha <b>beta</b> alpha</p>"
         assert extract_criteria(parse_html(raw)) == extract_criteria(parse_html(raw))
 
-    def test_columns_read_as_a_map_in_term_order(self):
+    def test_columns_read_as_a_map_in_id_order(self):
+        # the stream's table gives ids in first-seen order: b, a, c
         crit = extract_criteria(self.stream("b", "a:t", "c", "a"))
-        assert list(crit) == crit.terms == ["a", "b", "c"]
+        assert crit.term_ids.tolist() == [0, 1, 2]
+        assert list(crit) == crit.terms == ["b", "a", "c"]
         assert len(crit) == 3 and "b" in crit and "z" not in crit
-        assert [c.raw_tf for c in crit.values()] == crit.raw_tf.tolist() == [2, 1, 1]
+        assert [c.raw_tf for c in crit.values()] == crit.raw_tf.tolist() == [1, 2, 1]
         assert crit["a"].positions == (1 / 3, 1.0)
         with pytest.raises(KeyError):
             crit["z"]
@@ -252,7 +300,9 @@ class TestExtractCriteria:
 
 class TestTokenStream:
     def test_integer_flags_are_truth_values(self):
-        stream = TokenStream(["a", "b", "a"], [0, 1, 0], np.array([1, 0, 0]), (0, 0, 1))
+        table = TermTable()
+        ids = [table.intern("a"), table.intern("b"), table.intern("a")]
+        stream = TokenStream(table, ids, [0, 1, 0], np.array([1, 0, 0]), (0, 0, 1))
         assert rows(stream) == [
             ("a", False, True, False),
             ("b", True, False, False),
@@ -267,7 +317,7 @@ class TestTokenStream:
         flags = {"title": [False] * 2, "emphasis": [False] * 2, "link": [False] * 2}
         flags[column] = [False] * 3
         with pytest.raises(ValueError, match=f"TokenStream.{column} has shape"):
-            TokenStream(["a", "b"], **flags)
+            TokenStream(TermTable(), [0, 1], **flags)
 
 
 class TestAnchorVariants:
@@ -276,7 +326,8 @@ class TestAnchorVariants:
             ("alpha", False, False, False),
             ("rust", False, False, True),
             ("beta", False, False, False),
-        ]
+        ],
+        TermTable(NO_STOP),
     )
 
     def test_b1_appends_as_title(self):
@@ -364,15 +415,16 @@ def flags(stream):
 
 
 def criteria_items(stream):
-    """The criteria map in insertion order, floats as exact bit patterns;
-    offset tokens are converted to a TokenStream first."""
+    """The criteria map in term order, floats as exact bit patterns; offset
+    tokens are converted to a TokenStream first.  The map's own order is
+    its term ids', which depend on the table's history."""
     if not isinstance(stream, TokenStream):
         stream = stream_of(stream)
-    return [
+    return sorted(
         (term, c.freq_norm.hex(), c.title_norm.hex(), c.emph_norm.hex(),
          [p.hex() for p in c.positions], c.raw_tf)
         for term, c in extract_criteria(stream).items()
-    ]
+    )
 
 
 def parse_both(html, options):
@@ -436,26 +488,35 @@ CORPUS_FIELDS = (
 )
 
 
-# (parse, anchor variant, criteria, builder) of the package and of the
-# per-token reference
-PACKAGE_PATH = (parse_html, apply_anchor_variant, extract_criteria, CorpusBuilder)
+def package_parse(builder, html, options):
+    return parse_html(html, options=options, table=builder.table)
+
+
+def reference_parse(builder, html, options):
+    return parse_tokens_reference(html, options=options)
+
+
+# (builder for the options, parse, anchor variant, criteria) of the package,
+# which tokenizes through the builder's term table, and of the per-token
+# reference
+PACKAGE_PATH = (CorpusBuilder, package_parse, apply_anchor_variant, extract_criteria)
 REFERENCE_PATH = (
-    parse_tokens_reference,
+    lambda options: CorpusBuilderReference(),
+    reference_parse,
     apply_anchor_variant_tokens_reference,
     extract_criteria_reference,
-    CorpusBuilderReference,
 )
 
 
 def pack_corpus(docs, variant, options, path):
     """The corpus of the documents that keep a token, packed one at a time
     along path, and the indices of those documents."""
-    parse, anchor, criteria, builder_type = path
-    builder = builder_type()
+    builder_for, parse, anchor, criteria = path
+    builder = builder_for(options)
     kept = []
     for i, (html, anchors) in enumerate(docs):
         try:
-            stream = parse(html, options=options)
+            stream = parse(builder, html, options)
             if variant is not None:
                 stream = anchor(stream, anchors, variant, options)
             builder.add(f"d{i}", criteria(stream))
@@ -465,9 +526,58 @@ def pack_corpus(docs, variant, options, path):
     return builder.build(), kept
 
 
+# Corpora whose documents share one term table, with the tokenizer options
+# they are read with.  Their tokens reach every branch of the table's
+# filter, and a token the filter dropped comes again in a later document or
+# an anchor text, where the table answers from its cache.
+FILTER_CORPORA = {
+    "stopwords, digits, one letter": (
+        [
+            ("<title>The Fuzzy Web</title><p>a 42 x fuzzy logic of the 2024 web</p>",
+             ["click here for fuzzy logic", "the 7 x home page"]),
+            ("<p>42 the x again: fuzzy <b>rules</b> 2024</p>", ["site 42 web", "x"]),
+            ("<p>the of a 42</p>", ["fuzzy"]),
+            ("<p>fish &amp; chips, the 42 <!-- x --> fuzzy</p>", None),
+            ('<a href="x">link here</a> web <b>page</b> x 9', ["homepage web", "link", "42"]),
+        ],
+        TokenizerOptions(),
+    ),
+    "raw tokens that stem to one term": (
+        [
+            ("<p>Jumped jumps JUMPING x 7 the</p>", ["jumping links", "pages here"]),
+            ("<title>jumps</title><p>over <b>pages</b> page paged</p>", ["jumped", "x"]),
+            ('<p title="a">the jumps</p> <!-- hidden --> paging', ["page"]),
+        ],
+        TokenizerOptions(min_length=1, stem=True),
+    ),
+    "custom options": (
+        [
+            ("<p>fuzzy web 42 2024 ab abc logic</p>", ["fuzzy 2024 here", "click ab"]),
+            ("<title>Web 2024</title><p>abc &amp; logic ab</p>", ["web site", "42"]),
+            ("<p>ab 42 fuzzy</p>", None),
+        ],
+        TokenizerOptions(stopwords=frozenset({"fuzzy", "web"}), min_length=3, drop_digits=False),
+    ),
+}
+
+
 class TestAgainstTokenOracle:
     """The criteria path from markup to Corpus, byte for byte against the
     per-token path it replaced."""
+
+    @pytest.mark.parametrize("corpus", FILTER_CORPORA)
+    def test_shared_table_filter(self, corpus):
+        docs, options = FILTER_CORPORA[corpus]
+        for variant in (None, *ANCHOR_VARIANTS):
+            got, kept = pack_corpus(docs, variant, options, PACKAGE_PATH)
+            want, want_kept = pack_corpus(docs, variant, options, REFERENCE_PATH)
+            assert kept == want_kept, variant
+            assert got.doc_ids == want.doc_ids
+            assert got.vocab == want.vocab
+            for name in CORPUS_FIELDS:
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype, (variant, name)
+                assert a.tobytes() == b.tobytes(), (variant, name)
 
     @given(html=DOCUMENT, options=CORPUS_OPTIONS)
     def test_token_flags(self, html, options):
@@ -739,6 +849,6 @@ class TestAnchorFiles:
         texts = read_anchor_texts(tmp_path, "d1")
         # the file is read whole; merging keeps the first 300 anchors
         assert len(texts) == 400
-        page = parse_html(b"<p>fuzzy logic</p>")
+        page = parse_html(b"<p>fuzzy logic</p>", options=NO_STOP)
         merged = apply_anchor_variant(page, texts, "a1", options=NO_STOP)
         assert merged.terms[len(page.terms):] == ["anchor"] * 300
