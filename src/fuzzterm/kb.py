@@ -424,8 +424,26 @@ class DistributionProfile:
         return self.frac_below(DEFAULT_PRECONDITION_CUT)
 
     def quantile(self, q) -> float | np.ndarray:
-        out = np.quantile(self.values, q)
-        return float(out) if np.isscalar(q) else out
+        """np.quantile(self.values, q), bit for bit (see _sorted_quantile)."""
+        if np.isscalar(q):
+            return _sorted_quantile(self.values, q)
+        return np.array([_sorted_quantile(self.values, f) for f in np.ravel(q)]).reshape(
+            np.shape(q)
+        )
+
+
+def _sorted_quantile(values: np.ndarray, q: float) -> float:
+    """np.quantile(values, q) of ascending values, bit for bit, for q in
+    [0, 1]: numpy's linear rule read off the sorted values, with none of
+    the partitioning np.quantile does first."""
+    v = (values.size - 1) * q
+    i = int(v)  # floor, as v >= 0
+    if i >= values.size - 1:
+        return float(values[-1])
+    a, b = float(values[i]), float(values[i + 1])
+    t = v - i
+    # np.quantile's _lerp: from the nearer end of [a, b]
+    return float(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
 
 
 _CRITERION_ATTRS = {
@@ -507,7 +525,7 @@ def _quantile_edges(profile, tail, plain, threshold, cut):
             # pathological: everything sits below the cut; quantile over the
             # full pool keeps the edges defined, the sanitizer restores order
             above = profile.values
-        return [cut] + [float(np.quantile(above, f)) for f in tail]
+        return [cut] + [_sorted_quantile(above, f) for f in tail]
     return [float(profile.quantile(q)) for q in plain]
 
 

@@ -5,8 +5,9 @@ self-adjusting representation) -> reduce -> cluster -> score, optionally a
 significance stage over stratified sub-corpora, then emission of a results
 file (JSON lines) and a human-readable table.  Any stage failure surfaces
 as a StageError tagged with the stage name; a criteria failure also names
-the document.  Subsets that the manifest and config alone show cannot be
-drawn or clustered fail at ingest, before any document is read.
+the document.  A corpus with fewer documents than clusters, and subsets
+that the manifest and config alone show cannot be drawn or clustered, fail
+at ingest, before any document is read.
 
 The criteria stage reads each document as a columnar token stream of term
 ids, counts its criteria into columns (`ingest.extract_criteria`) and
@@ -339,7 +340,9 @@ def _score_sizes(
 ):
     """Yield (size, F1Report, cluster labels) per vector size: the rows
     projected onto the size's top-ranked features, clustered and scored.
-    Rows left without a feature take the leftover label k."""
+    Rows left without a feature take the leftover label k.  Each projected
+    matrix is read by nothing but `cluster_matrix`, which normalizes it in
+    place."""
     for size, seed in zip(sizes, seeds):
         labels = cluster_matrix(project_rows(rows, order[:size], n_terms), k, seed)
         yield size, weighted_f1(labels, categories), labels
@@ -362,6 +365,8 @@ def run(config: RunConfig) -> ExperimentReport:
         )
         categories = [e.category for e in manifest.entries]
         k = config.k if config.k is not None else len(manifest.categories())
+        if len(categories) < k:
+            raise InsufficientDocs(f"{len(categories)} documents cannot fill {k} clusters")
         if config.n_subsets > 0:
             _check_subsets(categories, k, config.fraction)
 

@@ -725,20 +725,20 @@ def _frequency_edges(profile, threshold, cut):
         # heavy-tailed: pin the first edge at the cut and split the mass
         # above it into four equal slices
         return [cut] + _tail_quantile(profile, cut, (0.25, 0.5, 0.75))
-    return [float(profile.quantile(q)) for q in (0.2, 0.4, 0.6, 0.8)]
+    return [float(np.quantile(profile.values, q)) for q in (0.2, 0.4, 0.6, 0.8)]
 
 
 def _emphasis_edges(profile, threshold, cut):
     if profile.frac_below(cut) > threshold:
         # successive halving of the tail mass keeps the middle set widest
         return [cut] + _tail_quantile(profile, cut, (0.5, 0.75, 0.875))
-    return [float(profile.quantile(q)) for q in (0.05, 0.15, 0.55, 0.75)]
+    return [float(np.quantile(profile.values, q)) for q in (0.05, 0.15, 0.55, 0.75)]
 
 
 def _title_edges(profile):
     lowest = float(profile.values[0])
     rank_of_lowest = float(np.mean(profile.values <= lowest))
-    second = float(profile.quantile((rank_of_lowest + 1.0) / 2.0))
+    second = float(np.quantile(profile.values, (rank_of_lowest + 1.0) / 2.0))
     return [lowest, second]
 
 

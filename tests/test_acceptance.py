@@ -301,7 +301,7 @@ def test_criterion_6_clustering_sanity(corpus_dir_400):
     for d, group in enumerate([0] * 4 + [1] * 3 + [2] * 3):
         X[d] = [0.1 * float(rng.random()) for _ in range(3)]
         X[d, group] = 1.0 + float(rng.random())
-    labels = cluster_matrix(X, 3, np.random.SeedSequence(1))
+    labels = cluster_matrix(X.copy(), 3, np.random.SeedSequence(1))
     X = X / np.linalg.norm(X, axis=1, keepdims=True)
     achieved = clustering_criterion(X, labels)
     best = best_partition_criterion(X, 3)

@@ -135,9 +135,9 @@ class TestRepeatedBisections:
         seen = []
         real = fuzzterm.cluster.bisect_labels
 
-        def counting(X, k, seed):
+        def counting(X, k, seed, **kwargs):
             seen.append(X.shape)
-            return real(X, k, seed)
+            return real(X, k, seed, **kwargs)
 
         monkeypatch.setattr(fuzzterm.cluster, "bisect_labels", counting)
         X = np.random.default_rng(4).random((12, 5))
@@ -321,7 +321,7 @@ class TestLoopReferences:
     def test_bisect_labels_matches_reference(self, X, k, seed):
         k = min(k, X.shape[0])
         np.testing.assert_array_equal(
-            bisect_labels(X, k, seed), bisect_labels_reference(X, k, seed)
+            bisect_labels(X.copy(), k, seed), bisect_labels_reference(X, k, seed)
         )
 
 
@@ -395,7 +395,7 @@ class TestLockstepReferences:
     def test_bisect_labels_equals_lockstep_reference(self, X, k, seed):
         k = min(k, X.shape[0])
         np.testing.assert_array_equal(
-            bisect_labels(X, k, seed), bisect_labels_lockstep_reference(X, k, seed)
+            bisect_labels(X.copy(), k, seed), bisect_labels_lockstep_reference(X, k, seed)
         )
 
 
@@ -455,31 +455,77 @@ class TestMatrixCopies:
             tracemalloc.stop()
         assert peak < 0.1 * X.nbytes
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_bisect_labels_makes_no_second_full_copy(self, seed):
-        # The normalized copy plus one cluster's rows at a time peak near
-        # 2.0 X; a full copy for the first split or a full temporary for
-        # the row norms pushes the traced peak past 2.4 X.
+    @staticmethod
+    def sparse_matrix(seed, zero_rows=0):
         rng = np.random.default_rng(seed)
         X = rng.random((300, 400)) * (rng.random((300, 400)) < 0.1)
         X[:, 0] += 0.01
+        X[rng.choice(300, zero_rows, replace=False)] = 0.0
+        return X
+
+    @staticmethod
+    def traced_peak(cluster, X, *args):
         tracemalloc.start()
         try:
-            bisect_labels(X, 6, seed)
+            cluster(X, *args)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2.25 * X.nbytes
+        return peak
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bisect_labels_makes_no_second_full_copy(self, seed):
+        # X is normalized in place, so one cluster's rows at a time peak
+        # near 1.0 X; a normalized copy, a full copy for the first split
+        # or a full temporary for the row norms pushes the traced peak
+        # past 1.4 X.
+        X = self.sparse_matrix(seed)
+        assert self.traced_peak(bisect_labels, X, 6, seed) < 1.25 * X.nbytes
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("zero_rows", [0, 5])
+    def test_cluster_matrix_makes_one_copy_at_most(self, seed, zero_rows):
+        # without zero rows X is the only full array, as in bisect_labels;
+        # with them, the copy of the other rows is the only one more
+        X = self.sparse_matrix(seed, zero_rows)
+        bound = 1.25 + (zero_rows > 0)
+        assert self.traced_peak(cluster_matrix, X, 6, seed) < bound * X.nbytes
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_cluster_matrix_normalizes_x_in_place(self, seed):
+        X0 = self.sparse_matrix(seed)
+        X = X0.copy()
+        labels = cluster_matrix(X, 6, seed)
+        np.testing.assert_array_equal(X, X0 / np.linalg.norm(X0, axis=1)[:, None])
+        np.testing.assert_array_equal(labels, cluster_matrix(X0.copy(), 6, seed))
+        np.testing.assert_array_equal(labels, bisect_labels_reference(X0, 6, seed))
+        Y = X0.copy()
+        np.testing.assert_array_equal(bisect_labels(Y, 6, seed), labels)
+        np.testing.assert_array_equal(Y, X)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_cluster_matrix_leaves_x_with_zero_rows(self, seed):
+        # the copy without the zero rows is normalized, and the kept
+        # rows' norms, taken over X, are the copy's
+        X0 = self.sparse_matrix(seed, zero_rows=5)
+        X = X0.copy()
+        labels = cluster_matrix(X, 6, seed)
+        np.testing.assert_array_equal(X, X0)
+        nonzero = X0.any(axis=1)
+        assert (labels[~nonzero] == 6).all()
+        np.testing.assert_array_equal(
+            labels[nonzero], bisect_labels_reference(X0[nonzero], 6, seed)
+        )
 
 
 class TestClusteringProperties:
     @given(X=any_rows, k=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
     def test_bisect_labels_fill_every_cluster(self, X, k, seed):
         k = min(k, X.shape[0])
-        labels = bisect_labels(X, k, seed)
+        labels = bisect_labels(X.copy(), k, seed)
         assert labels.min() >= 0 and labels.max() < k
         assert (np.bincount(labels, minlength=k) > 0).all()
-        np.testing.assert_array_equal(bisect_labels(X, k, seed), labels)
+        np.testing.assert_array_equal(bisect_labels(X.copy(), k, seed), labels)
 
     @given(X=any_rows, k=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
     def test_refine_never_lowers_criterion(self, X, k, seed):

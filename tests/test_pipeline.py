@@ -291,14 +291,17 @@ class TestRun:
             seed=4,
             out_dir=tmp_path,
         )
-        report = run(config)
+        # the small corpus's emphasis pool gives tied tuned edges
+        with pytest.warns(UserWarning, match="nudged"):
+            report = run(config)
         assert report.tuned_kb_path == tmp_path / "afcc.tuned.kb"
         replayed = load_kb(report.tuned_kb_path)
         assert replayed.name == "afcc"
         assert replayed.flags == ("tuned",)
         # replaying the dumped base reproduces the pipeline's weights exactly
         corpus = build_corpus(load_manifest(config.manifest), config)
-        fresh = tune_afcc(load_bundled("efcc"), corpus_profiles(corpus))
+        with pytest.warns(UserWarning, match="nudged"):
+            fresh = tune_afcc(load_bundled("efcc"), corpus_profiles(corpus))
         every = np.arange(corpus.n_docs)
         w_replay, w_fresh = (
             fuzzy_rows(corpus, every, kb, global_positions(corpus, kb)) for kb in (replayed, fresh)
@@ -389,14 +392,16 @@ class TestRun:
         assert exc.value.stage == "ingest"
 
     def test_oversized_k_tagged_cluster(self, small_corpus, tmp_path):
+        # 12 clusters fit the 16 documents, which ingest checks, but only
+        # 8 of them weigh the top-ranked feature
         config = RunConfig(
             manifest=small_corpus / "manifest.tsv",
             representation="efcc",
-            vector_sizes=(10,),
-            k=500,
+            vector_sizes=(1,),
+            k=12,
             out_dir=tmp_path,
         )
-        with pytest.raises(StageError) as exc:
+        with pytest.raises(StageError, match="only 8 non-zero documents for k=12") as exc:
             run(config)
         assert exc.value.stage == "cluster"
 
@@ -635,6 +640,28 @@ class TestCli:
         )
         assert not (tmp_path / "out" / "results.jsonl").exists()
 
+    def test_run_k_above_corpus_size_rejected_at_ingest(self, tmp_path, capsys):
+        # 6 documents cannot fill 10 clusters, with or without subsets
+        manifest = generate_corpus(
+            tmp_path / "corpus", categories=2, docs_per_category=3, mode="zipf", seed=3
+        )
+        for n_subsets in (0, 3):
+            cfg = write_config(
+                tmp_path / "exp.cfg",
+                [
+                    f"manifest = {manifest}",
+                    "baselines = tfidf",
+                    "k = 10",
+                    f"n_subsets = {n_subsets}",
+                    "out_dir = out",
+                ],
+            )
+            assert main(["run", str(cfg)]) == 1
+            assert capsys.readouterr().err == (
+                "error[ingest]: 6 documents cannot fill 10 clusters\n"
+            )
+            assert not (tmp_path / "out" / "results.jsonl").exists()
+
     def test_run_missing_manifest_exits_nonzero(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "exp.cfg", ["manifest = nope.tsv"])
         assert main(["run", str(cfg)]) == 1
@@ -642,9 +669,8 @@ class TestCli:
 
     def test_tune_writes_kb(self, small_corpus, tmp_path, capsys):
         out = tmp_path / "tuned.kb"
-        assert (
-            main(["tune", str(small_corpus / "manifest.tsv"), "--out", str(out)]) == 0
-        )
+        with pytest.warns(UserWarning, match="nudged"):
+            assert main(["tune", str(small_corpus / "manifest.tsv"), "--out", str(out)]) == 0
         kb = load_kb(out)
         assert kb.name == "afcc"
         assert kb.flags == ("tuned",)

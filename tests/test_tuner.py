@@ -1,16 +1,21 @@
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+import fuzzterm
 from fuzzterm import DistributionProfile, check_completeness, dumps_kb, load_bundled, tune_afcc
 from fuzzterm.engine import LinguisticVariable
 from fuzzterm.errors import EmptyProfile
 from fuzzterm.ingest import TermCriteria
-from fuzzterm.kb import BUNDLED_NAMES, profile_criterion
+from fuzzterm.kb import BUNDLED_NAMES, _sorted_quantile, profile_criterion
 
 from oracles import tune_afcc_reference
 
@@ -289,3 +294,81 @@ class TestTunerProperties:
     def test_every_tuned_base_is_complete(self, base, profiles, threshold, cut):
         kb, _ = _tune_recording(tune_afcc, load_bundled(base), profiles, threshold, cut)
         check_completeness(kb)
+
+
+@st.composite
+def sorted_values_and_q(draw):
+    """Ascending values, tied or not, and a q in [0, 1]: anywhere, at an
+    end, or where (n - 1) q falls within an ulp of halfway between two
+    values, the point at which numpy's interpolation changes ends."""
+    values = draw(
+        st.one_of(
+            _pool,
+            st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=40),
+            st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=1, max_size=40),
+        )
+    )
+    values = np.sort(np.array(values, dtype=np.float64))
+    n = values.size
+    kind = draw(st.sampled_from(("any", "end", "half") if n > 1 else ("any", "end")))
+    if kind == "any":
+        q = draw(st.floats(0.0, 1.0))
+    elif kind == "end":
+        q = draw(st.sampled_from((0.0, 1.0, 0, 1)))
+    else:
+        half = (draw(st.integers(0, n - 2)) + 0.5) / (n - 1)
+        q = draw(st.sampled_from((half, np.nextafter(half, 0.0), np.nextafter(half, 1.0))))
+    return values, q
+
+
+class TestSortedQuantile:
+    """Quantiles read off the sorted pool equal np.quantile bit for bit."""
+
+    @given(case=sorted_values_and_q())
+    @example(case=(np.array([0.3]), 0.5))
+    @example(case=(np.array([0.3, 0.3]), 0.5))
+    @example(case=(np.array([0.1, 0.7]), 0.5))
+    @example(case=(np.array([0.1, 0.7]), np.nextafter(0.5, 0.0)))
+    @example(case=(np.array([0.1, 0.2, 0.2, 0.2, 0.9]), 1.0))
+    def test_equals_numpy(self, case):
+        values, q = case
+        assert _sorted_quantile(values, q).hex() == float(np.quantile(values, q)).hex()
+
+    @given(case=sorted_values_and_q())
+    def test_profile_quantile_equals_numpy(self, case):
+        values, q = case
+        values = values[(values > 0.0) & (values <= 1.0)]
+        if values.size == 0:
+            values = np.array([1.0])
+        p = DistributionProfile("frequency", values)
+        assert p.quantile(q).hex() == float(np.quantile(p.values, q)).hex()
+        qs = np.array([[q, 0.0], [1.0, q / 2]])
+        got = p.quantile(qs)
+        assert got.shape == qs.shape
+        assert got.tobytes() == np.quantile(p.values, qs).tobytes()
+
+    def test_tuner_does_not_import_numpy_ma(self):
+        # np.quantile imports numpy.ma on first use; the tuner reads its
+        # quantiles off the sorted pools, in both branches, without it
+        code = """
+import sys
+import numpy as np
+from fuzzterm.kb import DistributionProfile, load_bundled, tune_afcc
+rng = np.random.default_rng(0)
+heavy = np.concatenate([rng.uniform(0.01, 0.1, 90), rng.uniform(0.2, 1.0, 10)])
+flat = rng.uniform(0.05, 1.0, 100)
+pools = {"frequency": heavy, "emphasis": flat, "title": flat}
+before = "numpy.ma" in sys.modules
+tune_afcc(load_bundled("efcc"), {c: DistributionProfile(c, v) for c, v in pools.items()})
+print(before, "numpy.ma" in sys.modules)
+"""
+        src = str(Path(fuzzterm.__file__).parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert done.stdout.split() == ["False", "False"]
