@@ -29,12 +29,12 @@ only the same operands give bit-identical labels, and with them the same
 results.jsonl and report.txt.
 
 A clustering holds one dense (n, d) array: the doc-term matrix, whose
-rows `cluster_matrix` and `bisect_labels` scale to unit length in place,
-by the row norms taken once per clustering.  A matrix with zero rows is
-first copied without them, and the copy is scaled.  Row norms are taken in
-blocks of rows and the first split works on the normalized matrix itself,
-so no other array of that size is made, and a run's peak memory does not
-depend on where the allocator puts such copies.
+rows `cluster_matrix` and `bisect_labels` scale to unit length in place.
+A matrix with zero rows is first copied without them, and the copy is
+scaled.  Row norms are taken in blocks of rows and the first split works
+on the normalized matrix itself, so no other array of that size is made,
+and a run's peak memory does not depend on where the allocator puts such
+copies.
 
 The pipeline hands `cluster_matrix` the matrix `reduction.project_rows`
 writes, which it does not read again, and gets one cluster label per row
@@ -288,22 +288,22 @@ def _cohesion(Xn: np.ndarray, idx: np.ndarray) -> float:
     return idx.size - math.sqrt(v.dot(v))
 
 
-def bisect_labels(
-    X: np.ndarray, k: int, seed, *, norms: np.ndarray | None = None
-) -> np.ndarray:
+def bisect_labels(X: np.ndarray, k: int, seed) -> np.ndarray:
     """Cluster rows of X (unnormalized ok, no zero rows) into k clusters.
 
-    X is overwritten: its rows are scaled to unit length in place, by
-    norms, X's row norms as `_row_norms` takes them, or by norms taken here
-    when none are given.  Pass a copy to keep X.
+    A writeable float64 X is overwritten: its rows are scaled to unit
+    length in place.  Pass a copy to keep X.  Any other X is first copied
+    to a writeable float64 array, and the copy is scaled.
     """
     n = X.shape[0]
     if n < k:
         raise InsufficientDocs(f"{n} documents cannot fill {k} clusters")
-    if norms is None:
-        norms = _row_norms(X)
+    norms = _row_norms(X)
     if (norms == 0).any():
         raise ValueError("zero rows must be diverted before clustering")
+    # the norms come from X as given, so a float32 or integer X scales as
+    # X / norms[:, None] would scale it
+    X = np.require(X, np.float64, "W")
     Xn = np.divide(X, norms[:, None], out=X)
     rng = np.random.default_rng(seed)
     labels = np.zeros(n, dtype=np.int64)
@@ -338,9 +338,9 @@ def cluster_matrix(X: np.ndarray, k: int, seed) -> np.ndarray:
     per row, and rows with no weight take the extra leftover label k, so
     every document stays assigned.
 
-    X is overwritten, its rows scaled to unit length in place, unless it
-    has zero rows: then a copy of its other rows is scaled, and X is left
-    as it is.  Pass a copy to keep X.
+    A writeable float64 X is overwritten, its rows scaled to unit length
+    in place, unless it has zero rows: then a copy of its other rows is
+    scaled, and X is left as it is.  Pass a copy to keep X.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -350,12 +350,10 @@ def cluster_matrix(X: np.ndarray, k: int, seed) -> np.ndarray:
         raise InsufficientDocs(
             f"only {nonzero.size} non-zero documents for k={k}"
         )
-    labels = np.full(norms.size, k)
     if nonzero.size < X.shape[0]:
-        # a C-ordered X's norms, as project_rows writes it, are those of
-        # the copy bit for bit: each row's squares are summed alone
-        X, norms = X[nonzero], norms[nonzero]
-    labels[nonzero] = bisect_labels(X, k, seed, norms=norms)
+        X = X[nonzero]
+    labels = np.full(norms.size, k)
+    labels[nonzero] = bisect_labels(X, k, seed)
     return labels
 
 

@@ -424,7 +424,10 @@ class DistributionProfile:
         return self.frac_below(DEFAULT_PRECONDITION_CUT)
 
     def quantile(self, q) -> float | np.ndarray:
-        """np.quantile(self.values, q), bit for bit (see _sorted_quantile)."""
+        """np.quantile(self.values, q), bit for bit (see _sorted_quantile);
+        like it, raises ValueError for a q outside [0, 1]."""
+        if not (np.all(0 <= np.asarray(q)) and np.all(np.asarray(q) <= 1)):
+            raise ValueError("quantiles must be in the range [0, 1]")
         if np.isscalar(q):
             return _sorted_quantile(self.values, q)
         return np.array([_sorted_quantile(self.values, f) for f in np.ravel(q)]).reshape(

@@ -135,9 +135,9 @@ class TestRepeatedBisections:
         seen = []
         real = fuzzterm.cluster.bisect_labels
 
-        def counting(X, k, seed, **kwargs):
+        def counting(X, k, seed):
             seen.append(X.shape)
-            return real(X, k, seed, **kwargs)
+            return real(X, k, seed)
 
         monkeypatch.setattr(fuzzterm.cluster, "bisect_labels", counting)
         X = np.random.default_rng(4).random((12, 5))
@@ -503,10 +503,27 @@ class TestMatrixCopies:
         np.testing.assert_array_equal(bisect_labels(Y, 6, seed), labels)
         np.testing.assert_array_equal(Y, X)
 
+    @pytest.mark.parametrize("seed", range(2))
+    def test_other_arrays_are_copied_not_overwritten(self, seed):
+        # an integer or read-only X is scaled in a float64 copy, as
+        # X / norms[:, None] scaled it, and a float32 X is left as it is
+        X0 = np.rint(self.sparse_matrix(seed) * 20)
+        X0[:, 0] += 1.0
+        labels = cluster_matrix(X0.copy(), 6, seed)
+        Xi = X0.astype(np.int64)
+        np.testing.assert_array_equal(cluster_matrix(Xi, 6, seed), labels)
+        np.testing.assert_array_equal(Xi, X0)
+        Xr = X0.copy()
+        Xr.flags.writeable = False
+        np.testing.assert_array_equal(bisect_labels(Xr, 6, seed), labels)
+        np.testing.assert_array_equal(Xr, X0)
+        Xf = X0.astype(np.float32)
+        assert bisect_labels(Xf, 6, seed).shape == labels.shape
+        np.testing.assert_array_equal(Xf, X0.astype(np.float32))
+
     @pytest.mark.parametrize("seed", range(4))
     def test_cluster_matrix_leaves_x_with_zero_rows(self, seed):
-        # the copy without the zero rows is normalized, and the kept
-        # rows' norms, taken over X, are the copy's
+        # the copy without the zero rows is the one normalized
         X0 = self.sparse_matrix(seed, zero_rows=5)
         X = X0.copy()
         labels = cluster_matrix(X, 6, seed)

@@ -347,6 +347,14 @@ class TestSortedQuantile:
         assert got.shape == qs.shape
         assert got.tobytes() == np.quantile(p.values, qs).tobytes()
 
+    @pytest.mark.parametrize("q", [-0.25, 1.5, np.nan, [0.5, 1.01]])
+    def test_profile_quantile_outside_unit_interval_raises(self, q):
+        p = DistributionProfile("frequency", np.array([0.1, 0.4, 0.9]))
+        with pytest.raises(ValueError):
+            np.quantile(p.values, q)
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            p.quantile(q)
+
     def test_tuner_does_not_import_numpy_ma(self):
         # np.quantile imports numpy.ma on first use; the tuner reads its
         # quantiles off the sorted pools, in both branches, without it
