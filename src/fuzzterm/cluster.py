@@ -295,6 +295,8 @@ def bisect_labels(X: np.ndarray, k: int, seed) -> np.ndarray:
     length in place.  Pass a copy to keep X.  Any other X is first copied
     to a writeable float64 array, and the copy is scaled.
     """
+    if k < 1:
+        raise ValueError("k must be at least 1")
     n = X.shape[0]
     if n < k:
         raise InsufficientDocs(f"{n} documents cannot fill {k} clusters")
@@ -342,8 +344,6 @@ def cluster_matrix(X: np.ndarray, k: int, seed) -> np.ndarray:
     in place, unless it has zero rows: then a copy of its other rows is
     scaled, and X is left as it is.  Pass a copy to keep X.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
     norms = _row_norms(X)
     nonzero = np.flatnonzero(norms > 0)
     if nonzero.size < k:

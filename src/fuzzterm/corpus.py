@@ -105,11 +105,12 @@ def _columns(criteria: Mapping[str, TermCriteria], table: TermTable) -> Criteria
 class CorpusBuilder:
     """Packs documents into a Corpus one document's criteria columns at a
     time; the columns hold ids of the builder's `table`, which tokenizes
-    with `options`.  `build` hands the packed buffers to the Corpus; add no
-    document after it."""
+    with `options`.  `build` hands the packed buffers to the Corpus, so a
+    builder builds one corpus: `add` or `build` after it raises ValueError."""
 
     def __init__(self, options: TokenizerOptions = DEFAULT_TOKENIZER):
         self.table = TermTable(options)
+        self._built = False
         self._doc_ids: list[str] = []
         self._doc_sizes = array("q")
         self._terms = array("q")
@@ -122,6 +123,7 @@ class CorpusBuilder:
 
     def add(self, doc_id: str, columns: CriteriaColumns) -> None:
         """Append one document; its rows are distinct term ids, in any order."""
+        self._check_unbuilt()
         if columns.table is not self.table:
             raise ValueError(f"criteria of {doc_id!r} hold ids of another term table")
         self._doc_ids.append(doc_id)
@@ -141,6 +143,8 @@ class CorpusBuilder:
         """The corpus: its vocabulary is the table's terms that some
         document holds, in string order, and each document's pairs follow
         that order."""
+        self._check_unbuilt()
+        self._built = True
         table = self.table
         columns = [
             np.frombuffer(buffer, dtype=buffer.typecode)
@@ -193,6 +197,10 @@ class CorpusBuilder:
             positions=positions,
             pos_offsets=pos_offsets,
         )
+
+    def _check_unbuilt(self) -> None:
+        if self._built:
+            raise ValueError("this CorpusBuilder has built its corpus; use a new builder")
 
 
 def _offsets(sizes: array) -> np.ndarray:

@@ -35,10 +35,6 @@ class NoRuleFired(FuzztermError):
     """An input vector produced zero aggregate mass, so no centroid exists."""
 
 
-class UndecodableInput(FuzztermError):
-    """Raw document bytes could not be decoded by any supported codec."""
-
-
 class EmptyDocument(FuzztermError):
     """A document yielded no tokens after filtering."""
 

@@ -39,11 +39,10 @@ from html.parser import HTMLParser
 from importlib import resources
 from itertools import chain
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
-from .errors import EmptyDocument, ParseError, UndecodableInput
+from .errors import EmptyDocument, ParseError
 
 DEFAULT_EMPHASIS_TAGS = frozenset(
     {"em", "b", "u", "strong", "big", "cite", "dfn", "i", "blockquote"}
@@ -247,16 +246,6 @@ class TermTable(dict):
         return term_id
 
 
-def _term_table(options: TokenizerOptions | None, table: TermTable | None) -> TermTable:
-    """The given table, or a new one for the options (the defaults when
-    None).  Options given beside a table must be the table's."""
-    if table is None:
-        return TermTable(DEFAULT_TOKENIZER if options is None else options)
-    if options is not None and options != table.options:
-        raise ValueError("tokenizer options differ from the term table's")
-    return table
-
-
 def _split(text: str) -> list[str]:
     """A text run's raw tokens: `_TOKEN_RE.findall(text.lower())`.  ASCII
     text takes one translate and a C-level split instead; any other text
@@ -275,14 +264,11 @@ def tokenize(text: str, options: TokenizerOptions = DEFAULT_TOKENIZER) -> list[s
 
 
 def decode_text(raw: bytes) -> str:
+    """UTF-8, or Latin-1 when that fails; Latin-1 decodes every byte string."""
     try:
         return raw.decode("utf-8")
     except UnicodeDecodeError:
-        pass
-    try:
         return raw.decode("latin-1")
-    except UnicodeDecodeError as exc:  # pragma: no cover - latin-1 decodes all bytes
-        raise UndecodableInput("input is neither UTF-8 nor Latin-1") from exc
 
 
 class _TextExtractor(HTMLParser):
@@ -380,16 +366,11 @@ def _scan_tags(
     return segments
 
 
-def parse_html(
-    raw,
-    emphasis_tags: Iterable[str] | None = None,
-    options: TokenizerOptions | None = None,
-    table: TermTable | None = None,
-) -> TokenStream:
+def parse_html(raw, table: TermTable | None = None) -> TokenStream:
     """Extract the flagged token stream of an HTML document (bytes or str).
 
     Script/style/comment content is dropped; emphasis means any enclosing
-    tag sits in emphasis_tags, nesting collapsed to a single boolean.
+    tag sits in DEFAULT_EMPHASIS_TAGS, nesting collapsed to a single boolean.
     Tokens come in document order and carry no offsets: a token's place is
     its index in the stream.
 
@@ -399,20 +380,16 @@ def parse_html(
     which stays the reference: both give the same text segments and flags.
     Each fallback logs one DEBUG line on the `fuzzterm.ingest` logger.
 
-    Tokens are looked up in `table`, the corpus's term table; without one
-    a new table for `options` (the defaults when None) is used.
+    Tokens are looked up in `table`, the corpus's term table, which holds
+    every tokenizer setting; without one a new default table is used.
     """
-    table = _term_table(options, table)
+    if table is None:
+        table = TermTable()
     text = raw if isinstance(raw, str) else decode_text(raw)
-    tags = (
-        DEFAULT_EMPHASIS_TAGS
-        if emphasis_tags is None
-        else frozenset(t.lower() for t in emphasis_tags)
-    )
-    segments = _scan_tags(text, tags)
+    segments = _scan_tags(text, DEFAULT_EMPHASIS_TAGS)
     if segments is None:
         log.debug("markup outside the scanner's grammar (%d chars): html.parser", len(text))
-        extractor = _TextExtractor(tags)
+        extractor = _TextExtractor(DEFAULT_EMPHASIS_TAGS)
         extractor.feed(text)
         extractor.close()
         segments = extractor.segments
@@ -472,28 +449,23 @@ def extract_criteria(stream: TokenStream) -> CriteriaColumns:
 
 
 def apply_anchor_variant(
-    doc_stream: TokenStream,
-    anchor_texts: list[str] | None,
-    variant: str,
-    options: TokenizerOptions | None = None,
-    anchor_stopwords: frozenset[str] = DEFAULT_ANCHOR_STOPWORDS,
+    doc_stream: TokenStream, anchor_texts: list[str] | None, variant: str
 ) -> TokenStream:
     """Merge a document's incoming anchor texts into its token stream.
 
     The variant letter picks the destination flags (a: body, b: title); the
     digit picks the setting: 1 append only, 2 also remove the document's own
-    link text first, 3 append minus the anchor-stopword list.  Anchor tokens
+    link text first, 3 append minus DEFAULT_ANCHOR_STOPWORDS.  Anchor tokens
     are never emphasis or link tokens; only the first MAX_ANCHORS anchor
     texts count.  A missing anchor file (anchor_texts None) passes a copy of
     the stream through unchanged.
 
-    Anchor texts are tokenized through the stream's term table; `options`,
-    when given, must be that table's.
+    Anchor texts are tokenized through the stream's term table.
     """
     v = variant.lower()
     if v not in ANCHOR_VARIANTS:
         raise ValueError(f"unknown anchor variant {variant!r}; choose from {ANCHOR_VARIANTS}")
-    table = _term_table(options, doc_stream.table)
+    table = doc_stream.table
     ids, title = doc_stream.ids, doc_stream.title
     emphasis, link = doc_stream.emphasis, doc_stream.link
     if anchor_texts is None:
@@ -508,7 +480,7 @@ def apply_anchor_variant(
         i
         for text in anchor_texts[:MAX_ANCHORS]
         for i in map(lookup, _split(text))
-        if i >= 0 and not (setting == "3" and terms[i] in anchor_stopwords)
+        if i >= 0 and not (setting == "3" and terms[i] in DEFAULT_ANCHOR_STOPWORDS)
     ]
     m = len(anchor_ids)
     return TokenStream(

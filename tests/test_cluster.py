@@ -130,6 +130,14 @@ class TestRepeatedBisections:
         with pytest.raises(ValueError):
             repeated_bisections(two_bundles(2), 0, seed=0)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_bisect_labels_rejects_k_below_one(self, k):
+        X = np.random.default_rng(4).random((6, 3))
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            bisect_labels(X, k, 0)
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            cluster_matrix(X, k, 0)
+
     def test_cluster_matrix_calls_bisect_labels_by_module_attribute(self, monkeypatch):
         # perfbench/tracer.py times the clustering by wrapping this attribute
         seen = []

@@ -115,6 +115,33 @@ class TestCorpusLayout:
             assert a.dtype == b.dtype, name
             assert a.tobytes() == b.tobytes(), name
 
+    def test_builder_builds_one_corpus(self):
+        # build ranks the term ids in place, in buffers the corpus keeps, so
+        # a second build or a later add would rewrite the first corpus
+        builder = CorpusBuilder()
+        for term in ("gamma", "alpha", "beta"):
+            builder.table.intern(term)
+
+        def columns(ids):
+            n = len(ids)
+            ones = np.ones(n, dtype=np.int64)
+            return CriteriaColumns(
+                builder.table, np.array(ids), *np.ones((3, n)), ones, np.zeros(n), ones
+            )
+
+        builder.add("d0", columns([0, 1]))
+        builder.add("d1", columns([1, 2]))
+        corpus = builder.build()
+        fields = ("doc_offsets", "term_ids", "freq", "positions", "pos_offsets")
+        before = [getattr(corpus, name).tobytes() for name in fields]
+        with pytest.raises(ValueError, match="has built its corpus"):
+            builder.add("d2", columns([2]))
+        with pytest.raises(ValueError, match="has built its corpus"):
+            builder.build()
+        assert [getattr(corpus, name).tobytes() for name in fields] == before
+        assert corpus.term_ids.tolist() == [0, 2, 0, 1]
+        assert builder._doc_ids == ["d0", "d1"] and len(builder._doc_sizes) == 2
+
     def test_sparse_rows_select_keeps_order(self):
         rows = SparseRows(
             np.array([0, 2, 2, 3]), np.array([0, 4, 1]), np.array([0.5, 0.25, 2.0])

@@ -136,7 +136,7 @@ class TestSplit:
             " ipv6 １２</p><p>more ASCII</p>"
         )
         for options in (WIDE, TokenizerOptions()):
-            got = parse_html(html, options=options)
+            got = parse_html(html, table=TermTable(options))
             assert flags(got) == flags(parse_html_reference(html, options=options))
 
 
@@ -162,7 +162,9 @@ class TestParseHtml:
         assert in_emphasis
 
     def test_link_flag(self):
-        tokens = rows(parse_html(b'<p>see <a href="x">rust docs</a> today</p>', options=NO_STOP))
+        tokens = rows(
+            parse_html(b'<p>see <a href="x">rust docs</a> today</p>', table=TermTable(NO_STOP))
+        )
         flags = {term: in_link for term, _, _, in_link in tokens}
         assert flags == {"see": False, "rust": True, "docs": True, "today": False}
 
@@ -178,7 +180,7 @@ class TestParseHtml:
             parse_html(b"<script>function f() { body text here }")
 
     def test_tag_soup_does_not_abort(self):
-        tokens = parse_html(b"<b>bold <p>paragraph</b> tail</p> plain", options=NO_STOP)
+        tokens = parse_html(b"<b>bold <p>paragraph</b> tail</p> plain", table=TermTable(NO_STOP))
         terms = tokens.terms
         assert terms == ["bold", "paragraph", "tail", "plain"]
         emphasis = tokens.emphasis.tolist()
@@ -199,11 +201,11 @@ class TestParseHtml:
     )
     def test_emphasis_depth_through_tag_soup(self, html, expected):
         options = TokenizerOptions(stopwords=frozenset(), min_length=1)
-        tokens = rows(parse_html(html, options=options))
+        tokens = rows(parse_html(html, table=TermTable(options)))
         assert [(term, emph) for term, _, emph, _ in tokens] == expected
 
     def test_link_depth_closes_with_emphasis_inside(self):
-        tokens = rows(parse_html(b"<a>rust <b>docs</a> after", options=NO_STOP))
+        tokens = rows(parse_html(b"<a>rust <b>docs</a> after", table=TermTable(NO_STOP)))
         assert tokens == [
             ("rust", False, False, True),
             ("docs", False, True, True),
@@ -211,22 +213,13 @@ class TestParseHtml:
         ]
 
     def test_entity_references_decoded(self):
-        tokens = parse_html(b"<p>fish &amp; chips</p>", options=NO_STOP)
+        tokens = parse_html(b"<p>fish &amp; chips</p>", table=TermTable(NO_STOP))
         assert tokens.terms == ["fish", "chips"]
 
     def test_latin1_fallback(self):
         raw = "<p>caf\xe9 menu</p>".encode("latin-1")
-        tokens = parse_html(raw, options=NO_STOP)
+        tokens = parse_html(raw, table=TermTable(NO_STOP))
         assert tokens.terms[0] == "caf\xe9"
-
-    def test_custom_emphasis_tags(self):
-        tokens = rows(
-            parse_html(b"<b>one</b> <mark>two</mark>", emphasis_tags={"mark"}, options=NO_STOP)
-        )
-        assert [(term, emph) for term, _, emph, _ in tokens] == [
-            ("one", False),
-            ("two", True),
-        ]
 
     def test_empty_document(self):
         with pytest.raises(EmptyDocument):
@@ -331,7 +324,7 @@ class TestAnchorVariants:
     )
 
     def test_b1_appends_as_title(self):
-        out = apply_anchor_variant(self.BODY, ["rust tutorial"], "b1", options=NO_STOP)
+        out = apply_anchor_variant(self.BODY, ["rust tutorial"], "b1")
         appended = rows(out)[len(self.BODY.terms):]
         assert [(term, title) for term, title, _, _ in appended] == [
             ("rust", True),
@@ -339,16 +332,16 @@ class TestAnchorVariants:
         ]
 
     def test_a1_appends_as_body(self):
-        out = apply_anchor_variant(self.BODY, ["rust tutorial"], "a1", options=NO_STOP)
+        out = apply_anchor_variant(self.BODY, ["rust tutorial"], "a1")
         appended = rows(out)[len(self.BODY.terms):]
         assert all(not title and not emph for _, title, emph, _ in appended)
 
     def test_a2_removes_link_tokens(self):
-        out = apply_anchor_variant(self.BODY, ["gamma"], "a2", options=NO_STOP)
+        out = apply_anchor_variant(self.BODY, ["gamma"], "a2")
         assert out.terms == ["alpha", "beta", "gamma"]
 
     def test_a3_drops_anchor_stopwords(self):
-        out = apply_anchor_variant(self.BODY, ["click here now"], "a3", options=NO_STOP)
+        out = apply_anchor_variant(self.BODY, ["click here now"], "a3")
         appended = out.terms[len(self.BODY.terms):]
         assert appended == ["now"]
 
@@ -363,7 +356,7 @@ class TestAnchorVariants:
             apply_anchor_variant(self.BODY, ["x"], "c1")
 
     def test_extract_after_b_variant_sets_title_norm(self):
-        out = apply_anchor_variant(self.BODY, ["gamma gamma"], "b1", options=NO_STOP)
+        out = apply_anchor_variant(self.BODY, ["gamma gamma"], "b1")
         crit = extract_criteria(out)
         assert crit["gamma"].title_norm == 1.0
         assert crit["alpha"].title_norm == 0.0
@@ -433,9 +426,9 @@ def parse_both(html, options):
         want = parse_html_reference(html, options=options)
     except EmptyDocument:
         with pytest.raises(EmptyDocument):
-            parse_html(html, options=options)
+            parse_html(html, table=TermTable(options))
         return None, None
-    return parse_html(html, options=options), want
+    return parse_html(html, table=TermTable(options)), want
 
 
 class TestAgainstOffsetTokenizer:
@@ -456,7 +449,7 @@ class TestAgainstOffsetTokenizer:
         if want is None:
             return
         for variant in ANCHOR_VARIANTS:
-            new = apply_anchor_variant(got, anchors, variant, options)
+            new = apply_anchor_variant(got, anchors, variant)
             old = apply_anchor_variant_reference(want, anchors, variant, options)
             assert flags(new) == flags(old), variant
             if old:
@@ -489,7 +482,7 @@ CORPUS_FIELDS = (
 
 
 def package_parse(builder, html, options):
-    return parse_html(html, options=options, table=builder.table)
+    return parse_html(html, table=builder.table)
 
 
 def reference_parse(builder, html, options):
@@ -499,7 +492,12 @@ def reference_parse(builder, html, options):
 # (builder for the options, parse, anchor variant, criteria) of the package,
 # which tokenizes through the builder's term table, and of the per-token
 # reference
-PACKAGE_PATH = (CorpusBuilder, package_parse, apply_anchor_variant, extract_criteria)
+PACKAGE_PATH = (
+    CorpusBuilder,
+    package_parse,
+    lambda stream, anchors, variant, options: apply_anchor_variant(stream, anchors, variant),
+    extract_criteria,
+)
 REFERENCE_PATH = (
     lambda options: CorpusBuilderReference(),
     reference_parse,
@@ -585,9 +583,9 @@ class TestAgainstTokenOracle:
             want = parse_tokens_reference(html, options=options)
         except EmptyDocument:
             with pytest.raises(EmptyDocument):
-                parse_html(html, options=options)
+                parse_html(html, table=TermTable(options))
             return
-        assert rows(parse_html(html, options=options)) == flags(want)
+        assert rows(parse_html(html, table=TermTable(options))) == flags(want)
 
     @given(docs=CORPUS_DOCS, options=CORPUS_OPTIONS)
     def test_corpus_arrays(self, docs, options):
@@ -608,7 +606,9 @@ class TestAgainstTokenOracle:
 # stray end tags, with unquoted attributes (a bare value takes a final "/",
 # so <b class=k/> opens b) and text runs of non-ASCII words and of the
 # characters that are plain text outside a tag.
-SCAN_NAMES = st.sampled_from("b B i em STRONG h1 title Title a A p div span".split())
+SCAN_NAMES = st.sampled_from(
+    "b B i em STRONG u big cite dfn Blockquote h1 h2 h3 h4 h5 H6 title Title a A p div span".split()
+)
 SCAN_ATTRS = st.sampled_from(["", " ", " href=x", " class=k", " x", " a=b c", "\tx=1", "/x"])
 SCAN_TEXT = st.lists(
     st.sampled_from(
@@ -705,7 +705,7 @@ class TestTagScanner:
     def test_out_of_grammar_falls_back(self, html, caplog):
         assert _scan_tags(html, DEFAULT_EMPHASIS_TAGS) is None
         caplog.set_level(logging.DEBUG, logger="fuzzterm.ingest")
-        got = parse_html(html, options=NO_STOP)
+        got = parse_html(html, table=TermTable(NO_STOP))
         assert flags(got) == flags(parse_html_reference(html, options=NO_STOP))
         fallbacks = [r for r in caplog.records if r.name == "fuzzterm.ingest"]
         assert len(fallbacks) == 1 and "html.parser" in fallbacks[0].getMessage()
@@ -849,6 +849,6 @@ class TestAnchorFiles:
         texts = read_anchor_texts(tmp_path, "d1")
         # the file is read whole; merging keeps the first 300 anchors
         assert len(texts) == 400
-        page = parse_html(b"<p>fuzzy logic</p>", options=NO_STOP)
-        merged = apply_anchor_variant(page, texts, "a1", options=NO_STOP)
+        page = parse_html(b"<p>fuzzy logic</p>", table=TermTable(NO_STOP))
+        merged = apply_anchor_variant(page, texts, "a1")
         assert merged.terms[len(page.terms):] == ["anchor"] * 300
