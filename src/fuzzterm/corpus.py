@@ -2,18 +2,18 @@
 
 Compressed sparse rows: one flat array per field plus row offsets.  Each
 (document, term) pair is one row.  Document d owns the pairs
-doc_offsets[d]:doc_offsets[d+1], listed by ascending term id; the
-vocabulary is sorted, so term-id order is string order.  Pair i's
-occurrence positions are positions[pos_offsets[i]:pos_offsets[i+1]].
+doc_offsets[d]:doc_offsets[d+1], in the order its criteria columns listed
+them; the vocabulary is sorted, so term-id order is string order, but no
+reader needs a document's pairs in that order.  Pair i's occurrence
+positions are positions[pos_offsets[i]:pos_offsets[i+1]].
 
 `CorpusBuilder` owns the corpus's `ingest.TermTable` and appends one
 document's `ingest.extract_criteria` columns at a time, as term ids of that
 table, so no per-term object is built and no corpus-wide criteria map is
-held.  `build` ranks the vocabulary by string once and reorders each
-document's pairs and positions into that order in place, a block of
-documents at a time, so no array the size of the positions is made.  A
-sub-corpus is a selection of document rows.  Document vectors use the
-matching layout, `SparseRows`; the weighing, ranking and projection
+held.  `build` ranks the vocabulary by string once and rewrites the term
+ids to those ranks in place; pairs and positions stay where `add` put
+them.  A sub-corpus is a selection of document rows.  Document vectors use
+the matching layout, `SparseRows`; the weighing, ranking and projection
 functions of `weighting`, `reduction` and `cluster` work on these arrays.
 
 `Corpus.from_criteria` packs term -> `ingest.TermCriteria` maps through the
@@ -32,10 +32,6 @@ from typing import Mapping
 import numpy as np
 
 from .ingest import DEFAULT_TOKENIZER, CriteriaColumns, TermCriteria, TermTable, TokenizerOptions
-
-# Positions per block of documents that CorpusBuilder.build reorders at once.
-_BLOCK_POSITIONS = 8192
-
 
 def _select(offsets: np.ndarray, docs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Flat indices of the selected rows' entries, in selection order, and
@@ -122,80 +118,65 @@ class CorpusBuilder:
         self._positions = array("d")
 
     def add(self, doc_id: str, columns: CriteriaColumns) -> None:
-        """Append one document; its rows are distinct term ids, in any order."""
+        """Append one document; its rows are distinct term ids, in any order.
+        Raises ValueError, and appends nothing, when a term id is outside
+        the table, the row columns differ in length or the position counts
+        do not count the positions."""
         self._check_unbuilt()
         if columns.table is not self.table:
             raise ValueError(f"criteria of {doc_id!r} hold ids of another term table")
+        buffers = (
+            self._terms, self._freq, self._title, self._emph, self._raw_tf,
+            self._n_positions, self._positions,
+        )
+        values = [
+            np.asarray(column, dtype=buffer.typecode)
+            for buffer, column in zip(buffers, (
+                columns.term_ids, columns.freq, columns.title, columns.emph, columns.raw_tf,
+                columns.n_positions, columns.positions,
+            ))
+        ]
+        ids, *_, n_positions, positions = values
+        if len({value.shape for value in values[:-1]}) > 1:
+            raise ValueError(f"criteria of {doc_id!r} have row columns of unequal length")
+        if ids.size and (ids.min() < 0 or ids.max() >= len(self.table.terms)):
+            raise ValueError(f"criteria of {doc_id!r} hold a term id outside the term table")
+        if (n_positions < 0).any() or n_positions.sum() != positions.size:
+            raise ValueError(
+                f"criteria of {doc_id!r} have position counts that do not sum to "
+                f"their {positions.size} positions"
+            )
         self._doc_ids.append(doc_id)
-        self._doc_sizes.append(len(columns.term_ids))
-        for buffer, column in (
-            (self._terms, columns.term_ids),
-            (self._freq, columns.freq),
-            (self._title, columns.title),
-            (self._emph, columns.emph),
-            (self._raw_tf, columns.raw_tf),
-            (self._n_positions, columns.n_positions),
-            (self._positions, columns.positions),
-        ):
-            buffer.frombytes(np.asarray(column, dtype=buffer.typecode).tobytes())
+        self._doc_sizes.append(ids.size)
+        for buffer, value in zip(buffers, values):
+            buffer.frombytes(value.tobytes())
 
     def build(self) -> Corpus:
         """The corpus: its vocabulary is the table's terms that some
-        document holds, in string order, and each document's pairs follow
-        that order."""
+        document holds, in string order, and its term ids index that
+        vocabulary.  Pairs and positions stay in the order `add` got them."""
         self._check_unbuilt()
         self._built = True
         table = self.table
-        columns = [
-            np.frombuffer(buffer, dtype=buffer.typecode)
-            for buffer in (
-                self._terms, self._freq, self._title, self._emph, self._raw_tf, self._n_positions
-            )
-        ]
-        term_ids, freq, title, emph, raw_tf, n_positions = columns
+        term_ids = np.frombuffer(self._terms, dtype=np.int64)
         held = np.zeros(len(table.terms), dtype=bool)
         held[term_ids] = True
         vocab = sorted(compress(table.terms, held.tolist()))
         rank = np.zeros(len(table.terms), dtype=np.int64)
         # interning a held term gives its id
         rank[np.fromiter(map(table.intern, vocab), np.int64, len(vocab))] = np.arange(len(vocab))
-        doc_offsets = _offsets(self._doc_sizes)
-        pos_offsets = _offsets(self._n_positions)
-        positions = np.frombuffer(self._positions, dtype=np.float64)
-        doc_positions = pos_offsets[doc_offsets]
-        n_docs = len(self._doc_ids)
-        start = 0
-        while start < n_docs:
-            # the documents whose positions fit in one block, at least one
-            stop = int(np.searchsorted(
-                doc_positions, doc_positions[start] + _BLOCK_POSITIONS, side="right"
-            )) - 1
-            stop = max(stop, start + 1)
-            pairs = slice(doc_offsets[start], doc_offsets[stop])
-            ids = term_ids[pairs]
-            ids[:] = rank[ids]
-            doc = np.repeat(np.arange(stop - start), np.diff(doc_offsets[start:stop + 1]))
-            # the keys are distinct, so any sort gives this order; the stable
-            # one is the sort extract_criteria runs, and no other sort's
-            # code is loaded
-            perm = np.argsort(doc * len(vocab) + ids, kind="stable")
-            index, _ = _select(pos_offsets, perm + pairs.start)
-            positions[doc_positions[start]:doc_positions[stop]] = positions[index]
-            for column in columns:
-                column[pairs] = column[pairs][perm]
-            start = stop
-        np.cumsum(n_positions, out=pos_offsets[1:])
+        term_ids[:] = rank[term_ids]
         return Corpus(
             doc_ids=tuple(self._doc_ids),
             vocab=tuple(vocab),
-            doc_offsets=doc_offsets,
+            doc_offsets=_offsets(self._doc_sizes),
             term_ids=term_ids,
-            freq=freq,
-            title=title,
-            emph=emph,
-            raw_tf=raw_tf,
-            positions=positions,
-            pos_offsets=pos_offsets,
+            freq=np.frombuffer(self._freq, dtype=np.float64),
+            title=np.frombuffer(self._title, dtype=np.float64),
+            emph=np.frombuffer(self._emph, dtype=np.float64),
+            raw_tf=np.frombuffer(self._raw_tf, dtype=np.int64),
+            positions=np.frombuffer(self._positions, dtype=np.float64),
+            pos_offsets=_offsets(self._n_positions),
         )
 
     def _check_unbuilt(self) -> None:
@@ -212,7 +193,8 @@ def _offsets(sizes: array) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class SparseRows:
     """Document vectors: row i has weights[offsets[i]:offsets[i+1]] on the
-    terms term_ids[offsets[i]:offsets[i+1]], ascending within the row."""
+    terms term_ids[offsets[i]:offsets[i+1]], each at most once, in any
+    order."""
 
     offsets: np.ndarray
     term_ids: np.ndarray

@@ -408,31 +408,20 @@ class DistributionProfile:
         values = np.sort(np.asarray(self.values, dtype=np.float64))
         if values.size == 0:
             raise EmptyProfile(f"no nonzero {self.criterion} values")
-        if values[0] <= 0.0 or values[-1] > 1.0:
+        # np.sort puts NaN last, where no comparison with 1.0 holds
+        if not (values[0] > 0.0 and values[-1] <= 1.0):
             raise ValueError(f"{self.criterion} profile values must lie in (0, 1]")
         object.__setattr__(self, "values", values)
-
-    @property
-    def n(self) -> int:
-        return int(self.values.size)
 
     def frac_below(self, cut: float) -> float:
         return float(np.mean(self.values < cut))
 
-    @property
-    def frac_below_02(self) -> float:
-        return self.frac_below(DEFAULT_PRECONDITION_CUT)
-
-    def quantile(self, q) -> float | np.ndarray:
+    def quantile(self, q: float) -> float:
         """np.quantile(self.values, q), bit for bit (see _sorted_quantile);
-        like it, raises ValueError for a q outside [0, 1]."""
-        if not (np.all(0 <= np.asarray(q)) and np.all(np.asarray(q) <= 1)):
+        like it, raises ValueError for a q outside [0, 1] or NaN."""
+        if not 0 <= q <= 1:
             raise ValueError("quantiles must be in the range [0, 1]")
-        if np.isscalar(q):
-            return _sorted_quantile(self.values, q)
-        return np.array([_sorted_quantile(self.values, f) for f in np.ravel(q)]).reshape(
-            np.shape(q)
-        )
+        return _sorted_quantile(self.values, q)
 
 
 def _sorted_quantile(values: np.ndarray, q: float) -> float:
@@ -529,13 +518,13 @@ def _quantile_edges(profile, tail, plain, threshold, cut):
             # full pool keeps the edges defined, the sanitizer restores order
             above = profile.values
         return [cut] + [_sorted_quantile(above, f) for f in tail]
-    return [float(profile.quantile(q)) for q in plain]
+    return [profile.quantile(q) for q in plain]
 
 
 def _title_edges(profile):
     lowest = float(profile.values[0])
     rank_of_lowest = float(np.mean(profile.values <= lowest))
-    second = float(profile.quantile((rank_of_lowest + 1.0) / 2.0))
+    second = profile.quantile((rank_of_lowest + 1.0) / 2.0)
     return [lowest, second]
 
 

@@ -171,9 +171,10 @@ def tf_idf(doc_id: str, criteria: Mapping[str, TermCriteria], stats: CorpusStats
 
 
 def dump_vectors(rows: SparseRows, doc_ids: Sequence[str], vocab: Sequence[str], path) -> None:
-    """One line per row: doc_id then term:weight pairs in term order, 6
-    significant digits."""
-    terms, weights = rows.term_ids.tolist(), rows.weights.tolist()
+    """One line per row: doc_id then term:weight pairs in vocabulary order,
+    whatever the row's own order, 6 significant digits."""
+    by_term = np.lexsort((rows.term_ids, rows.row_of_entry()))
+    terms, weights = rows.term_ids[by_term].tolist(), rows.weights[by_term].tolist()
     bounds = rows.offsets.tolist()
     lines = []
     for doc_id, start, stop in zip(doc_ids, bounds, bounds[1:]):

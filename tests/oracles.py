@@ -990,6 +990,29 @@ def _offsets(sizes: array) -> np.ndarray:
     return out
 
 
+def pairs_by_term(corpus: Corpus) -> Corpus:
+    """The corpus with each document's pairs, and their positions, in
+    term-id order: the layout CorpusBuilderReference packs.  CorpusBuilder
+    keeps the pairs in the order it got them, which no reader depends on."""
+    ids = corpus.term_ids.tolist()
+    bounds = corpus.doc_offsets.tolist()
+    order = []
+    for start, stop in zip(bounds, bounds[1:]):
+        order.extend(sorted(range(start, stop), key=ids.__getitem__))
+    order = np.array(order, dtype=np.int64)
+    positions = [corpus.positions[corpus.pos_offsets[i]:corpus.pos_offsets[i + 1]] for i in order]
+    return replace(
+        corpus,
+        term_ids=corpus.term_ids[order],
+        freq=corpus.freq[order],
+        title=corpus.title[order],
+        emph=corpus.emph[order],
+        raw_tf=corpus.raw_tf[order],
+        positions=np.concatenate([np.empty(0), *positions]),
+        pos_offsets=_offsets(array("q", [p.size for p in positions])),
+    )
+
+
 # ---------------------------------------------------------------------------
 # The doc_id-keyed scoring path that label arrays and row-index subsets
 # replaced, kept as it was: a doc_id -> cluster dict with the set of

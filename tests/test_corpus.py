@@ -3,6 +3,7 @@ checked against the per-document dict references in oracles.py."""
 
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from fuzzterm import load_bundled, load_manifest, tune_afcc
 from fuzzterm.errors import EmptyPositions, NoRuleFired
 from fuzzterm import engine, kernels, pipeline, weighting
 from fuzzterm.corpus import Corpus, CorpusBuilder, SparseRows
-from fuzzterm.ingest import CriteriaColumns, TermCriteria
+from fuzzterm.ingest import CriteriaColumns, TermCriteria, TokenStream, extract_criteria
 from fuzzterm.pipeline import RunConfig, _Representations, build_corpus, corpus_profiles
 from fuzzterm.reduction import mft_order, mft_rank, project_rows
 from fuzzterm.weighting import (
@@ -34,6 +35,7 @@ from oracles import (
     corpus_stats,
     criteria_by_doc,
     mft_order_reference,
+    pairs_by_term,
     projected_matrix_reference,
     weigh_fuzzy_reference,
 )
@@ -70,6 +72,13 @@ def corpus_and_docs(draw):
     return by_doc, np.array(docs, dtype=np.int64)
 
 
+def one_position_columns(table, ids):
+    """Criteria columns of the term ids of table, each with one position."""
+    n = len(ids)
+    ones = np.ones(n, dtype=np.int64)
+    return CriteriaColumns(table, np.array(ids), *np.ones((3, n)), ones, np.zeros(n), ones)
+
+
 def weigh(corpus, docs, kb):
     return fuzzy_rows(corpus, docs, kb, global_positions(corpus, kb))
 
@@ -83,7 +92,7 @@ class TestCorpusLayout:
     @corpus_properties
     @given(by_doc=corpus_st)
     def test_packs_every_pair(self, by_doc):
-        corpus = Corpus.from_criteria(by_doc)
+        corpus = pairs_by_term(Corpus.from_criteria(by_doc))
         assert list(corpus.vocab) == sorted({t for doc in by_doc.values() for t in doc})
         assert corpus.doc_ids == tuple(by_doc)
         for d, (doc_id, doc) in enumerate(by_doc.items()):
@@ -103,8 +112,8 @@ class TestCorpusLayout:
     def test_criteria_maps_pack_as_the_pipeline_does(self, corpus_dir_200):
         manifest = load_manifest(corpus_dir_200 / "manifest.tsv")
         config = RunConfig(manifest=corpus_dir_200 / "manifest.tsv")
-        got = Corpus.from_criteria(criteria_by_doc(manifest, config))
-        want = build_corpus(manifest, config)
+        got = pairs_by_term(Corpus.from_criteria(criteria_by_doc(manifest, config)))
+        want = pairs_by_term(build_corpus(manifest, config))
         assert got.doc_ids == want.doc_ids
         assert got.vocab == want.vocab
         for name in (
@@ -121,26 +130,60 @@ class TestCorpusLayout:
         builder = CorpusBuilder()
         for term in ("gamma", "alpha", "beta"):
             builder.table.intern(term)
-
-        def columns(ids):
-            n = len(ids)
-            ones = np.ones(n, dtype=np.int64)
-            return CriteriaColumns(
-                builder.table, np.array(ids), *np.ones((3, n)), ones, np.zeros(n), ones
-            )
-
-        builder.add("d0", columns([0, 1]))
-        builder.add("d1", columns([1, 2]))
+        table = builder.table
+        builder.add("d0", one_position_columns(table, [0, 1]))
+        builder.add("d1", one_position_columns(table, [1, 2]))
         corpus = builder.build()
         fields = ("doc_offsets", "term_ids", "freq", "positions", "pos_offsets")
         before = [getattr(corpus, name).tobytes() for name in fields]
         with pytest.raises(ValueError, match="has built its corpus"):
-            builder.add("d2", columns([2]))
+            builder.add("d2", one_position_columns(table, [2]))
         with pytest.raises(ValueError, match="has built its corpus"):
             builder.build()
         assert [getattr(corpus, name).tobytes() for name in fields] == before
-        assert corpus.term_ids.tolist() == [0, 2, 0, 1]
+        assert corpus.term_ids.tolist() == [2, 0, 0, 1]
         assert builder._doc_ids == ["d0", "d1"] and len(builder._doc_sizes) == 2
+
+    def test_add_rejects_an_unfiltered_lookup(self):
+        # a stopword looks up as -1, which indexes the table's last term
+        builder = CorpusBuilder()
+        table = builder.table
+        ids = [table["gamma"], table["the"], table["alpha"]]
+        assert ids[1] == -1
+        stream = TokenStream(table, ids, *np.zeros((3, 3), dtype=bool))
+        with pytest.raises(ValueError, match="'d0' hold a term id outside the term table"):
+            builder.add("d0", extract_criteria(stream))
+
+    @pytest.mark.parametrize(
+        "changes, match",
+        [
+            ({"term_ids": np.array([2, 3])}, "term id outside the term table"),
+            ({"term_ids": np.array([-2, 1])}, "term id outside the term table"),
+            ({"freq": np.ones(3)}, "row columns of unequal length"),
+            ({"n_positions": np.array([1])}, "row columns of unequal length"),
+            ({"n_positions": np.array([3, -1])}, "position counts"),
+            ({"n_positions": np.array([1, 2])}, "position counts"),
+            ({"positions": np.zeros(3)}, "position counts"),
+        ],
+        ids=[
+            "id past the table", "negative id", "long freq", "short n_positions",
+            "negative count", "counts past the positions", "positions past the counts",
+        ],
+    )
+    def test_add_rejects_malformed_columns(self, changes, match):
+        builder = CorpusBuilder()
+        for term in ("gamma", "alpha", "beta"):
+            builder.table.intern(term)
+        builder.add("d0", one_position_columns(builder.table, [0, 1]))
+        bad = replace(one_position_columns(builder.table, [2, 1]), **changes)
+        with pytest.raises(ValueError, match=f"'d1' .*{match}"):
+            builder.add("d1", bad)
+        # nothing of d1 was appended
+        corpus = builder.build()
+        assert corpus.doc_ids == ("d0",) and corpus.doc_offsets.tolist() == [0, 2]
+        assert corpus.pos_offsets.tolist() == [0, 1, 2] and corpus.positions.size == 2
+        for name in ("term_ids", "freq", "title", "emph", "raw_tf"):
+            assert getattr(corpus, name).size == 2, name
 
     def test_sparse_rows_select_keeps_order(self):
         rows = SparseRows(
@@ -393,9 +436,9 @@ class TestMemory:
 
     def test_build_makes_no_corpus_sized_temporary(self):
         # 400 documents of about 800 positions each, their term ids interned
-        # in an order unlike string order, so every block of documents is
-        # reordered; gathering the positions of the whole corpus at once
-        # would take a few times their bytes
+        # in an order unlike string order, so every id is renumbered;
+        # gathering the positions of the whole corpus at once would take a
+        # few times their bytes
         rng = np.random.default_rng(16)
         builder, reference = CorpusBuilder(), CorpusBuilderReference()
         for word in rng.permutation([f"t{i:04d}" for i in range(2000)]).tolist():
@@ -416,7 +459,7 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak - kept < 0.25 * corpus.positions.nbytes
-        want = reference.build()
+        corpus, want = pairs_by_term(corpus), reference.build()
         assert corpus.vocab == want.vocab
         for name in (
             "doc_offsets", "term_ids", "freq", "title", "emph", "raw_tf",

@@ -38,6 +38,7 @@ from oracles import (
     apply_anchor_variant_reference,
     apply_anchor_variant_tokens_reference,
     extract_criteria_reference,
+    pairs_by_term,
     parse_html_reference,
     parse_tokens_reference,
     tokenize_reference,
@@ -508,7 +509,8 @@ REFERENCE_PATH = (
 
 def pack_corpus(docs, variant, options, path):
     """The corpus of the documents that keep a token, packed one at a time
-    along path, and the indices of those documents."""
+    along path, with each document's pairs in term-id order, and the
+    indices of those documents."""
     builder_for, parse, anchor, criteria = path
     builder = builder_for(options)
     kept = []
@@ -521,7 +523,7 @@ def pack_corpus(docs, variant, options, path):
         except EmptyDocument:
             continue
         kept.append(i)
-    return builder.build(), kept
+    return pairs_by_term(builder.build()), kept
 
 
 # Corpora whose documents share one term table, with the tokenizer options
@@ -586,6 +588,30 @@ class TestAgainstTokenOracle:
                 parse_html(html, table=TermTable(options))
             return
         assert rows(parse_html(html, table=TermTable(options))) == flags(want)
+
+    @given(docs=CORPUS_DOCS, options=CORPUS_OPTIONS)
+    def test_built_documents_keep_the_criteria_rows(self, docs, options):
+        builder = CorpusBuilder(options)
+        added = []
+        for i, (html, _) in enumerate(docs):
+            try:
+                columns = extract_criteria(parse_html(html, table=builder.table))
+            except EmptyDocument:
+                continue
+            builder.add(f"d{i}", columns)
+            added.append(columns)
+        corpus = builder.build()
+        assert corpus.n_docs == len(added)
+        for d, columns in enumerate(added):
+            start, stop = corpus.doc_offsets[d], corpus.doc_offsets[d + 1]
+            assert [corpus.vocab[t] for t in corpus.term_ids[start:stop]] == columns.terms
+            for name in ("freq", "title", "emph", "raw_tf"):
+                got, want = getattr(corpus, name)[start:stop], getattr(columns, name)
+                assert got.tolist() == want.tolist(), name
+            n_positions = np.diff(corpus.pos_offsets[start:stop + 1])
+            assert n_positions.tolist() == columns.n_positions.tolist()
+            positions = corpus.positions[corpus.pos_offsets[start]:corpus.pos_offsets[stop]]
+            assert positions.tobytes() == columns.positions.tobytes()
 
     @given(docs=CORPUS_DOCS, options=CORPUS_OPTIONS)
     def test_corpus_arrays(self, docs, options):

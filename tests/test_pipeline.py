@@ -373,8 +373,10 @@ class TestRun:
         kb = load_bundled("efcc")
         rows = fuzzy_rows(corpus, np.arange(corpus.n_docs), kb, global_positions(corpus, kb))
         lines = []
+        ids = rows.term_ids.tolist()
         for d, doc_id in enumerate(corpus.doc_ids):
-            span = range(rows.offsets[d], rows.offsets[d + 1])
+            # in term order, which is vocabulary order
+            span = sorted(range(rows.offsets[d], rows.offsets[d + 1]), key=ids.__getitem__)
             pairs = [f"{corpus.vocab[rows.term_ids[i]]}:{rows.weights[i]:.6g}" for i in span]
             lines.append(" ".join([doc_id, *pairs]))
         vectors = (tmp_path / "vectors.txt").read_text(encoding="utf-8")

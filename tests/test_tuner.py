@@ -30,7 +30,6 @@ class TestDistributionProfile:
     def test_sorts_values(self):
         p = DistributionProfile("frequency", [0.9, 0.1, 0.5])
         np.testing.assert_array_equal(p.values, [0.1, 0.5, 0.9])
-        assert p.n == 3
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyProfile):
@@ -42,17 +41,21 @@ class TestDistributionProfile:
         with pytest.raises(ValueError):
             DistributionProfile("frequency", [0.5, 1.2])
 
+    @pytest.mark.parametrize("values", [[0.5, np.nan], [np.nan]])
+    def test_nan_rejected(self, values):
+        with pytest.raises(ValueError, match=r"\(0, 1\]"):
+            DistributionProfile("frequency", values)
+
     def test_frac_below(self):
         p = DistributionProfile("frequency", [0.1, 0.1, 0.3, 0.9])
         assert p.frac_below(0.2) == 0.5
-        assert p.frac_below_02 == 0.5
         # boundary values are not "below"
         assert DistributionProfile("x", [0.2]).frac_below(0.2) == 0.0
 
     def test_quantile(self):
         p = DistributionProfile("frequency", [0.2, 0.4, 0.6, 0.8])
         assert p.quantile(0.5) == pytest.approx(0.5)
-        np.testing.assert_allclose(p.quantile([0.0, 1.0]), [0.2, 0.8])
+        assert (p.quantile(0.0), p.quantile(1.0)) == (0.2, 0.8)
 
 
 class TestProfileCriterion:
@@ -342,12 +345,8 @@ class TestSortedQuantile:
             values = np.array([1.0])
         p = DistributionProfile("frequency", values)
         assert p.quantile(q).hex() == float(np.quantile(p.values, q)).hex()
-        qs = np.array([[q, 0.0], [1.0, q / 2]])
-        got = p.quantile(qs)
-        assert got.shape == qs.shape
-        assert got.tobytes() == np.quantile(p.values, qs).tobytes()
 
-    @pytest.mark.parametrize("q", [-0.25, 1.5, np.nan, [0.5, 1.01]])
+    @pytest.mark.parametrize("q", [-0.25, 1.5, np.nan])
     def test_profile_quantile_outside_unit_interval_raises(self, q):
         p = DistributionProfile("frequency", np.array([0.1, 0.4, 0.9]))
         with pytest.raises(ValueError):

@@ -181,3 +181,13 @@ class TestDocVector:
         lines = out.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "d1 alpha:2 beta:0.123457"
         assert lines[1] == "d2"
+
+    def test_dump_writes_each_row_in_vocabulary_order(self, tmp_path):
+        # a corpus keeps each document's pairs in the order extract_criteria
+        # listed them, so a row's term ids need not ascend
+        out = tmp_path / "vectors.txt"
+        rows = SparseRows(
+            np.array([0, 3, 4]), np.array([2, 0, 1, 0]), np.array([0.5, 1.0, 0.25, 2.0])
+        )
+        dump_vectors(rows, ["d1", "d2"], ["alpha", "beta", "gamma"], out)
+        assert out.read_text(encoding="utf-8") == "d1 alpha:1 beta:0.25 gamma:0.5\nd2 alpha:2\n"
