@@ -165,7 +165,10 @@ class CorpusBuilder:
         rank = np.zeros(len(table.terms), dtype=np.int64)
         # interning a held term gives its id
         rank[np.fromiter(map(table.intern, vocab), np.int64, len(vocab))] = np.arange(len(vocab))
-        term_ids[:] = rank[term_ids]
+        # in place, with no corpus-sized copy: take reads each id before it
+        # writes that slot, and "clip", which never clips the ids add
+        # checked, spares the buffer take's default mode copies out into
+        np.take(rank, term_ids, out=term_ids, mode="clip")
         return Corpus(
             doc_ids=tuple(self._doc_ids),
             vocab=tuple(vocab),
