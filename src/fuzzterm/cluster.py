@@ -12,21 +12,23 @@ On matrices of a few hundred rows the work around those products costs
 more than the products, so it is kept small.  Each cluster keeps its rows
 as one ascending index array beside its cohesion score, and a split
 rescores only the two clusters it leaves.  A split draws its ten restarts'
-seed pairs from one generator call, equal in values and generator state
-to one rng.choice(m, 2, replace=False) per restart.  A 2-means round finds
-both sides from one subtraction, fixes up one-sided splits only when there
-are any, and writes its side indicators into one buffer made per split.
-The refine pass estimates every document's best gain from one product with
-the cluster sums and runs the exact per-document step only where the
-estimate, within a proven rounding bound, allows a move; on well separated
-clusters it runs for no document.  Norms are taken with the formulas
-np.linalg.norm uses, without its wrapper.
+seed pairs straight from the bounded draws, equal in values and generator
+state to one rng.choice(m, 2, replace=False) per restart.  A 2-means round
+finds both sides from one subtraction, fixes up one-sided splits only when
+there are any, and writes its side indicators into one buffer made per
+split.  The refine pass estimates every document's best gain from one
+product with the cluster sums and runs the exact per-document step only
+where the estimate, within a proven rounding bound, allows a move; on well
+separated clusters it runs for no document.  Norms are taken with the
+formulas np.linalg.norm uses, without its wrapper.
 
 The products, their operands' values, shapes and layouts, every comparison
 that decides a label and every generator draw stay those of the plain code
 kept as test oracles: BLAS picks its summation order from the operands, so
 only the same operands give bit-identical labels, and with them the same
-results.jsonl and report.txt.
+results.jsonl and report.txt.  The draws come from `_draws`, which
+reproduces numpy.random's SeedSequence, PCG64 and bounded draws bit for
+bit without loading numpy.random; the oracles draw with numpy.random.
 
 A clustering holds one dense (n, d) array: the doc-term matrix, whose
 rows `cluster_matrix` and `bisect_labels` scale to unit length in place.
@@ -55,6 +57,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._draws import PCG64, SeedSequence, seed_sequence
 from .errors import CategoryTooSmall, InsufficientDocs
 from .weighting import DocVector, pack_vectors
 
@@ -96,22 +99,22 @@ def _row_norms(X: np.ndarray) -> np.ndarray:
     return out
 
 
-def _seed_pairs(m: int, rng: np.random.Generator) -> np.ndarray:
+def _seed_pairs(m: int, rng: PCG64) -> np.ndarray:
     """The restarts' seed rows, one pair per row: the values and generator
-    state of one rng.choice(m, size=2, replace=False) per restart, from one
-    call.  numpy's choice draws in 0..m-2 and then in 0..m-1 (Floyd's
-    algorithm: a repeat becomes m-1), then once in 0..1, swapping the pair
-    on 0; integers with an array of bounds makes the same bounded draws in
-    order."""
-    draws = rng.integers(0, np.array((m - 1, m, 2) * _RESTARTS)).reshape(_RESTARTS, 3)
-    pairs = draws[:, :2]
-    pairs[pairs[:, 1] == pairs[:, 0], 1] = m - 1
-    swap = draws[:, 2] == 0
-    pairs[swap] = pairs[swap, ::-1]
-    return pairs
+    state of one rng.choice(m, size=2, replace=False) per restart.  choice
+    draws in 0..m-2 and then in 0..m-1 (Floyd's algorithm: a repeat becomes
+    m-1), then once in 0..1, swapping the pair on 0."""
+    pairs = []
+    for _ in range(_RESTARTS):
+        first = rng.bounded(m - 2)
+        second = rng.bounded(m - 1)
+        if second == first:
+            second = m - 1
+        pairs.append((second, first) if rng.bounded(1) == 0 else (first, second))
+    return np.array(pairs, dtype=np.int64)
 
 
-def _bisect(Xs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+def _bisect(Xs: np.ndarray, rng: PCG64) -> np.ndarray:
     """Split rows of Xs (L2-normalized) in two; returns a boolean side mask.
 
     The restarts run side by side, and one 2-means round of every restart
@@ -294,7 +297,13 @@ def bisect_labels(X: np.ndarray, k: int, seed) -> np.ndarray:
     A writeable float64 X is overwritten: its rows are scaled to unit
     length in place.  Pass a copy to keep X.  Any other X is first copied
     to a writeable float64 array, and the copy is scaled.
+
+    seed is a non-negative integer (numpy integers too), a
+    `_draws.SeedSequence`, or a numpy.random.SeedSequence of pool size 4;
+    the draws equal numpy.random.default_rng(seed)'s.  A negative integer
+    raises ValueError and any other seed TypeError, before X is touched.
     """
+    rng = PCG64(seed_sequence(seed))
     if k < 1:
         raise ValueError("k must be at least 1")
     n = X.shape[0]
@@ -307,7 +316,6 @@ def bisect_labels(X: np.ndarray, k: int, seed) -> np.ndarray:
     # X / norms[:, None] would scale it
     X = np.require(X, np.float64, "W")
     Xn = np.divide(X, norms[:, None], out=X)
-    rng = np.random.default_rng(seed)
     labels = np.zeros(n, dtype=np.int64)
     members = [np.arange(n)]  # each cluster's rows, ascending
     cohesion = [_cohesion(Xn, members[0])]
@@ -338,7 +346,8 @@ def repeated_bisections(vectors: Sequence[DocVector], k: int, seed) -> np.ndarra
 def cluster_matrix(X: np.ndarray, k: int, seed) -> np.ndarray:
     """Cluster the rows of the doc-term matrix X into k groups: one label
     per row, and rows with no weight take the extra leftover label k, so
-    every document stays assigned.
+    every document stays assigned.  seed is one of the kinds
+    `bisect_labels` takes.
 
     A writeable float64 X is overwritten, its rows scaled to unit length
     in place, unless it has zero rows: then a copy of its other rows is
@@ -412,11 +421,8 @@ def stratified_subsample(
             raise CategoryTooSmall(f"category {cat!r} has {len(idxs)} document(s)")
     groups = [np.array(idxs) for idxs in by_category.values()]
     out = []
-    for child in np.random.SeedSequence(seed).spawn(n):
-        rng = np.random.default_rng(child)
-        picks = [
-            rows[rng.choice(rows.size, size=math.ceil(fraction * rows.size), replace=False)]
-            for rows in groups
-        ]
+    for child in SeedSequence(seed).spawn(n):
+        rng = PCG64(child)
+        picks = [rows[rng.choice(rows.size, math.ceil(fraction * rows.size))] for rows in groups]
         out.append(np.sort(np.concatenate(picks)))
     return out

@@ -116,12 +116,15 @@ class CorpusBuilder:
         self._raw_tf = array("q")
         self._n_positions = array("q")
         self._positions = array("d")
+        # per table id, its row in the latest document that held it; ids
+        # index it, so it grows with the table
+        self._row_of = np.empty(0, dtype=np.int64)
 
     def add(self, doc_id: str, columns: CriteriaColumns) -> None:
         """Append one document; its rows are distinct term ids, in any order.
         Raises ValueError, and appends nothing, when a term id is outside
-        the table, the row columns differ in length or the position counts
-        do not count the positions."""
+        the table or repeats, the row columns differ in length or the
+        position counts do not count the positions."""
         self._check_unbuilt()
         if columns.table is not self.table:
             raise ValueError(f"criteria of {doc_id!r} hold ids of another term table")
@@ -141,6 +144,14 @@ class CorpusBuilder:
             raise ValueError(f"criteria of {doc_id!r} have row columns of unequal length")
         if ids.size and (ids.min() < 0 or ids.max() >= len(self.table.terms)):
             raise ValueError(f"criteria of {doc_id!r} hold a term id outside the term table")
+        if self._row_of.size < len(self.table.terms):
+            self._row_of = np.empty(2 * len(self.table.terms), dtype=np.int64)
+        # an id's slot keeps one of the rows that wrote it, so a repeated id
+        # reads back another row at one of its rows: O(p), with no sort
+        rows = np.arange(ids.size)
+        self._row_of[ids] = rows
+        if (self._row_of[ids] != rows).any():
+            raise ValueError(f"criteria of {doc_id!r} hold a term id twice")
         if (n_positions < 0).any() or n_positions.sum() != positions.size:
             raise ValueError(
                 f"criteria of {doc_id!r} have position counts that do not sum to "

@@ -35,6 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._draws import SeedSequence
 from .cluster import F1Report, cluster_matrix, stratified_subsample, weighted_f1
 from .corpus import Corpus, CorpusBuilder, SparseRows
 from .errors import CategoryTooSmall, FuzztermError, InsufficientDocs, StageError
@@ -336,7 +337,7 @@ def _score_sizes(
     categories: list[str],
     k: int,
     sizes: tuple[int, ...],
-    seeds: list[np.random.SeedSequence],
+    seeds: list[SeedSequence],
 ):
     """Yield (size, F1Report, cluster labels) per vector size: the rows
     projected onto the size's top-ranked features, clustered and scored.
@@ -376,7 +377,7 @@ def run(config: RunConfig) -> ExperimentReport:
 
     weigher = _Representations(corpus)
     all_docs = np.arange(corpus.n_docs)
-    size_seeds = np.random.SeedSequence(config.seed).spawn(len(config.vector_sizes))
+    size_seeds = SeedSequence(config.seed).spawn(len(config.vector_sizes))
 
     with _stage("weigh"):
         rows, tuned_kb = weigher.rows(config.representation, all_docs)
@@ -464,7 +465,7 @@ def _significance(
         b for b in config.baselines if b != config.representation
     )
     sizes = config.vector_sizes
-    cluster_seeds = np.random.SeedSequence((config.seed, 1)).spawn(len(subsets) * len(sizes))
+    cluster_seeds = SeedSequence((config.seed, 1)).spawn(len(subsets) * len(sizes))
     scores: dict[tuple[str, int], list[float]] = {
         (rep, size): [] for rep in reps for size in sizes
     }

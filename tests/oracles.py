@@ -243,6 +243,15 @@ def weighted_f1_reference(cluster_of, category_of):
     return overall
 
 
+def assert_same_state(rng, ref: np.random.Generator) -> None:
+    """fuzzterm's PCG64 rng stands where numpy's generator ref stands: the
+    same 128-bit state and stream, and the same buffered 32-bit half."""
+    state = ref.bit_generator.state
+    assert (rng.state, rng.inc, rng.has_uint32, rng.uinteger) == (
+        state["state"]["state"], state["state"]["inc"], state["has_uint32"], state["uinteger"]
+    )
+
+
 def bisect_reference(Xs, rng):
     """Restart-by-restart 2-means split: the loop `cluster._bisect` runs in
     lockstep.  Returns the boolean side mask of the best restart."""

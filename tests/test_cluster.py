@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from fuzzterm import stratified_subsample, weighted_f1
 import fuzzterm.cluster
+from fuzzterm._draws import PCG64, SeedSequence
 from fuzzterm.cluster import (
     bisect_labels,
     build_matrix,
@@ -25,6 +26,7 @@ from fuzzterm.weighting import DocVector
 
 from oracles import Clustering as DictClustering
 from oracles import (
+    assert_same_state,
     best_partition_criterion,
     bisect_labels_lockstep_reference,
     bisect_labels_reference,
@@ -312,9 +314,9 @@ class TestLoopReferences:
     @given(X=sparse_rows(), seed=st.integers(0, 2**32 - 1))
     def test_bisect_matches_reference(self, X, seed):
         Xs = normalized(X)
-        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        rng, ref_rng = PCG64(SeedSequence(seed)), np.random.default_rng(seed)
         np.testing.assert_array_equal(_bisect(Xs, rng), bisect_reference(Xs, ref_rng))
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert_same_state(rng, ref_rng)
 
     @given(X=sparse_rows(), k=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
     def test_refine_matches_reference(self, X, k, seed):
@@ -382,11 +384,11 @@ class TestLockstepReferences:
     @example(*BRANCH_EXAMPLES["zero-norm centroid"])
     def test_bisect_equals_lockstep_reference(self, X, seed):
         Xs = normalized(X)
-        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        rng, ref_rng = PCG64(SeedSequence(seed)), np.random.default_rng(seed)
         branches = set()
         want = bisect_lockstep_reference(Xs, ref_rng, branches)
         np.testing.assert_array_equal(_bisect(Xs, rng), want)
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert_same_state(rng, ref_rng)
         for branch in sorted(branches):
             event(branch)
 
@@ -408,9 +410,10 @@ class TestLockstepReferences:
 
 
 class TestSeedPairs:
-    """One generator call gives the seed pairs and generator state of one
-    Generator.choice(m, size=2, replace=False) per restart; on a numpy
-    whose choice draws otherwise, this fails first."""
+    """The seed pairs and generator state equal those of numpy's
+    Generator.choice(m, size=2, replace=False) per restart.  The run's
+    labels no longer depend on numpy's Generator: fuzzterm draws the pairs
+    itself, and this pins its draws to numpy's, 32-bit buffer included."""
 
     @pytest.mark.parametrize(
         "m", [2, 3, 4, 5, 7, 64, 999, 4096, 10_000, 10_001, 65_537, 1_000_003, 2**32 + 5]
@@ -418,14 +421,65 @@ class TestSeedPairs:
     @pytest.mark.parametrize("advance", [0, 1, 3, 8])
     def test_equal_to_choice(self, m, advance):
         for seed in range(5):
-            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-            for g in (rng, ref):
-                # 32-bit draws; an odd count leaves PCG64 half a word buffered
-                g.integers(0, 2**32, size=advance, dtype=np.uint32)
+            rng, ref = PCG64(SeedSequence(seed)), np.random.default_rng(seed)
+            # 32-bit draws; an odd count leaves PCG64 half a word buffered
+            for _ in range(advance):
+                rng.next_uint32()
+            ref.integers(0, 2**32, size=advance, dtype=np.uint32)
             assert ref.bit_generator.state["has_uint32"] == advance % 2
+            assert_same_state(rng, ref)
             want = np.array([ref.choice(m, size=2, replace=False) for _ in range(10)])
             np.testing.assert_array_equal(_seed_pairs(m, rng), want)
-            assert rng.bit_generator.state == ref.bit_generator.state
+            assert_same_state(rng, ref)
+
+
+class TestSeedKinds:
+    """bisect_labels and cluster_matrix take a non-negative integer, a
+    fuzzterm SeedSequence or a numpy SeedSequence of pool size 4, and draw
+    as numpy.random.default_rng(seed) would; any other seed is refused
+    before X is touched."""
+
+    X0 = np.random.default_rng(6).random((40, 7))
+
+    @pytest.mark.parametrize(
+        "seed, numpy_seed",
+        [
+            (3, 3),
+            (np.int64(3), 3),
+            (np.uint32(3), 3),
+            (2**70 + 3, 2**70 + 3),
+            (SeedSequence(3), 3),
+            (SeedSequence((7, 1)).spawn(3)[2], np.random.SeedSequence((7, 1)).spawn(3)[2]),
+            (np.random.SeedSequence((7, 1)).spawn(3)[2], np.random.SeedSequence((7, 1)).spawn(3)[2]),
+        ],
+        ids=["int", "numpy int64", "numpy uint32", "wide int", "fuzzterm", "fuzzterm child",
+             "numpy child"],
+    )
+    def test_accepted_seed_draws_as_numpy(self, seed, numpy_seed):
+        want = bisect_labels_reference(self.X0, 4, numpy_seed)
+        np.testing.assert_array_equal(bisect_labels(self.X0.copy(), 4, seed), want)
+        np.testing.assert_array_equal(cluster_matrix(self.X0.copy(), 4, seed), want)
+
+    @pytest.mark.parametrize("seed", [-1, np.int64(-3)], ids=["int", "numpy int64"])
+    def test_negative_seed_raises_value_error(self, seed):
+        for cluster in (bisect_labels, cluster_matrix):
+            X = self.X0.copy()
+            with pytest.raises(ValueError, match="seed must be non-negative"):
+                cluster(X, 4, seed)
+            np.testing.assert_array_equal(X, self.X0)
+
+    @pytest.mark.parametrize(
+        "seed",
+        [np.random.default_rng(3), 3.0, np.float64(3.0), "3", None,
+         np.random.SeedSequence(3, pool_size=8)],
+        ids=["numpy Generator", "float", "numpy float", "str", "None", "pool size 8"],
+    )
+    def test_other_seed_raises_type_error(self, seed):
+        for cluster in (bisect_labels, cluster_matrix):
+            X = self.X0.copy()
+            with pytest.raises(TypeError, match="non-negative integer.*SeedSequence"):
+                cluster(X, 4, seed)
+            np.testing.assert_array_equal(X, self.X0)
 
 
 class TestMatrixCopies:

@@ -159,6 +159,7 @@ class TestCorpusLayout:
         [
             ({"term_ids": np.array([2, 3])}, "term id outside the term table"),
             ({"term_ids": np.array([-2, 1])}, "term id outside the term table"),
+            ({"term_ids": np.array([0, 0])}, "term id twice"),
             ({"freq": np.ones(3)}, "row columns of unequal length"),
             ({"n_positions": np.array([1])}, "row columns of unequal length"),
             ({"n_positions": np.array([3, -1])}, "position counts"),
@@ -166,7 +167,7 @@ class TestCorpusLayout:
             ({"positions": np.zeros(3)}, "position counts"),
         ],
         ids=[
-            "id past the table", "negative id", "long freq", "short n_positions",
+            "id past the table", "negative id", "repeated id", "long freq", "short n_positions",
             "negative count", "counts past the positions", "positions past the counts",
         ],
     )

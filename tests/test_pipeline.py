@@ -1,10 +1,14 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fuzzterm
 from fuzzterm import (
     RunConfig,
     generate_corpus,
@@ -266,6 +270,32 @@ class TestRun:
         calls.clear()
         run(config)
         assert len(calls) == len(manifest)
+
+    def test_run_never_loads_numpy_random(self, small_corpus, tmp_path):
+        # numpy loads numpy.random on first use, and the load costs a run
+        # about 5 MiB; the run draws with fuzzterm._draws instead
+        config = (
+            f"manifest=Path({str(small_corpus / 'manifest.tsv')!r}), representation='afcc', "
+            "baselines=('efcc', 'tfidf'), vector_sizes=(20, 50), n_subsets=3, "
+            f"out_dir=Path({str(tmp_path)!r})"
+        )
+        script = (
+            "import sys, warnings\n"
+            "from pathlib import Path\n"
+            "from fuzzterm import RunConfig, run\n"
+            "assert 'numpy.random' not in sys.modules\n"
+            "warnings.simplefilter('ignore')\n"
+            f"report = run(RunConfig({config}))\n"
+            "assert report.significance\n"
+            "print('numpy.random' in sys.modules)\n"
+        )
+        src = str(Path(fuzzterm.__file__).parents[1])
+        child = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert child.returncode == 0, child.stderr
+        assert child.stdout == "False\n"
 
     def test_results_file_structure(self, small_corpus, tmp_path):
         config = RunConfig(
