@@ -10,17 +10,17 @@ the final pass scores all k candidate clusters of a document at once.
 
 On matrices of a few hundred rows the work around those products costs
 more than the products, so it is kept small.  Each cluster keeps its rows
-as one ascending index array beside its cohesion score, and a split
-rescores only the two clusters it leaves.  A split draws its ten restarts'
-seed pairs straight from the bounded draws, equal in values and generator
-state to one rng.choice(m, 2, replace=False) per restart.  A 2-means round
-finds both sides from one subtraction, fixes up one-sided splits only when
-there are any, and writes its side indicators into one buffer made per
-split.  The refine pass estimates every document's best gain from one
-product with the cluster sums and runs the exact per-document step only
-where the estimate, within a proven rounding bound, allows a move; on well
-separated clusters it runs for no document.  Norms are taken with the
-formulas np.linalg.norm uses, without its wrapper.
+as one block of the matrix beside its cohesion score, and a split rescores
+only the two clusters it leaves; the last split rescores none.  A split
+draws its ten restarts' seed pairs straight from the bounded draws, equal
+in values and generator state to one rng.choice(m, 2, replace=False) per
+restart.  A 2-means round finds both sides from one subtraction, fixes up
+one-sided splits only when there are any, and writes its side indicators
+into one buffer made per split.  The refine pass estimates every
+document's best gain from one product with the cluster sums and runs the
+exact per-document step only where the estimate, within a proven rounding
+bound, allows a move; on well separated clusters it runs for no document.
+Norms are taken with the formulas np.linalg.norm uses, without its wrapper.
 
 The products, their operands' values, shapes and layouts, every comparison
 that decides a label and every generator draw stay those of the plain code
@@ -33,10 +33,14 @@ bit without loading numpy.random; the oracles draw with numpy.random.
 A clustering holds one dense (n, d) array: the doc-term matrix, whose
 rows `cluster_matrix` and `bisect_labels` scale to unit length in place.
 A matrix with zero rows is first copied without them, and the copy is
-scaled.  Row norms are taken in blocks of rows and the first split works
-on the normalized matrix itself, so no other array of that size is made,
-and a run's peak memory does not depend on where the allocator puts such
-copies.
+scaled.  Each cluster is a contiguous block of the matrix's rows, in
+ascending original order, so a split and a cohesion score read a view
+equal in values, shape and layout to the copy of the cluster's rows the
+oracles take.  After a split, a stable in-place partition, one segment of
+rows at a time, makes the two sides such blocks; before the refine pass
+the rows go back to their original order.  Row norms are taken in blocks
+of rows too, so no other array of that size is made, and a run's peak
+memory does not depend on where the allocator puts such copies.
 
 The pipeline hands `cluster_matrix` the matrix `reduction.project_rows`
 writes, which it does not read again, and gets one cluster label per row
@@ -277,26 +281,76 @@ def _move(X, i, labels, sums, norms, counts, gained) -> int:
     return -1
 
 
-def _rows(Xn: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Xn[idx] for sorted row indices idx; Xn itself when idx takes every row."""
-    return Xn if idx.size == Xn.shape[0] else Xn[idx]
-
-
-def _cohesion(Xn: np.ndarray, idx: np.ndarray) -> float:
-    """How far the rows idx (ascending) are from one direction: size minus
+def _cohesion(block: np.ndarray) -> float:
+    """How far the rows of block are from one direction: their number minus
     the norm of their sum, or -inf for a cluster too small to split."""
-    if idx.size < 2:
+    if block.shape[0] < 2:
         return -math.inf
-    v = _rows(Xn, idx).sum(axis=0)
-    return idx.size - math.sqrt(v.dot(v))
+    v = block.sum(axis=0)
+    return block.shape[0] - math.sqrt(v.dot(v))
+
+
+def _partition(X: np.ndarray, rows: np.ndarray, start: int, stop: int, last: np.ndarray) -> int:
+    """Move the rows start:stop of the C-contiguous X that `last` marks
+    behind the others, each side keeping its order, and permute `rows`
+    alike; returns where the marked rows begin.
+
+    From the first marked row on, segments of max(_BLOCK_ROWS, m/8) of
+    the m rows are sorted one at a time.  The marked rows met so far wait
+    as one run, which moves up past each segment's other rows by one copy
+    over the flat view: numpy copies overlapping 1-D data in place, with no
+    temporary.  So one segment is held beside X, and the run moves at most
+    8 times; the caller marks the smaller side, which keeps the run short."""
+    d = X.shape[1]
+    flat = X.reshape(-1)
+    step = max(_BLOCK_ROWS, -(-(stop - start) // 8))
+    # the rows before the first marked one stay; start:front holds unmarked
+    # rows, front:seg the run
+    front = start + int(last.argmax())
+    buffer = np.empty((min(step, stop - front), d))
+    for seg in range(front, stop, step):
+        end = min(seg + step, stop)
+        mask = last[seg - start : end - start]
+        ahead = mask.size - int(np.count_nonzero(mask))
+        if ahead == 0:
+            continue
+        order = np.argsort(mask, kind="stable")
+        # "clip" never clips these indices, and spares take's buffering
+        block = np.take(X[seg:end], order, axis=0, out=buffer[: end - seg], mode="clip")
+        ids = rows[seg:end][order]
+        flat[(front + ahead) * d : (seg + ahead) * d] = flat[front * d : seg * d]
+        rows[front + ahead : seg + ahead] = rows[front:seg]
+        X[front : front + ahead], X[seg + ahead : end] = block[:ahead], block[ahead:]
+        rows[front : front + ahead], rows[seg + ahead : end] = ids[:ahead], ids[ahead:]
+        front += ahead
+    return front
+
+
+def _restore(X: np.ndarray, rows: np.ndarray) -> None:
+    """Put row p of X at row rows[p], in place, one cycle of the
+    permutation at a time, holding one row aside."""
+    at = np.empty_like(rows)
+    at[rows] = np.arange(rows.size)  # at[i]: where original row i is
+    at = at.tolist()
+    for i in range(len(at)):
+        if at[i] == i:
+            continue
+        held = X[i].copy()
+        j = i
+        while at[j] != i:
+            X[j] = X[at[j]]
+            at[j], j = j, at[j]
+        X[j] = held
+        at[j] = j
 
 
 def bisect_labels(X: np.ndarray, k: int, seed) -> np.ndarray:
     """Cluster rows of X (unnormalized ok, no zero rows) into k clusters.
 
-    A writeable float64 X is overwritten: its rows are scaled to unit
-    length in place.  Pass a copy to keep X.  Any other X is first copied
-    to a writeable float64 array, and the copy is scaled.
+    A writeable, C-contiguous float64 X is overwritten: its rows are
+    scaled to unit length in place, and left in their order.  Pass a copy
+    to keep X.  Any other X, an F-order one too, is first copied to such
+    an array, and the copy is scaled.
 
     seed is a non-negative integer (numpy integers too), a
     `_draws.SeedSequence`, or a numpy.random.SeedSequence of pool size 4;
@@ -314,25 +368,38 @@ def bisect_labels(X: np.ndarray, k: int, seed) -> np.ndarray:
         raise ValueError("zero rows must be diverted before clustering")
     # the norms come from X as given, so a float32 or integer X scales as
     # X / norms[:, None] would scale it
-    X = np.require(X, np.float64, "W")
+    X = np.require(X, np.float64, ("W", "C"))
     Xn = np.divide(X, norms[:, None], out=X)
     labels = np.zeros(n, dtype=np.int64)
-    members = [np.arange(n)]  # each cluster's rows, ascending
-    cohesion = [_cohesion(Xn, members[0])]
+    # each cluster is the block Xn[start:stop] of its rows in ascending
+    # original order, as Xn[members] would copy them; rows[p] is the
+    # original index of row p
+    rows = np.arange(n)
+    blocks = [(0, n)]
+    cohesion = [_cohesion(Xn)]
     for next_id in range(1, k):
         # least cohesive first: maximize size * (1 - ||sum|| / size)
         best_cid = 0
         for cid in range(1, next_id):
             if cohesion[cid] > cohesion[best_cid] + 1e-12:
                 best_cid = cid
-        idx = members[best_cid]
-        side = _bisect(_rows(Xn, idx), rng)
-        members[best_cid] = idx[~side]
-        members.append(idx[side])
-        labels[members[-1]] = next_id
-        cohesion[best_cid] = _cohesion(Xn, members[best_cid])
-        cohesion.append(_cohesion(Xn, members[-1]))
+        start, stop = blocks[best_cid]
+        side = _bisect(Xn[start:stop], rng)
+        labels[rows[start:stop][side]] = next_id
+        if next_id == k - 1:
+            break  # no later step reads the blocks or the scores
+        # the smaller side goes last, since the partition moves those rows
+        last = side if 2 * np.count_nonzero(side) <= side.size else ~side
+        mid = _partition(Xn, rows, start, stop, last)
+        kept, split = (start, mid), (mid, stop)
+        if last is not side:
+            kept, split = split, kept
+        blocks[best_cid] = kept
+        blocks.append(split)
+        cohesion[best_cid] = _cohesion(Xn[kept[0] : kept[1]])
+        cohesion.append(_cohesion(Xn[split[0] : split[1]]))
     if k > 1:
+        _restore(Xn, rows)
         _refine(Xn, labels, k)
     return labels
 
@@ -349,9 +416,10 @@ def cluster_matrix(X: np.ndarray, k: int, seed) -> np.ndarray:
     every document stays assigned.  seed is one of the kinds
     `bisect_labels` takes.
 
-    A writeable float64 X is overwritten, its rows scaled to unit length
-    in place, unless it has zero rows: then a copy of its other rows is
-    scaled, and X is left as it is.  Pass a copy to keep X.
+    A writeable, C-contiguous float64 X is overwritten, its rows scaled to
+    unit length in place and left in their order, unless it has zero rows:
+    then a copy of its other rows is scaled, and X is left as it is.  Any
+    other X, an F-order one too, is left as it is.  Pass a copy to keep X.
     """
     norms = _row_norms(X)
     nonzero = np.flatnonzero(norms > 0)

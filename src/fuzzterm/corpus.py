@@ -33,6 +33,10 @@ import numpy as np
 
 from .ingest import DEFAULT_TOKENIZER, CriteriaColumns, TermCriteria, TermTable, TokenizerOptions
 
+# rows per block of SparseRows.to_dense
+_BLOCK_ROWS = 64
+
+
 def _select(offsets: np.ndarray, docs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Flat indices of the selected rows' entries, in selection order, and
     the offsets of those rows within the selection."""
@@ -239,13 +243,20 @@ class SparseRows:
     def to_dense(self, keep: np.ndarray | None = None) -> np.ndarray:
         """Dense (rows, columns) matrix.  The columns are the term ids that
         occur in the rows (and are set in the boolean mask `keep`, when
-        given), in ascending order."""
-        terms = self.term_ids
-        width = int(terms.max()) + 1 if terms.size else 0
-        selected = np.ones(terms.size, dtype=bool) if keep is None else keep[terms]
-        present = np.zeros(width, dtype=bool)
-        present[terms[selected]] = True
+        given), in ascending order.  The matrix is filled _BLOCK_ROWS rows
+        at a time, so no index or value array of every entry is made."""
+        terms, offsets = self.term_ids, self.offsets
+        present = np.zeros(int(terms.max()) + 1 if terms.size else 0, dtype=bool)
+        present[terms] = True
+        if keep is not None:
+            present &= keep[: present.size]
         column = np.cumsum(present) - 1
         X = np.zeros((self.n_rows, int(present.sum())))
-        X[self.row_of_entry()[selected], column[terms[selected]]] = self.weights[selected]
+        for start in range(0, self.n_rows, _BLOCK_ROWS):
+            stop = min(start + _BLOCK_ROWS, self.n_rows)
+            span = slice(offsets[start], offsets[stop])
+            block_terms = terms[span]
+            row = np.repeat(np.arange(stop - start), np.diff(offsets[start : stop + 1]))
+            selected = present[block_terms]
+            X[start:stop][row[selected], column[block_terms[selected]]] = self.weights[span][selected]
         return X

@@ -20,6 +20,10 @@ auxiliary system, which tuning leaves alone), `reduction.mft_rank` ranks
 the weighted rows, `reduction.project_rows` writes the matrix
 `cluster.cluster_matrix` splits into one label per row, and
 `cluster.weighted_f1` scores those labels against the rows' categories.
+Only the significance stage weighs again, so a run without one drops the
+corpus and the weigher's caches after the weigh stage: the reduce and
+cluster stages hold the weighted rows, the vocabulary and one dense
+matrix at a time.
 """
 
 from __future__ import annotations
@@ -375,6 +379,7 @@ def run(config: RunConfig) -> ExperimentReport:
         corpus = build_corpus(manifest, config)
         log.info("criteria: %d (doc, term) pairs", corpus.n_pairs)
 
+    vocab = corpus.vocab
     weigher = _Representations(corpus)
     all_docs = np.arange(corpus.n_docs)
     size_seeds = SeedSequence(config.seed).spawn(len(config.vector_sizes))
@@ -391,19 +396,22 @@ def run(config: RunConfig) -> ExperimentReport:
             report.tuned_kb_path = config.out_dir / "afcc.tuned.kb"
             dump_kb(tuned_kb, report.tuned_kb_path)
         if config.dump_vectors:
-            dump_vectors(rows, corpus.doc_ids, corpus.vocab, config.out_dir / "vectors.txt")
+            dump_vectors(rows, corpus.doc_ids, vocab, config.out_dir / "vectors.txt")
+    if config.n_subsets == 0:
+        # only the significance stage reads them again
+        del corpus, weigher
 
     with _stage("reduce"):
         order = mft_rank(rows)
         log.info("reduce: vocabulary %d terms", len(order))
         if config.dump_features:
             for size in config.vector_sizes:
-                features = [corpus.vocab[t] for t in order[:size].tolist()]
+                features = [vocab[t] for t in order[:size].tolist()]
                 dump_features(features, config.out_dir / f"features_{size}.txt")
 
     with _stage("cluster"):
         for size, f1, labels in _score_sizes(
-            rows, order, len(corpus.vocab), categories, k, config.vector_sizes, size_seeds
+            rows, order, len(vocab), categories, k, config.vector_sizes, size_seeds
         ):
             zero_docs = int(np.count_nonzero(labels == k))
             report.records.append(

@@ -206,6 +206,23 @@ def sparse_rows_of(weight_maps, vocab) -> SparseRows:
     return SparseRows(offsets, terms, weights)
 
 
+def to_dense_reference(rows: SparseRows, keep: np.ndarray | None = None) -> np.ndarray:
+    """`SparseRows.to_dense`, one row at a time: the columns are the sorted
+    term ids the rows hold (and keep sets, when given)."""
+    per_row = []
+    for i in range(rows.n_rows):
+        span = slice(rows.offsets[i], rows.offsets[i + 1])
+        pairs = zip(rows.term_ids[span].tolist(), rows.weights[span].tolist())
+        per_row.append({t: w for t, w in pairs if keep is None or keep[t]})
+    columns = sorted({t for row in per_row for t in row})
+    index = {t: j for j, t in enumerate(columns)}
+    X = np.zeros((rows.n_rows, len(columns)))
+    for i, row in enumerate(per_row):
+        for t, w in row.items():
+            X[i, index[t]] = w
+    return X
+
+
 def criteria_by_doc(manifest: CorpusManifest, config) -> dict[str, dict[str, TermCriteria]]:
     """{doc_id: {term: TermCriteria}} for the whole corpus, each document's
     criteria read as the pipeline reads them (`pipeline._doc_criteria`)."""

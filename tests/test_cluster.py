@@ -16,7 +16,9 @@ from fuzzterm.cluster import (
     cluster_matrix,
     repeated_bisections,
     _bisect,
+    _partition,
     _refine,
+    _restore,
     _row_norms,
     _seed_pairs,
 )
@@ -537,12 +539,48 @@ class TestMatrixCopies:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_bisect_labels_makes_no_second_full_copy(self, seed):
-        # X is normalized in place, so one cluster's rows at a time peak
-        # near 1.0 X; a normalized copy, a full copy for the first split
-        # or a full temporary for the row norms pushes the traced peak
-        # past 1.4 X.
+        # X is normalized in place and every split reads a block of its
+        # rows, so beside X the peak is one segment of the partition or the
+        # split's own arrays; a normalized copy, a full copy for the first
+        # split or a full temporary for the row norms pushes the traced
+        # peak past 1.4 X.
         X = self.sparse_matrix(seed)
         assert self.traced_peak(bisect_labels, X, 6, seed) < 1.25 * X.nbytes
+
+    @staticmethod
+    def two_groups(sizes, seed):
+        """Rows of two groups on disjoint halves of 512 columns, plus noise."""
+        rng = np.random.default_rng(seed)
+        X = rng.random((sum(sizes), 512)) * 0.1
+        X[: sizes[0], :256] += 1.0
+        X[sizes[0] :, 256:] += 1.0
+        return X
+
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("sizes", [(256, 256), (384, 128), (128, 384)])
+    @pytest.mark.parametrize("cluster", [bisect_labels, cluster_matrix])
+    def test_second_split_copies_no_cluster(self, cluster, sizes, seed):
+        # the first split finds the two groups, and the second splits one
+        # of them, half of X or more; a copy of its rows alone passes
+        # 0.5 X, while a segment of the partition is an eighth of X here
+        X = self.two_groups(sizes, seed)
+        side = _bisect(normalized(X), PCG64(SeedSequence(seed)))
+        assert sorted([int(side.sum()), int((~side).sum())]) == sorted(sizes)
+        assert self.traced_peak(cluster, X.copy(), 6, seed) < 0.45 * X.nbytes
+        np.testing.assert_array_equal(
+            cluster(X.copy(), 6, seed), bisect_labels_reference(X, 6, seed)
+        )
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_f_order_x_is_copied_and_clusters_as_its_c_order_copy(self, seed):
+        # a split reads a block of rows, and a block of an F-order array
+        # is no C-order copy of those rows, so such an X is copied first
+        X0 = self.sparse_matrix(seed)
+        labels = bisect_labels(X0.copy(), 6, seed)
+        for cluster in (bisect_labels, cluster_matrix):
+            Xf = np.asfortranarray(X0)
+            np.testing.assert_array_equal(cluster(Xf, 6, seed), labels)
+            np.testing.assert_array_equal(Xf, X0)
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("zero_rows", [0, 5])
@@ -595,6 +633,45 @@ class TestMatrixCopies:
         np.testing.assert_array_equal(
             labels[nonzero], bisect_labels_reference(X0[nonzero], 6, seed)
         )
+
+
+@st.composite
+def partition_steps(draw):
+    """Rows of at most 600, and partitions of clusters of them in turn, as
+    repeated bisections makes them: (cluster to split, seed of its mask)."""
+    n = draw(st.integers(1, 600))
+    d = draw(st.integers(1, 3))
+    steps = draw(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 2**32 - 1)), max_size=6))
+    return n, d, steps
+
+
+class TestPartition:
+    @given(case=partition_steps(), seed=st.integers(0, 2**32 - 1))
+    def test_sides_stay_blocks_in_original_order_and_restore_is_exact(self, case, seed):
+        n, d, steps = case
+        X0 = np.random.default_rng(seed).random((n, d))
+        X, rows = X0.copy(), np.arange(n)
+        blocks = [(0, n)]
+        for which, mask_seed in steps:
+            start, stop = blocks[which % len(blocks)]
+            if start == stop:
+                continue  # a split never picks an empty cluster
+            rng = np.random.default_rng(mask_seed)
+            last = rng.random(stop - start) < rng.random()
+            before = rows[start:stop].copy()
+            mid = _partition(X, rows, start, stop, last)
+            assert mid == stop - np.count_nonzero(last)
+            # each side a block, in the order it had: ascending original rows
+            np.testing.assert_array_equal(rows[start:mid], before[~last])
+            np.testing.assert_array_equal(rows[mid:stop], before[last])
+            assert (np.diff(rows[start:mid]) > 0).all()
+            assert (np.diff(rows[mid:stop]) > 0).all()
+            # X permuted as rows, bit for bit
+            assert X.tobytes() == X0[rows].tobytes()
+            blocks[which % len(blocks)] = (start, mid)
+            blocks.append((mid, stop))
+        _restore(X, rows)
+        assert X.tobytes() == X0.tobytes()
 
 
 class TestClusteringProperties:

@@ -37,6 +37,7 @@ from oracles import (
     mft_order_reference,
     pairs_by_term,
     projected_matrix_reference,
+    to_dense_reference,
     weigh_fuzzy_reference,
 )
 
@@ -381,6 +382,50 @@ class TestProjection:
         want, _ = projected_matrix_reference(maps, [corpus.vocab[t] for t in order])
         assert got.shape == want.shape
         assert np.array_equal(got, want)
+
+
+@st.composite
+def dense_cases(draw):
+    """SparseRows of up to 150 rows, some empty, each holding distinct
+    term ids in any order, and None or a column mask over the ids."""
+    width = draw(st.integers(1, 40))
+    lengths = draw(st.lists(st.integers(0, min(width, 6)), max_size=150))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    terms = [rng.choice(width, n, replace=False) for n in lengths]
+    terms = np.concatenate(terms) if terms else np.empty(0, dtype=np.int64)
+    rows = SparseRows(offsets, terms.astype(np.int64), rng.random(terms.size) + 0.5)
+    keep = draw(st.none() | st.just(rng.random(width) < 0.5))
+    return rows, keep
+
+
+class TestToDense:
+    @given(case=dense_cases())
+    def test_equals_per_row_reference(self, case):
+        rows, keep = case
+        got, want = rows.to_dense(keep), to_dense_reference(rows, keep)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n_rows", [0, 3, 130])
+    def test_empty_rows_give_no_columns(self, n_rows):
+        rows = SparseRows(np.zeros(n_rows + 1, dtype=np.int64), np.empty(0, np.int64), np.empty(0))
+        assert rows.to_dense().shape == rows.to_dense(np.ones(5, dtype=bool)).shape == (n_rows, 0)
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_holds_no_array_of_every_entry(self, masked):
+        # 2,000 rows of 50 entries: the matrix is filled one block of rows
+        # at a time, so beside it only the column map and one block's
+        # indices are held; index and value arrays of every entry take a
+        # few times the weights' bytes
+        rng = np.random.default_rng(8)
+        terms = np.concatenate([rng.choice(500, 50, replace=False) for _ in range(2000)])
+        rows = SparseRows(np.arange(0, terms.size + 1, 50), terms, rng.random(terms.size))
+        keep = rng.random(500) < 0.5 if masked else None
+        X, peak = _traced_peak(lambda: rows.to_dense(keep))
+        assert peak - X.nbytes < 0.5 * rows.weights.nbytes
+        assert X.tobytes() == to_dense_reference(rows, keep).tobytes()
 
 
 def _traced_peak(fn):

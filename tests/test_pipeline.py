@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -296,6 +297,40 @@ class TestRun:
         )
         assert child.returncode == 0, child.stderr
         assert child.stdout == "False\n"
+
+    @pytest.mark.parametrize("n_subsets", [0, 2])
+    def test_corpus_is_released_after_weighing_without_significance(
+        self, small_corpus, tmp_path, monkeypatch, n_subsets
+    ):
+        # only the significance stage weighs again, so without it nothing
+        # holds the corpus (or the weigher's caches) once the rows are
+        # weighed; mft_rank runs first in the reduce stage and then once per
+        # subset and representation in the significance stage
+        refs, alive = [], []
+        build, rank = pipeline.build_corpus, pipeline.mft_rank
+
+        def keeping(manifest, config):
+            corpus = build(manifest, config)
+            refs.append(weakref.ref(corpus))
+            return corpus
+
+        def ranking(rows):
+            alive.append(refs[0]() is not None)
+            return rank(rows)
+
+        monkeypatch.setattr(pipeline, "build_corpus", keeping)
+        monkeypatch.setattr(pipeline, "mft_rank", ranking)
+        run(
+            RunConfig(
+                manifest=small_corpus / "manifest.tsv",
+                representation="efcc",
+                vector_sizes=(20,),
+                out_dir=tmp_path,
+                n_subsets=n_subsets,
+                baselines=("tfidf",) if n_subsets else (),
+            )
+        )
+        assert alive == [n_subsets > 0] * (1 + 2 * n_subsets)
 
     def test_results_file_structure(self, small_corpus, tmp_path):
         config = RunConfig(
