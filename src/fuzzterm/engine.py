@@ -186,24 +186,23 @@ class FuzzySystem:
             for var_name, label in rule.antecedents:
                 if var_name not in var_index:
                     raise InvalidRuleBase(
-                        f"rule {ri}: unknown input variable {var_name!r}"
+                        f"rule {ri}: unknown input variable {var_name!r}", ri
                     )
                 key = (var_name, label)
                 if key not in self._set_index:
                     raise InvalidRuleBase(
-                        f"rule {ri}: variable {var_name!r} has no set {label!r}"
+                        f"rule {ri}: variable {var_name!r} has no set {label!r}", ri
                     )
                 ant[ri, var_index[var_name]] = self._set_index[key]
             out_name, out_label = rule.consequent
             if out_name != output_var.name:
                 raise InvalidRuleBase(
                     f"rule {ri}: consequent targets {out_name!r}, "
-                    f"expected {output_var.name!r}"
+                    f"expected {output_var.name!r}",
+                    ri,
                 )
             if out_label not in out_index:
-                raise InvalidRuleBase(
-                    f"rule {ri}: output has no set {out_label!r}"
-                )
+                raise InvalidRuleBase(f"rule {ri}: output has no set {out_label!r}", ri)
             cons[ri] = out_index[out_label]
 
         self._trap = np.asarray(set_rows, dtype=np.float64)

@@ -24,7 +24,15 @@ class ParseError(FuzztermError):
 
 
 class InvalidRuleBase(FuzztermError):
-    """A rule references unknown variables or set labels, or is empty."""
+    """A rule references unknown variables or set labels, or is empty.
+
+    `rule` is the index of the offending rule, or None when no one rule is
+    at fault.
+    """
+
+    def __init__(self, message, rule=None):
+        self.rule = rule
+        super().__init__(message)
 
 
 class CompletenessError(FuzztermError):

@@ -8,15 +8,23 @@ auxiliary block maps term-position onto Position.
 File format::
 
     # comment
-    [meta]               (optional)
+    [meta]                (optional: the keys name and flags, each once)
     name efcc
     flags reconstructed
 
-    [variable Frequency domain 0 1]
+    [variable Frequency domain 0 1]   (each variable above, once)
     set low 0 0 0.2 0.4
 
-    [rules Importance]
+    [rules Importance]                (and [rules Position])
     IF Title IS high AND Emphasis IS high THEN very-high
+
+The parser checks the grammar and refuses any header or meta key that no
+KnowledgeBase field holds.  The constructors check the rest, each in one
+place: TrapezoidSet its breakpoints, LinguisticVariable its sets, Rule its
+clauses, the KnowledgeBase its Importance labels and non-empty blocks, and
+FuzzySystem each rule's variables and labels.  A ParseError names the line
+of the rule, set or header at fault; a missing variable, an empty block or
+an output set of zero area names none.
 
 The tuner (`tune_afcc`) rebuilds the sets of each variable in
 `TUNED_CRITERIA` (Frequency, Emphasis, Title) from corpus value
@@ -42,13 +50,12 @@ import numpy as np
 
 from . import kernels
 from .engine import (
-    DEFAULT_GRID_POINTS,
     FuzzySystem,
     LinguisticVariable,
     Rule,
     TrapezoidSet,
 )
-from .errors import CompletenessError, EmptyProfile, ParseError
+from .errors import CompletenessError, EmptyProfile, InvalidRuleBase, ParseError
 
 MAIN_INPUT_ORDER = ("Frequency", "Title", "Emphasis", "Position")
 MAIN_OUTPUT = "Importance"
@@ -108,25 +115,19 @@ class KnowledgeBase:
     def variables(self) -> tuple[LinguisticVariable, ...]:
         return self.input_vars() + (self.importance, self.term_position)
 
-    def system(self, grid_points: int = DEFAULT_GRID_POINTS) -> FuzzySystem:
+    def system(self) -> FuzzySystem:
         """Compiled main system; input column order is MAIN_INPUT_ORDER."""
         cache = self._system_cache
-        key = ("main", grid_points)
-        if key not in cache:
-            cache[key] = FuzzySystem(
-                self.input_vars(), self.importance, self.rules, grid_points
-            )
-        return cache[key]
+        if "main" not in cache:
+            cache["main"] = FuzzySystem(self.input_vars(), self.importance, self.rules)
+        return cache["main"]
 
-    def aux_system(self, grid_points: int = DEFAULT_GRID_POINTS) -> FuzzySystem:
+    def aux_system(self) -> FuzzySystem:
         """Compiled auxiliary system: term-position in, Position score out."""
         cache = self._system_cache
-        key = ("aux", grid_points)
-        if key not in cache:
-            cache[key] = FuzzySystem(
-                (self.term_position,), self.position, self.aux_rules, grid_points
-            )
-        return cache[key]
+        if "aux" not in cache:
+            cache["aux"] = FuzzySystem((self.term_position,), self.position, self.aux_rules)
+        return cache["aux"]
 
 
 def _parse_float(token: str, path, line_no) -> float:
@@ -136,7 +137,7 @@ def _parse_float(token: str, path, line_no) -> float:
         raise ParseError(f"expected a number, got {token!r}", path, line_no) from None
 
 
-def _parse_rule_line(tokens, line_no, path) -> Rule:
+def _parse_rule_line(tokens, output, line_no, path) -> Rule:
     if len(tokens) < 6 or tokens[0].upper() != "IF":
         raise ParseError("rule must look like 'IF <var> IS <label> ... THEN <label>'", path, line_no)
     if tokens[-2].upper() != "THEN":
@@ -156,15 +157,18 @@ def _parse_rule_line(tokens, line_no, path) -> Rule:
             raise ParseError(f"expected IS, got {is_kw!r}", path, line_no)
         clauses.append((var, label))
         i += 3
-    # output variable is filled in from the section header by the caller
-    return Rule(tuple(clauses), ("", tokens[-1]))
+    try:
+        return Rule(tuple(clauses), (output, tokens[-1]))
+    except ValueError as exc:
+        raise ParseError(str(exc), path, line_no) from exc
 
 
 def load_kb(path) -> KnowledgeBase:
-    """Parse and validate a knowledge-base file.
+    """Parse and validate a knowledge-base file, compiling both systems.
 
-    Raises ParseError with a line number on malformed input and
-    CompletenessError when some grid point of the input space fires no rule.
+    Raises ParseError, with the line at fault when one is (see the module
+    doc), on malformed input, and CompletenessError when some grid point of
+    the input space fires no rule.
     """
     path = Path(path)
     text = path.read_text(encoding="utf-8")
@@ -179,22 +183,20 @@ def loads_kb(text: str, name: str = "<string>") -> KnowledgeBase:
 def _parse_kb_text(text: str, path) -> KnowledgeBase:
     meta: dict[str, str] = {}
     variables: dict[str, LinguisticVariable] = {}
-    rule_blocks: dict[str, list[Rule]] = {}
+    rule_blocks: dict[str, list[Rule]] = {MAIN_OUTPUT: [], AUX_OUTPUT: []}
     rule_lines: dict[tuple[str, int], int] = {}
 
-    section = None  # None | ("meta",) | ("variable", name, lo, hi, sets) | ("rules", output)
+    # None | ("meta",) | ("variable", name, lo, hi, sets, header line) | ("rules", output)
+    section = None
 
-    def close_variable(sec, line_no):
-        name, lo, hi, sets = sec[1], sec[2], sec[3], sec[4]
-        if not sets:
-            raise ParseError(f"variable {name!r} declares no sets", path, line_no)
+    def close_variable(sec):
+        name, lo, hi, sets, line_no = sec[1:]
         try:
             variables[name] = LinguisticVariable(name, tuple(sets), lo, hi)
         except ValueError as exc:
             raise ParseError(str(exc), path, line_no) from exc
 
-    lines = text.splitlines()
-    for line_no, raw in enumerate(lines, start=1):
+    for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -202,7 +204,7 @@ def _parse_kb_text(text: str, path) -> KnowledgeBase:
             if not line.endswith("]"):
                 raise ParseError("unterminated section header", path, line_no)
             if section is not None and section[0] == "variable":
-                close_variable(section, line_no)
+                close_variable(section)
             fields = line[1:-1].split()
             if not fields:
                 raise ParseError("empty section header", path, line_no)
@@ -215,16 +217,21 @@ def _parse_kb_text(text: str, path) -> KnowledgeBase:
                         path,
                         line_no,
                     )
+                if fields[1] not in REQUIRED_VARIABLES:
+                    raise ParseError(f"unknown variable {fields[1]!r}", path, line_no)
                 if fields[1] in variables:
                     raise ParseError(f"duplicate variable {fields[1]!r}", path, line_no)
                 lo = _parse_float(fields[3], path, line_no)
                 hi = _parse_float(fields[4], path, line_no)
-                section = ("variable", fields[1], lo, hi, [])
+                section = ("variable", fields[1], lo, hi, [], line_no)
             elif fields[0] == "rules":
-                if len(fields) != 2:
-                    raise ParseError("rules header must be '[rules <output>]'", path, line_no)
+                if len(fields) != 2 or fields[1] not in (MAIN_OUTPUT, AUX_OUTPUT):
+                    raise ParseError(
+                        f"rules header must be '[rules {MAIN_OUTPUT}]' or '[rules {AUX_OUTPUT}]'",
+                        path,
+                        line_no,
+                    )
                 section = ("rules", fields[1])
-                rule_blocks.setdefault(fields[1], [])
             else:
                 raise ParseError(f"unknown section {fields[0]!r}", path, line_no)
             continue
@@ -236,6 +243,10 @@ def _parse_kb_text(text: str, path) -> KnowledgeBase:
             key, _, value = line.partition(" ")
             if not value.strip():
                 raise ParseError("meta entries look like '<key> <value>'", path, line_no)
+            if key not in ("name", "flags"):
+                raise ParseError(f"unknown meta key {key!r}", path, line_no)
+            if key in meta:
+                raise ParseError(f"meta key {key!r} is set twice", path, line_no)
             meta[key] = value.strip()
         elif kind == "variable":
             tokens = line.split()
@@ -249,43 +260,15 @@ def _parse_kb_text(text: str, path) -> KnowledgeBase:
                 raise ParseError(str(exc), path, line_no) from exc
         else:
             output = section[1]
-            rule = _parse_rule_line(line.split(), line_no, path)
-            rule = Rule(rule.antecedents, (output, rule.consequent[1]))
             rule_lines[(output, len(rule_blocks[output]))] = line_no
-            rule_blocks[output].append(rule)
+            rule_blocks[output].append(_parse_rule_line(line.split(), output, line_no, path))
 
     if section is not None and section[0] == "variable":
-        close_variable(section, len(lines))
+        close_variable(section)
 
     for required in REQUIRED_VARIABLES:
         if required not in variables:
             raise ParseError(f"missing variable {required!r}", path, None)
-    for block in (MAIN_OUTPUT, AUX_OUTPUT):
-        if not rule_blocks.get(block):
-            raise ParseError(f"missing or empty rule block [rules {block}]", path, None)
-    for output, rules in rule_blocks.items():
-        if output not in variables:
-            raise ParseError(f"rules target unknown variable {output!r}", path, None)
-        in_names = MAIN_INPUT_ORDER if output == MAIN_OUTPUT else (AUX_INPUT,)
-        for idx, rule in enumerate(rules):
-            line_no = rule_lines[(output, idx)]
-            for var_name, label in rule.antecedents:
-                if var_name not in variables:
-                    raise ParseError(f"unknown variable {var_name!r}", path, line_no)
-                if var_name not in in_names:
-                    raise ParseError(
-                        f"variable {var_name!r} cannot appear in a rule for {output}",
-                        path,
-                        line_no,
-                    )
-                if label not in variables[var_name].labels():
-                    raise ParseError(
-                        f"variable {var_name!r} has no set {label!r}", path, line_no
-                    )
-            if rule.consequent[1] not in variables[output].labels():
-                raise ParseError(
-                    f"output {output!r} has no set {rule.consequent[1]!r}", path, line_no
-                )
 
     name = meta.get("name") or (path.stem if isinstance(path, Path) else "kb")
     flags = tuple(f for f in meta.get("flags", "").replace(",", " ").split() if f)
@@ -304,6 +287,12 @@ def _parse_kb_text(text: str, path) -> KnowledgeBase:
         )
     except ValueError as exc:
         raise ParseError(str(exc), path, None) from exc
+    # The compiled systems check each rule; check_completeness reuses them.
+    for block, compile_system in ((MAIN_OUTPUT, kb.system), (AUX_OUTPUT, kb.aux_system)):
+        try:
+            compile_system()
+        except InvalidRuleBase as exc:
+            raise ParseError(str(exc), path, rule_lines.get((block, exc.rule))) from exc
     check_completeness(kb)
     return kb
 

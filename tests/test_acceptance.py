@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from fuzzterm import (
+    FuzzySystem,
     check_completeness,
     generate_corpus,
     load_bundled,
@@ -87,7 +88,9 @@ def test_criterion_1_inference_goldens():
     start = time.perf_counter()
     kb = load_bundled("emph")
     system = kb.system()
-    doubled = kb.system(grid_points=2 * system.grid_points - 1)
+    doubled = FuzzySystem(
+        kb.input_vars(), kb.importance, kb.rules, grid_points=2 * system.grid_points - 1
+    )
     cases = SINGLE_FIRE + MIXTURES
     assert len(cases) == 20
     worst = 0.0

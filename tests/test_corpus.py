@@ -10,10 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fuzzterm import load_bundled, load_manifest, tune_afcc
+from fuzzterm import dumps_kb, generate_corpus, load_bundled, load_manifest, tune_afcc
 from fuzzterm.errors import EmptyPositions, NoRuleFired
 from fuzzterm import engine, kernels, pipeline, weighting
-from fuzzterm.corpus import Corpus, CorpusBuilder, SparseRows
+from fuzzterm.cluster import cluster_matrix
+from fuzzterm.corpus import Corpus, CorpusBuilder, SparseRows, _select
 from fuzzterm.ingest import CriteriaColumns, TermCriteria, TokenStream, extract_criteria
 from fuzzterm.pipeline import RunConfig, _Representations, build_corpus, corpus_profiles
 from fuzzterm.reduction import mft_order, mft_rank, project_rows
@@ -512,3 +513,70 @@ class TestMemory:
             "positions", "pos_offsets",
         ):
             assert getattr(corpus, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+@pytest.fixture(scope="module")
+def small_built_corpus(tmp_path_factory):
+    manifest = generate_corpus(
+        tmp_path_factory.mktemp("pair_order"),
+        categories=3, docs_per_category=6, doc_length=(30, 90), mode="zipf", seed=4,
+    )
+    return build_corpus(load_manifest(manifest), RunConfig(manifest=manifest))
+
+
+def shuffle_pairs(corpus, seed):
+    """The corpus with each document's pairs, and each pair's positions, in
+    an order drawn from seed."""
+    rng = np.random.default_rng(seed)
+    doc_of_pair = np.repeat(np.arange(corpus.n_docs), np.diff(corpus.doc_offsets))
+    order = np.lexsort((rng.random(corpus.n_pairs), doc_of_pair))
+    index, pos_offsets = _select(corpus.pos_offsets, order)
+    pair_of_position = np.repeat(np.arange(order.size), np.diff(pos_offsets))
+    index = index[np.lexsort((rng.random(index.size), pair_of_position))]
+    columns = {
+        name: getattr(corpus, name)[order]
+        for name in ("term_ids", "freq", "title", "emph", "raw_tf")
+    }
+    return replace(corpus, positions=corpus.positions[index], pos_offsets=pos_offsets, **columns)
+
+
+def row_sets(rows):
+    """Each row's (term, weight) entries in term order, with the offsets."""
+    by_term = np.lexsort((rows.term_ids, rows.row_of_entry()))
+    return rows.offsets, rows.term_ids[by_term], rows.weights[by_term]
+
+
+def readings(corpus):
+    """What the run reads off a corpus: the tuned base's text and the
+    tuner's nudge warnings, then per representation its rows, MFT order,
+    projected matrix and labels."""
+    every = np.arange(corpus.n_docs)
+    efcc = load_bundled("efcc")
+    with warnings.catch_warnings(record=True) as nudges:
+        warnings.simplefilter("always")
+        afcc = tune_afcc(efcc, corpus_profiles(corpus))
+    fuzzy = weigh(corpus, every, efcc)
+    out = [(dumps_kb(afcc), [str(w.message) for w in nudges])]
+    for rows in (
+        fuzzy, weigh(corpus, every, afcc), tfidf_rows(corpus, every),
+        idf_rows(fuzzy, corpus, every),
+    ):
+        order = mft_rank(rows)
+        X = project_rows(rows, order[:40], len(corpus.vocab))
+        out.extend((*row_sets(rows), order, X, cluster_matrix(X.copy(), 3, 7)))
+    return out
+
+
+class TestPairOrder:
+    """No reader depends on the order of a document's pairs or of a pair's
+    positions: CorpusBuilder keeps extract_criteria's order, not term order."""
+
+    @settings(max_examples=25)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_shuffled_pairs_read_the_same_bits(self, small_built_corpus, seed):
+        corpus = small_built_corpus
+        want = readings(corpus)
+        got = readings(shuffle_pairs(corpus, seed))
+        assert got[0] == want[0]
+        for i, (a, b) in enumerate(zip(got[1:], want[1:])):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), i

@@ -177,8 +177,9 @@ class TestInference:
         rng = np.random.default_rng(42)
         X = np.zeros((100, 4))
         X[:, 2] = rng.random(100)
-        base = kb.system(grid_points=1001).infer_batch(X)
-        fine = kb.system(grid_points=2001).infer_batch(X)
+        base = FuzzySystem(kb.input_vars(), kb.importance, kb.rules, grid_points=1001)
+        fine = FuzzySystem(kb.input_vars(), kb.importance, kb.rules, grid_points=2001)
+        base, fine = base.infer_batch(X), fine.infer_batch(X)
         assert np.abs(base - fine).max() < 1e-4
 
     def test_no_rule_fired(self):

@@ -193,15 +193,18 @@ class TestParser:
         text = make_text(
             main="[rules Importance]\nIF Colour IS low THEN no\n"
         )
-        with pytest.raises(ParseError, match="unknown variable 'Colour'"):
+        with pytest.raises(ParseError, match="unknown input variable 'Colour'") as exc:
             loads_kb(text)
+        assert exc.value.line == text.splitlines().index("IF Colour IS low THEN no") + 1
 
     def test_aux_variable_rejected_in_main_block(self):
         text = make_text(
             main="[rules Importance]\nIF TermPosition IS standard THEN no\n"
         )
-        with pytest.raises(ParseError, match="cannot appear"):
+        with pytest.raises(ParseError, match="unknown input variable 'TermPosition'") as exc:
             loads_kb(text)
+        rule = "IF TermPosition IS standard THEN no"
+        assert exc.value.line == text.splitlines().index(rule) + 1
 
     def test_rule_grammar_missing_is(self):
         text = make_text(
@@ -209,6 +212,13 @@ class TestParser:
         )
         with pytest.raises(ParseError, match="expected IS"):
             loads_kb(text)
+
+    def test_repeated_antecedent_variable_names_its_line(self):
+        rule = "IF Emphasis IS low AND Emphasis IS high THEN no"
+        text = make_text(main=f"[rules Importance]\n{rule}\n")
+        with pytest.raises(ParseError, match="rule repeats a variable") as exc:
+            loads_kb(text)
+        assert exc.value.line == text.splitlines().index(rule) + 1
 
     def test_rule_grammar_too_short(self):
         text = make_text(main="[rules Importance]\nIF Emphasis low THEN no\n")
@@ -263,8 +273,43 @@ class TestParser:
             loads_kb(text)
 
     def test_missing_rule_block(self):
-        with pytest.raises(ParseError, match=r"missing or empty rule block"):
+        with pytest.raises(ParseError, match=r"rule block is empty"):
             loads_kb(make_text(aux=""))
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (
+                "[rules Title]\nIF TermPosition IS standard THEN high\n",
+                r"rules header must be '\[rules Importance\]' or '\[rules Position\]'",
+            ),
+            ("[variable Foo domain 0 1]\nset a 0 0 1 1\n", "unknown variable 'Foo'"),
+        ],
+    )
+    def test_section_no_field_holds_is_refused_at_its_header(self, extra, message):
+        text = dumps_kb(load_bundled("efcc")) + "\n" + extra
+        with pytest.raises(ParseError, match=message) as exc:
+            loads_kb(text)
+        assert exc.value.line == text.splitlines().index(extra.splitlines()[0]) + 1
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ("name other", "meta key 'name' is set twice"),
+            ("nmae other", "unknown meta key 'nmae'"),
+        ],
+    )
+    def test_meta_entry_no_field_holds_is_refused_at_its_line(self, entry, message):
+        text = dumps_kb(load_bundled("efcc")).replace("name efcc\n", f"name efcc\n{entry}\n")
+        with pytest.raises(ParseError, match=message) as exc:
+            loads_kb(text)
+        assert exc.value.line == 3
+
+    def test_variable_error_names_its_header_line(self):
+        text = make_text().replace("set low 0 0 0.4 0.6\nset high 0.4 0.6 1 1\n", "")
+        with pytest.raises(ParseError, match="variable 'Title' has no sets") as exc:
+            loads_kb(text)
+        assert exc.value.line == text.splitlines().index("[variable Title domain 0 1]") + 1
 
     def test_error_carries_line_number(self):
         text = make_text(

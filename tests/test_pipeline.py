@@ -473,6 +473,54 @@ class TestRun:
         assert exc.value.stage == "cluster"
 
 
+# Prints the digest of a fixed product, then runs the config named in argv.
+BLAS_CHILD = """
+import hashlib, sys
+import numpy as np
+from fuzzterm import load_config, run
+rng = np.random.default_rng(0)
+print(hashlib.sha256((rng.random((300, 1201)) @ rng.random((1201, 20))).tobytes()).hexdigest())
+run(load_config(sys.argv[1]))
+"""
+
+
+def test_results_do_not_follow_the_blas_kernel(tmp_path):
+    # OpenBLAS built with DYNAMIC_ARCH picks its kernel by CPU, and kernels
+    # sum products in different orders; the labels must rest on margins
+    # wider than that rounding, not on the products' last bits.
+    manifest = generate_corpus(
+        tmp_path / "corpus", categories=12, docs_per_category=10, doc_length=(60, 180),
+        mode="zipf", topic_fraction=0.08, with_titles=False, seed=0,
+    )
+    src = str(Path(fuzzterm.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    digests, results = [], []
+    for core in (None, "Prescott", "Sandybridge"):
+        out_dir = tmp_path / f"out-{core}"
+        cfg = write_config(tmp_path / f"{core}.cfg", [
+            f"manifest = {manifest}", f"out_dir = {out_dir}", "representation = efcc",
+            "vector_sizes = 100, 300, 1000, 2000", "k = 12", "seed = 7",
+        ])
+        env = dict(base, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
+        if core is not None:
+            env["OPENBLAS_CORETYPE"] = core
+        child = subprocess.run(
+            [sys.executable, "-c", BLAS_CHILD, str(cfg)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        if core is not None and child.returncode < 0:
+            pytest.skip(f"this CPU cannot run the {core} kernel (signal {-child.returncode})")
+        assert child.returncode == 0, child.stderr
+        digests.append(child.stdout)
+        results.append((out_dir / "results.jsonl").read_bytes())
+    if len(set(digests)) == 1:
+        pytest.skip("no OPENBLAS_CORETYPE changed the bits of the product, so no kernel differs")
+    assert results[1:] == results[:1] * 2
+    records = [json.loads(line) for line in results[0].splitlines()]
+    assert max(r["overall_f1"] for r in records if r["kind"] == "run") < 1
+
+
 class TestCriteriaErrors:
     @pytest.fixture
     def stopword_page(self, tmp_path):
@@ -560,6 +608,17 @@ class TestCli:
         path.write_text("[meta]\nname bad\n[]\n", encoding="utf-8")
         assert main(["kb-check", str(path)]) == 1
         assert capsys.readouterr().err == f"error: {path}:3: empty section header\n"
+
+    def test_kb_check_unknown_rule_block(self, tmp_path, capsys):
+        from fuzzterm import dumps_kb
+
+        text = dumps_kb(load_bundled("efcc"))
+        path = tmp_path / "stray.kb"
+        stray = "[rules Title]\nIF TermPosition IS standard THEN high\n"
+        path.write_text(text + stray, encoding="utf-8")
+        assert main(["kb-check", str(path)]) == 1
+        line = text.count("\n") + 1
+        assert capsys.readouterr().err.startswith(f"error: {path}:{line}: rules header must be")
 
     @pytest.mark.parametrize("grid", ["0", "-1", "1"])
     def test_kb_check_rejects_small_grid(self, grid, capsys):
