@@ -214,7 +214,9 @@ class FuzzySystem:
         # so "some rule fires" and "the aggregate has mass" stay one test.
         for s, m0 in zip(output_var.sets, self._m0):
             if m0 <= 0.0:
-                raise InvalidRuleBase(f"output set {s.label!r} has zero quadrature area")
+                raise InvalidRuleBase(
+                    f"output set {s.label!r} has zero quadrature area", output_set=s.label
+                )
         self._lo = np.array([v.lo for v in self.input_vars])
         self._hi = np.array([v.hi for v in self.input_vars])
 

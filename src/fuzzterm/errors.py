@@ -24,14 +24,16 @@ class ParseError(FuzztermError):
 
 
 class InvalidRuleBase(FuzztermError):
-    """A rule references unknown variables or set labels, or is empty.
+    """A rule references unknown variables or set labels, or is empty, or
+    an output set has zero area.
 
     `rule` is the index of the offending rule, or None when no one rule is
-    at fault.
+    at fault; `output_set` is the label of the output set at fault, or None.
     """
 
-    def __init__(self, message, rule=None):
+    def __init__(self, message, rule=None, output_set=None):
         self.rule = rule
+        self.output_set = output_set
         super().__init__(message)
 
 

@@ -23,8 +23,8 @@ KnowledgeBase field holds.  The constructors check the rest, each in one
 place: TrapezoidSet its breakpoints, LinguisticVariable its sets, Rule its
 clauses, the KnowledgeBase its Importance labels and non-empty blocks, and
 FuzzySystem each rule's variables and labels.  A ParseError names the line
-of the rule, set or header at fault; a missing variable, an empty block or
-an output set of zero area names none.
+of the rule, set or header at fault, an output set of zero area included;
+a missing variable or an empty block names none.
 
 The tuner (`tune_afcc`) rebuilds the sets of each variable in
 `TUNED_CRITERIA` (Frequency, Emphasis, Title) from corpus value
@@ -185,6 +185,7 @@ def _parse_kb_text(text: str, path) -> KnowledgeBase:
     variables: dict[str, LinguisticVariable] = {}
     rule_blocks: dict[str, list[Rule]] = {MAIN_OUTPUT: [], AUX_OUTPUT: []}
     rule_lines: dict[tuple[str, int], int] = {}
+    set_lines: dict[tuple[str, str], int] = {}
 
     # None | ("meta",) | ("variable", name, lo, hi, sets, header line) | ("rules", output)
     section = None
@@ -253,6 +254,7 @@ def _parse_kb_text(text: str, path) -> KnowledgeBase:
             if tokens[0] != "set" or len(tokens) != 6:
                 raise ParseError("expected 'set <label> a b c d'", path, line_no)
             label = tokens[1]
+            set_lines[(section[1], label)] = line_no
             a, b, c, d = (_parse_float(t, path, line_no) for t in tokens[2:])
             try:
                 section[4].append(TrapezoidSet(label, a, b, c, d))
@@ -287,12 +289,14 @@ def _parse_kb_text(text: str, path) -> KnowledgeBase:
         )
     except ValueError as exc:
         raise ParseError(str(exc), path, None) from exc
-    # The compiled systems check each rule; check_completeness reuses them.
+    # The compiled systems check each rule and output set; a block is named
+    # after its output variable.  check_completeness reuses the systems.
     for block, compile_system in ((MAIN_OUTPUT, kb.system), (AUX_OUTPUT, kb.aux_system)):
         try:
             compile_system()
         except InvalidRuleBase as exc:
-            raise ParseError(str(exc), path, rule_lines.get((block, exc.rule))) from exc
+            line = rule_lines.get((block, exc.rule), set_lines.get((block, exc.output_set)))
+            raise ParseError(str(exc), path, line) from exc
     check_completeness(kb)
     return kb
 

@@ -369,14 +369,17 @@ def bisect_labels_reference(X, k, seed):
 
 
 # Verbatim copies of `cluster._bisect`, `cluster._refine` and
-# `cluster.bisect_labels` as they were before the clusters' cohesion scores
-# were cached: every round restacks the side indicators and every split
-# rescores every cluster.  They hold the package to the same floating-point
-# products and generator draws, ties and degenerate splits included, which
-# the loop references above cannot promise.  Three edits: the split
-# records the degenerate cases it meets, the refine pass records each
-# scored document's best gain, and the row norms come from one
-# np.linalg.norm call, which `cluster._row_norms` equals bit for bit.
+# `cluster.bisect_labels`, the latter two as they were before the
+# clusters' cohesion scores were cached: every split rescores every
+# cluster.  The split copies the round as it stands: one product for
+# diff = (c0 - c1) . x of every row x and one for the side-1 sums, the
+# side-0 sums taken as the block's column sum minus those.  They hold the package to the same
+# floating-point products and generator draws, ties and degenerate splits
+# included, which the loop references above cannot promise.  Three edits:
+# the split records the degenerate cases it meets and always runs its
+# fix-ups, the refine pass records each scored document's best gain, and
+# norms come from np.linalg.norm, which `cluster._row_norms` and the
+# split's norms equal bit for bit.
 
 
 def bisect_lockstep_reference(
@@ -384,17 +387,16 @@ def bisect_lockstep_reference(
 ) -> np.ndarray:
     """The split; when given, `branches` collects the degenerate cases it
     met: "full side", "empty side" and "zero-norm centroid"."""
-    m, d = Xs.shape
+    m = Xs.shape[0]
     seeds = np.array([rng.choice(m, size=2, replace=False) for _ in range(_RESTARTS)])
-    C = Xs[seeds]
+    D = Xs[seeds[:, 0]] - Xs[seeds[:, 1]]
+    total = Xs.sum(axis=0)
     sides = np.zeros((_RESTARTS, m), dtype=bool)
     scores = np.empty(_RESTARTS)
     active = np.arange(_RESTARTS)
     for _ in range(_MAX_ITER):
-        S = Xs @ C[active].reshape(-1, d).T
-        s0, s1 = S[:, 0::2].T, S[:, 1::2].T
-        new_sides = s1 > s0
-        diff = s0 - s1
+        diff = D[active] @ Xs.T
+        new_sides = diff < 0
         full = np.flatnonzero(new_sides.all(axis=1))
         empty = np.flatnonzero(~new_sides.any(axis=1))
         new_sides[full, diff[full].argmax(axis=1)] = False
@@ -408,16 +410,16 @@ def bisect_lockstep_reference(
         if active.size == 0:
             break
         sides[active] = new_sides
-        ind = np.stack([~new_sides, new_sides], axis=1).reshape(-1, m)
-        V = (ind.astype(np.float64) @ Xs).reshape(-1, 2, d)
-        norms = np.linalg.norm(V, axis=2)
-        scores[active] = norms[:, 0] + norms[:, 1]
+        V1 = new_sides.astype(np.float64) @ Xs
+        V0 = total - V1
+        n0 = np.linalg.norm(V0, axis=1)[:, None]
+        n1 = np.linalg.norm(V1, axis=1)[:, None]
+        scores[active] = (n0 + n1)[:, 0]
         # a side whose rows sum to zero takes row 0 (c0) or row m-1 (c1)
-        nonzero = (norms > 0)[..., None]
-        if branches is not None and not nonzero.all():
+        if branches is not None and not (n0.all() and n1.all()):
             branches.add("zero-norm centroid")
-        unit = V / np.where(nonzero, norms[..., None], 1.0)
-        C[active] = np.where(nonzero, unit, Xs[[0, -1]])
+        c0 = np.where(n0 > 0, V0 / np.where(n0 > 0, n0, 1.0), Xs[0])
+        D[active] = c0 - np.where(n1 > 0, V1 / np.where(n1 > 0, n1, 1.0), Xs[-1])
     best = 0
     for r in range(1, _RESTARTS):
         if scores[r] > scores[best] + 1e-12:

@@ -368,10 +368,11 @@ tie_rows = st.one_of(any_rows, signed_rows())
 
 
 class TestLockstepReferences:
-    """The split, the refine pass and the repeated bisections equal verbatim
-    copies of the code before the cohesion scores were cached, bit for bit:
-    the same products, comparisons and generator draws, so ties, full and
-    empty sides and zero-norm centroids come out the same too."""
+    """The split equals a verbatim copy of its 2-means round, and the refine
+    pass and the repeated bisections verbatim copies of the code before the
+    cohesion scores were cached, bit for bit: the same products, comparisons
+    and generator draws, so ties, full and empty sides and zero-norm
+    centroids come out the same too."""
 
     @pytest.mark.parametrize("branch", sorted(BRANCH_EXAMPLES))
     def test_examples_reach_each_degenerate_case(self, branch):
@@ -408,6 +409,23 @@ class TestLockstepReferences:
         k = min(k, X.shape[0])
         np.testing.assert_array_equal(
             bisect_labels(X.copy(), k, seed), bisect_labels_lockstep_reference(X, k, seed)
+        )
+
+
+class TestSplitTies:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_row_of_zero_similarity_stays_on_side_0(self, seed):
+        # Rows on their own columns: each restart's third row shares no
+        # nonzero column with its two seeds, so its first diff is 0.0 (or
+        # -0.0), a tie that s1 > s0 left on side 0 too.  There it joins
+        # c0's column and stays; every restart scores sqrt(2) + 1, so
+        # restart 0's split is kept.
+        Xs = np.eye(3)
+        i, j = _seed_pairs(3, PCG64(SeedSequence(seed)))[0]
+        lone = 3 - i - j
+        assert (Xs[i] - Xs[j]) @ Xs[lone] == 0.0
+        np.testing.assert_array_equal(
+            _bisect(Xs, PCG64(SeedSequence(seed))), np.arange(3) == j
         )
 
 
@@ -518,6 +536,22 @@ class TestMatrixCopies:
         finally:
             tracemalloc.stop()
         assert peak < 0.1 * X.nbytes
+
+    def test_split_makes_no_block_sized_temporary(self):
+        # a round holds arrays of restarts by rows or by columns, about
+        # 0.1 of this block; gathering the rows of one side (up to half
+        # the block) or an (m, d) temporary passes 0.25 of it
+        rng = np.random.default_rng(2)
+        X = rng.random((600, 1000)) * (rng.random((600, 1000)) < 0.1)
+        X[:, 0] += 0.01
+        Xs = normalized(X)
+        tracemalloc.start()
+        try:
+            _bisect(Xs, PCG64(SeedSequence(2)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * Xs.nbytes
 
     @staticmethod
     def sparse_matrix(seed, zero_rows=0):

@@ -311,6 +311,30 @@ class TestParser:
             loads_kb(text)
         assert exc.value.line == text.splitlines().index("[variable Title domain 0 1]") + 1
 
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            (
+                "set no 0.0 0.0 0.1 0.2\nset low 0.1 0.2 0.3 0.4\n",
+                "set no 0.0 0.0 0.0002 0.0004\nset low 0.0 0.0 0.3 0.4\n",
+            ),
+            (
+                "set standard 0.0 0.0 0.4 0.6\nset preferential 0.4 0.6 1.0 1.0\n",
+                "set standard 0.0 0.0 0.0002 0.0004\nset preferential 0.0 0.0 1.0 1.0\n",
+            ),
+        ],
+        ids=["Importance", "Position"],
+    )
+    def test_zero_area_output_set_names_its_line(self, old, new):
+        # no quadrature midpoint falls inside (0, 0.0004)
+        text = dumps_kb(load_bundled("emph"))
+        assert old in text
+        text = text.replace(old, new)
+        label = new.split()[1]
+        with pytest.raises(ParseError, match=f"output set '{label}' has zero") as exc:
+            loads_kb(text)
+        assert exc.value.line == text.splitlines().index(new.splitlines()[0]) + 1
+
     def test_error_carries_line_number(self):
         text = make_text(
             main="[rules Importance]\nIF Title IS Huge THEN medium\n"
