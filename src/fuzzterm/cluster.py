@@ -5,8 +5,8 @@ The clustering mirrors a k-way repeated-bisections scheme: split the least
 cohesive cluster with 2-means (10 seeded restarts, cosine similarity), keep
 the split maximizing the sum of cluster-vector-sum norms, and finish with a
 single global pass of single-document moves.  The restarts run side by side,
-so each 2-means round is two matrix products over the cluster's rows, and
-the final pass scores all k candidate clusters of a document at once.
+so each 2-means round is one sweep over the cluster's rows, and the final
+pass scores all k candidate clusters of a document at once.
 
 On matrices of a few hundred rows the work around those products costs
 more than the products, so it is kept small.  Each cluster keeps its rows
@@ -14,13 +14,15 @@ as one block of the matrix beside its cohesion score, and a split rescores
 only the two clusters it leaves; the last split rescores none.  A split
 draws its ten restarts' seed pairs straight from the bounded draws, equal
 in values and generator state to one rng.choice(m, 2, replace=False) per
-restart.  A 2-means round finds the sides from one product with c0 - c1,
+restart.  A 2-means round finds the sides from products with c0 - c1,
 fixes up one-sided splits only when there are any, and sums side 1 only:
-side 0's sum is the block's column sum minus side 1's.  The refine pass
-estimates every document's best gain from one product with the cluster
-sums and runs the exact per-document step only where the estimate, within
-a proven rounding bound, allows a move; on well separated clusters it runs
-for no document.
+side 0's sum is the block's column sum minus side 1's.  It takes both
+products _BLOCK_ROWS rows at a time, each block's sides and side-1 sum
+while the block is in cache, and sums the last block only for the
+restarts still moving.  The refine pass estimates every document's best
+gain from one product with the cluster sums and runs the exact
+per-document step only where the estimate, within a proven rounding
+bound, allows a move; on well separated clusters it runs for no document.
 Norms are taken with the formulas np.linalg.norm uses, without its wrapper.
 
 The labels rest on ties and margins, not on the products' last bits.  A
@@ -28,11 +30,13 @@ row with diff = (c0 - c1) . x of 0.0 or -0.0 (on non-negative rows, one
 sharing no nonzero column with c0 or c1) stays on side 0, as s1 > s0 left
 it, and a restart must beat the best score by more than 1e-12.  Over the
 benchmark workloads at corpus seeds 0-9, the chosen restart's last round
-had no |diff| in (0, 2.9e-8), and its diff was within 5.3e-15 of the
-s0 - s1 of separate similarity products.  The test oracles pin this
-arithmetic bit for bit.  The draws come from `_draws`, which reproduces
-numpy.random's SeedSequence, PCG64 and bounded draws bit for bit without
-loading numpy.random; the oracles draw with numpy.random.
+had no |diff| in (0, 2.8e-8).  Its diff was within 3.7e-15 of an unblocked
+round's, which was within 5.3e-15 of the s0 - s1 of separate similarity
+products, and every exact best gain of the refine pass was at least 9e-7
+from _MOVE_TOL.  The test oracles pin this arithmetic bit for bit.  The
+draws come from `_draws`, which reproduces numpy.random's SeedSequence,
+PCG64 and bounded draws bit for bit without loading numpy.random; the
+oracles draw with numpy.random.
 
 A clustering holds one dense (n, d) array: the doc-term matrix, whose
 rows `cluster_matrix` and `bisect_labels` scale to unit length in place.
@@ -125,16 +129,26 @@ def _seed_pairs(m: int, rng: PCG64) -> np.ndarray:
 def _bisect(Xs: np.ndarray, rng: PCG64) -> np.ndarray:
     """Split rows of Xs (L2-normalized) in two; returns a boolean side mask.
 
-    The restarts run side by side.  One 2-means round of every restart
-    still moving costs one product for diff = (c0 - c1) . x of each row x
-    and one for the side-1 sums V1; the side-0 sums are the column sum
-    minus V1.  A row goes to side 1 where diff < 0, so a tie stays on 0.
+    The restarts run side by side.  A row x goes to side 1 where
+    diff = (c0 - c1) . x < 0, so a tie stays on 0, and only the side-1
+    sums V1 are taken: the side-0 sums are the column sum minus V1.  A
+    2-means round of the restarts still moving sweeps the rows once,
+    _BLOCK_ROWS at a time, and takes each block's diff product, its sides
+    and its share of V1 while the block is in cache.  The last block is
+    summed only after the fix-ups and the convergence test, so a restart
+    that stopped is never summed there, and a split of at most _BLOCK_ROWS
+    rows takes diff and V1 from one product each.  A full or empty side's
+    fix-up may fall in a block already summed, so a restart fixed up in a
+    longer split sums the rows before the last block again, in one product.
     """
-    m = Xs.shape[0]
+    m, d = Xs.shape
     seeds = _seed_pairs(m, rng)
+    last = (m - 1) // _BLOCK_ROWS * _BLOCK_ROWS  # where the last block starts
+    tail = Xs[last:]
     # D and prev hold c0 - c1 and the sides of the restarts still moving,
-    # active their numbers; sides and scores keep every restart's latest,
-    # and ind takes the side-1 indicators
+    # active their numbers; sides and scores keep every restart's latest;
+    # ind takes the side-1 indicators and head their sums over the blocks
+    # before the last
     D = Xs[seeds[:, 0]] - Xs[seeds[:, 1]]
     total = Xs.sum(axis=0)
     sides = np.zeros((_RESTARTS, m), dtype=bool)
@@ -143,7 +157,16 @@ def _bisect(Xs: np.ndarray, rng: PCG64) -> np.ndarray:
     active = np.arange(_RESTARTS)
     prev = sides
     for _ in range(_MAX_ITER):
-        diff = D @ Xs.T
+        diff = np.empty((active.size, m))
+        if last:
+            a = active.size
+            head = np.zeros((a, d))
+            for start in range(0, last, _BLOCK_ROWS):
+                block = slice(start, start + _BLOCK_ROWS)
+                np.matmul(D, Xs[block].T, out=diff[:, block])
+                np.less(diff[:, block], 0, out=ind[:a, block])
+                head += ind[:a, block] @ Xs[block]
+        np.matmul(D, tail.T, out=diff[:, last:])
         new_sides = diff < 0  # s1 > s0
         on_side1 = new_sides.sum(axis=1)
         if on_side1.min() == 0 or on_side1.max() == m:
@@ -151,14 +174,20 @@ def _bisect(Xs: np.ndarray, rng: PCG64) -> np.ndarray:
             empty = np.flatnonzero(on_side1 == 0)
             new_sides[full, diff[full].argmax(axis=1)] = False
             new_sides[empty, diff[empty].argmin(axis=1)] = True
+            if last:
+                # a fix-up may fall in a block already summed
+                fixed = np.concatenate((full, empty))
+                head[fixed] = new_sides[fixed, :last] @ Xs[:last]
         moved = (new_sides != prev).any(axis=1)
         if not moved.all():
             active, new_sides = active[moved], new_sides[moved]
             if active.size == 0:
                 break
         sides[active] = prev = new_sides
-        ind[: active.size] = new_sides
-        V1 = ind[: active.size] @ Xs
+        ind[: active.size, last:] = new_sides[:, last:]
+        V1 = ind[: active.size, last:] @ tail
+        if last:
+            V1 += head[moved]
         V0 = total - V1
         n0 = np.sqrt(np.add.reduce(V0 * V0, axis=1))[:, None]
         n1 = np.sqrt(np.add.reduce(V1 * V1, axis=1))[:, None]

@@ -43,10 +43,12 @@ from fuzzterm.pipeline import _doc_criteria
 from fuzzterm.weighting import CorpusStats
 
 # The repeated-bisections constants: 10 seeded restarts, at most 100 2-means
-# rounds each, and the smallest criterion gain that moves a document.
+# rounds each, the smallest criterion gain that moves a document, and the
+# rows per block of a 2-means round.
 _RESTARTS = 10
 _MAX_ITER = 100
 _MOVE_TOL = 1e-10
+_BLOCK_ROWS = 64
 
 
 def trapezoid_membership(x, a, b, c, d):
@@ -371,9 +373,11 @@ def bisect_labels_reference(X, k, seed):
 # Verbatim copies of `cluster._bisect`, `cluster._refine` and
 # `cluster.bisect_labels`, the latter two as they were before the
 # clusters' cohesion scores were cached: every split rescores every
-# cluster.  The split copies the round as it stands: one product for
-# diff = (c0 - c1) . x of every row x and one for the side-1 sums, the
-# side-0 sums taken as the block's column sum minus those.  They hold the package to the same
+# cluster.  The split copies the round as it stands: one sweep over blocks
+# of _BLOCK_ROWS rows, each block's diff = (c0 - c1) . x product, sides
+# and side-1 sums taken in turn, the last block summed after the
+# convergence test and the side-0 sums taken as the block's column sum
+# minus the side-1 sums.  They hold the package to the same
 # floating-point products and generator draws, ties and degenerate splits
 # included, which the loop references above cannot promise.  Three edits:
 # the split records the degenerate cases it meets and always runs its
@@ -386,31 +390,58 @@ def bisect_lockstep_reference(
     Xs: np.ndarray, rng: np.random.Generator, branches: set | None = None
 ) -> np.ndarray:
     """The split; when given, `branches` collects the degenerate cases it
-    met: "full side", "empty side" and "zero-norm centroid"."""
-    m = Xs.shape[0]
+    met: "full side", "empty side", "zero-norm centroid" and "fix-up in a
+    summed block", a full or empty side fixed up in a block summed
+    before the fix-up."""
+    m, d = Xs.shape
     seeds = np.array([rng.choice(m, size=2, replace=False) for _ in range(_RESTARTS)])
+    last = (m - 1) // _BLOCK_ROWS * _BLOCK_ROWS
+    tail = Xs[last:]
     D = Xs[seeds[:, 0]] - Xs[seeds[:, 1]]
     total = Xs.sum(axis=0)
     sides = np.zeros((_RESTARTS, m), dtype=bool)
     scores = np.empty(_RESTARTS)
+    ind = np.empty((_RESTARTS, m))
     active = np.arange(_RESTARTS)
+    prev = sides
     for _ in range(_MAX_ITER):
-        diff = D[active] @ Xs.T
+        diff = np.empty((active.size, m))
+        if last:
+            a = active.size
+            head = np.zeros((a, d))
+            for start in range(0, last, _BLOCK_ROWS):
+                block = slice(start, start + _BLOCK_ROWS)
+                np.matmul(D, Xs[block].T, out=diff[:, block])
+                np.less(diff[:, block], 0, out=ind[:a, block])
+                head += ind[:a, block] @ Xs[block]
+        np.matmul(D, tail.T, out=diff[:, last:])
         new_sides = diff < 0
-        full = np.flatnonzero(new_sides.all(axis=1))
-        empty = np.flatnonzero(~new_sides.any(axis=1))
+        on_side1 = new_sides.sum(axis=1)
+        full = np.flatnonzero(on_side1 == m)
+        empty = np.flatnonzero(on_side1 == 0)
         new_sides[full, diff[full].argmax(axis=1)] = False
         new_sides[empty, diff[empty].argmin(axis=1)] = True
         if branches is not None:
             branches.update(
                 name for name, rows in (("full side", full), ("empty side", empty)) if rows.size
             )
-        moved = (new_sides != sides[active]).any(axis=1)
-        active, new_sides = active[moved], new_sides[moved]
-        if active.size == 0:
-            break
-        sides[active] = new_sides
-        V1 = new_sides.astype(np.float64) @ Xs
+        if last:
+            fixed = np.concatenate((full, empty))
+            if branches is not None and (
+                new_sides[fixed, :last] != ind[fixed, :last].astype(bool)
+            ).any():
+                branches.add("fix-up in a summed block")
+            head[fixed] = new_sides[fixed, :last] @ Xs[:last]
+        moved = (new_sides != prev).any(axis=1)
+        if not moved.all():
+            active, new_sides = active[moved], new_sides[moved]
+            if active.size == 0:
+                break
+        sides[active] = prev = new_sides
+        ind[: active.size, last:] = new_sides[:, last:]
+        V1 = ind[: active.size, last:] @ tail
+        if last:
+            V1 += head[moved]
         V0 = total - V1
         n0 = np.linalg.norm(V0, axis=1)[:, None]
         n1 = np.linalg.norm(V1, axis=1)[:, None]
@@ -419,7 +450,7 @@ def bisect_lockstep_reference(
         if branches is not None and not (n0.all() and n1.all()):
             branches.add("zero-norm centroid")
         c0 = np.where(n0 > 0, V0 / np.where(n0 > 0, n0, 1.0), Xs[0])
-        D[active] = c0 - np.where(n1 > 0, V1 / np.where(n1 > 0, n1, 1.0), Xs[-1])
+        D = c0 - np.where(n1 > 0, V1 / np.where(n1 > 0, n1, 1.0), Xs[-1])
     best = 0
     for r in range(1, _RESTARTS):
         if scores[r] > scores[best] + 1e-12:

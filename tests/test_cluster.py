@@ -280,13 +280,13 @@ class TestRefineFilter:
 
 
 @st.composite
-def sparse_rows(draw, four_valued=False, max_rows=40):
+def sparse_rows(draw, four_valued=False, min_rows=2, max_rows=40):
     """A nonnegative matrix with no zero rows and some duplicated rows.
 
     Entries are continuous, or, with four_valued, drawn from {0, 1, 2, 3},
     which makes exact similarity ties common.
     """
-    m = draw(st.integers(2, max_rows))
+    m = draw(st.integers(min_rows, max_rows))
     d = draw(st.integers(1, 25))
     density = draw(st.floats(0.05, 1.0))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -303,6 +303,9 @@ def sparse_rows(draw, four_valued=False, max_rows=40):
 
 
 any_rows = st.one_of(sparse_rows(), sparse_rows(four_valued=True))
+# more rows than one block of a 2-means round (cluster._BLOCK_ROWS, 64)
+long_rows = sparse_rows(min_rows=65, max_rows=200)
+any_long_rows = st.one_of(long_rows, sparse_rows(four_valued=True, min_rows=65, max_rows=200))
 
 
 def normalized(X):
@@ -313,7 +316,7 @@ class TestLoopReferences:
     """The vectorized split and refine pass equal the plain loops exactly on
     continuous data, where similarity ties do not occur."""
 
-    @given(X=sparse_rows(), seed=st.integers(0, 2**32 - 1))
+    @given(X=st.one_of(sparse_rows(), long_rows), seed=st.integers(0, 2**32 - 1))
     def test_bisect_matches_reference(self, X, seed):
         Xs = normalized(X)
         rng, ref_rng = PCG64(SeedSequence(seed)), np.random.default_rng(seed)
@@ -362,9 +365,11 @@ BRANCH_EXAMPLES = {
     "empty side": (np.array([[3.0], [9.0]]), 5),
     "full side": (np.array([[3.0, -3.0], [1.0, -1.0], [2.0, 1.0]]), 25),
     "zero-norm centroid": (np.array([[-1.0], [-1.0], [1.0]]), 3),
+    "fix-up in a summed block": (np.repeat([[1.0], [-1.0]], [40, 30], axis=0), 5),
 }
 
 tie_rows = st.one_of(any_rows, signed_rows())
+split_rows = st.one_of(tie_rows, any_long_rows)
 
 
 class TestLockstepReferences:
@@ -381,10 +386,11 @@ class TestLockstepReferences:
         bisect_lockstep_reference(normalized(X), np.random.default_rng(seed), branches)
         assert branch in branches
 
-    @given(X=tie_rows, seed=st.integers(0, 2**32 - 1))
+    @given(X=split_rows, seed=st.integers(0, 2**32 - 1))
     @example(*BRANCH_EXAMPLES["empty side"])
     @example(*BRANCH_EXAMPLES["full side"])
     @example(*BRANCH_EXAMPLES["zero-norm centroid"])
+    @example(*BRANCH_EXAMPLES["fix-up in a summed block"])
     def test_bisect_equals_lockstep_reference(self, X, seed):
         Xs = normalized(X)
         rng, ref_rng = PCG64(SeedSequence(seed)), np.random.default_rng(seed)
@@ -404,7 +410,7 @@ class TestLockstepReferences:
         refine_vectorized_reference(Xn, want, k)
         np.testing.assert_array_equal(labels, want)
 
-    @given(X=tie_rows, k=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+    @given(X=split_rows, k=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
     def test_bisect_labels_equals_lockstep_reference(self, X, k, seed):
         k = min(k, X.shape[0])
         np.testing.assert_array_equal(

@@ -599,6 +599,27 @@ class TestCli:
         dump_kb(load_bundled("emph"), path)
         assert main(["kb-check", str(path), "--grid", "9"]) == 0
 
+    @pytest.mark.parametrize("grid, checked", [([], [21]), (["--grid", "9"], [21, 9])])
+    def test_kb_check_checks_each_grid_once(self, grid, checked, tmp_path, monkeypatch):
+        # loading checks the 21-point grid; kb-check adds only another grid
+        import fuzzterm.cli
+        import fuzzterm.kb
+        from fuzzterm import dump_kb
+
+        path = tmp_path / "copy.kb"
+        dump_kb(load_bundled("emph"), path)
+        check = fuzzterm.kb.check_completeness
+        grids = []
+
+        def counted(kb, grid_per_axis=21):
+            grids.append(grid_per_axis)
+            check(kb, grid_per_axis)
+
+        monkeypatch.setattr(fuzzterm.kb, "check_completeness", counted)
+        monkeypatch.setattr(fuzzterm.cli, "check_completeness", counted)
+        assert main(["kb-check", str(path), *grid]) == 0
+        assert grids == checked
+
     def test_kb_check_failure(self, tmp_path, capsys):
         assert main(["kb-check", str(tmp_path / "ghost.kb")]) == 1
         assert "error" in capsys.readouterr().err

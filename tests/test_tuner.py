@@ -333,6 +333,10 @@ class TestSortedQuantile:
     @example(case=(np.array([0.1, 0.7]), 0.5))
     @example(case=(np.array([0.1, 0.7]), np.nextafter(0.5, 0.0)))
     @example(case=(np.array([0.1, 0.2, 0.2, 0.2, 0.9]), 1.0))
+    @example(case=(np.array([-3.0, -0.0]), 1.0))
+    @example(case=(np.array([-3.0, -0.0]), 1))
+    @example(case=(np.array([-0.0, 2.0]), 0))
+    @example(case=(np.array([-0.0]), 1.0))
     def test_equals_numpy(self, case):
         values, q = case
         assert _sorted_quantile(values, q).hex() == float(np.quantile(values, q)).hex()
