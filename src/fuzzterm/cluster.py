@@ -44,11 +44,13 @@ A matrix with zero rows is first copied without them, and the copy is
 scaled.  Each cluster is a contiguous block of the matrix's rows, in
 ascending original order, so a split and a cohesion score read a view
 equal in values, shape and layout to the copy of the cluster's rows the
-oracles take.  After a split, a stable in-place partition, one segment of
-rows at a time, makes the two sides such blocks; before the refine pass
-the rows go back to their original order.  Row norms are taken in blocks
-of rows too, so no other array of that size is made, and a run's peak
-memory does not depend on where the allocator puts such copies.
+oracles take.  After a split, `_permute` puts side 0's rows before side
+1's, each side in the order it had, so both are such blocks; before the
+refine pass it puts every row back in its original order.  It moves the
+rows in place along the permutation's cycles, holding one row aside.  Row
+norms are taken in blocks of rows, so no other array of X's size is made,
+and a run's peak memory does not depend on where the allocator puts such
+copies.
 
 The pipeline hands `cluster_matrix` the matrix `reduction.project_rows`
 writes, which it does not read again, and gets one cluster label per row
@@ -77,7 +79,8 @@ _RESTARTS = 10
 _MAX_ITER = 100
 _MOVE_TOL = 1e-10
 _UNIT_ROUNDOFF = 2.0**-53
-# Rows per block of squares in _row_norms and of estimated gains in _refine.
+# Rows per block of squares in _row_norms, of the 2-means round's sweep in
+# _bisect and of estimated gains in _refine.
 _BLOCK_ROWS = 64
 
 
@@ -323,58 +326,19 @@ def _cohesion(block: np.ndarray) -> float:
     return block.shape[0] - math.sqrt(v.dot(v))
 
 
-def _partition(X: np.ndarray, rows: np.ndarray, start: int, stop: int, last: np.ndarray) -> int:
-    """Move the rows start:stop of the C-contiguous X that `last` marks
-    behind the others, each side keeping its order, and permute `rows`
-    alike; returns where the marked rows begin.
-
-    From the first marked row on, segments of max(_BLOCK_ROWS, m/8) of
-    the m rows are sorted one at a time.  The marked rows met so far wait
-    as one run, which moves up past each segment's other rows by one copy
-    over the flat view: numpy copies overlapping 1-D data in place, with no
-    temporary.  So one segment is held beside X, and the run moves at most
-    8 times; the caller marks the smaller side, which keeps the run short."""
-    d = X.shape[1]
-    flat = X.reshape(-1)
-    step = max(_BLOCK_ROWS, -(-(stop - start) // 8))
-    # the rows before the first marked one stay; start:front holds unmarked
-    # rows, front:seg the run
-    front = start + int(last.argmax())
-    buffer = np.empty((min(step, stop - front), d))
-    for seg in range(front, stop, step):
-        end = min(seg + step, stop)
-        mask = last[seg - start : end - start]
-        ahead = mask.size - int(np.count_nonzero(mask))
-        if ahead == 0:
-            continue
-        order = np.argsort(mask, kind="stable")
-        # "clip" never clips these indices, and spares take's buffering
-        block = np.take(X[seg:end], order, axis=0, out=buffer[: end - seg], mode="clip")
-        ids = rows[seg:end][order]
-        flat[(front + ahead) * d : (seg + ahead) * d] = flat[front * d : seg * d]
-        rows[front + ahead : seg + ahead] = rows[front:seg]
-        X[front : front + ahead], X[seg + ahead : end] = block[:ahead], block[ahead:]
-        rows[front : front + ahead], rows[seg + ahead : end] = ids[:ahead], ids[ahead:]
-        front += ahead
-    return front
-
-
-def _restore(X: np.ndarray, rows: np.ndarray) -> None:
-    """Put row p of X at row rows[p], in place, one cycle of the
-    permutation at a time, holding one row aside."""
-    at = np.empty_like(rows)
-    at[rows] = np.arange(rows.size)  # at[i]: where original row i is
-    at = at.tolist()
-    for i in range(len(at)):
-        if at[i] == i:
+def _permute(X: np.ndarray, source: list[int]) -> None:
+    """Make row p of X the row source[p] was, in place, one cycle of the
+    permutation at a time, holding one row aside.  Overwrites source."""
+    for i in range(len(source)):
+        if source[i] == i:
             continue
         held = X[i].copy()
         j = i
-        while at[j] != i:
-            X[j] = X[at[j]]
-            at[j], j = j, at[j]
+        while source[j] != i:
+            X[j] = X[source[j]]
+            source[j], j = j, source[j]
         X[j] = held
-        at[j] = j
+        source[j] = j
 
 
 def bisect_labels(X: np.ndarray, k: int, seed) -> np.ndarray:
@@ -421,18 +385,17 @@ def bisect_labels(X: np.ndarray, k: int, seed) -> np.ndarray:
         labels[rows[start:stop][side]] = next_id
         if next_id == k - 1:
             break  # no later step reads the blocks or the scores
-        # the smaller side goes last, since the partition moves those rows
-        last = side if 2 * np.count_nonzero(side) <= side.size else ~side
-        mid = _partition(Xn, rows, start, stop, last)
-        kept, split = (start, mid), (mid, stop)
-        if last is not side:
-            kept, split = split, kept
-        blocks[best_cid] = kept
-        blocks.append(split)
-        cohesion[best_cid] = _cohesion(Xn[kept[0] : kept[1]])
-        cohesion.append(_cohesion(Xn[split[0] : split[1]]))
+        # side 0 then side 1, each in the order it had
+        order = np.argsort(side, kind="stable")
+        _permute(Xn[start:stop], order.tolist())
+        rows[start:stop] = rows[start:stop][order]
+        mid = stop - int(np.count_nonzero(side))
+        blocks[best_cid] = (start, mid)
+        blocks.append((mid, stop))
+        cohesion[best_cid] = _cohesion(Xn[start:mid])
+        cohesion.append(_cohesion(Xn[mid:stop]))
     if k > 1:
-        _restore(Xn, rows)
+        _permute(Xn, np.argsort(rows).tolist())  # back to the original order
         _refine(Xn, labels, k)
     return labels
 

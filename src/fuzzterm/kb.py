@@ -421,7 +421,8 @@ def _sorted_quantile(values: np.ndarray, q: float) -> float:
     """np.quantile(values, q) of ascending values, bit for bit, for q in
     [0, 1]: numpy's linear rule read off the sorted values, with none of
     the partitioning np.quantile does first.  An integer q takes the value
-    itself, as numpy does."""
+    itself, as numpy does.  t is taken as a Python float, so a float32 or
+    float16 q lerps in float64 as numpy's does."""
     v = (values.size - 1) * q
     if isinstance(v, (int, np.integer)):
         return float(values[v])
@@ -430,10 +431,10 @@ def _sorted_quantile(values: np.ndarray, q: float) -> float:
         # numpy lerps from the last value to itself with t = v + 1, so a
         # last value of -0.0 comes out 0.0 unless v is 0
         a = b = float(values[-1])
-        t = v + 1
+        t = float(v + 1)
     else:
         a, b = float(values[i]), float(values[i + 1])
-        t = v - i
+        t = float(v - i)
     # np.quantile's _lerp: from the nearer end of [a, b]
     return float(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
 

@@ -16,9 +16,8 @@ from fuzzterm.cluster import (
     cluster_matrix,
     repeated_bisections,
     _bisect,
-    _partition,
+    _permute,
     _refine,
-    _restore,
     _row_norms,
     _seed_pairs,
 )
@@ -580,10 +579,10 @@ class TestMatrixCopies:
     @pytest.mark.parametrize("seed", range(4))
     def test_bisect_labels_makes_no_second_full_copy(self, seed):
         # X is normalized in place and every split reads a block of its
-        # rows, so beside X the peak is one segment of the partition or the
-        # split's own arrays; a normalized copy, a full copy for the first
-        # split or a full temporary for the row norms pushes the traced
-        # peak past 1.4 X.
+        # rows, so beside X the peak is the split's own arrays, and the
+        # permutation that regroups the sides holds one row aside; a
+        # normalized copy, a full copy for the first split or a full
+        # temporary for the row norms pushes the traced peak past 1.4 X.
         X = self.sparse_matrix(seed)
         assert self.traced_peak(bisect_labels, X, 6, seed) < 1.25 * X.nbytes
 
@@ -602,7 +601,8 @@ class TestMatrixCopies:
     def test_second_split_copies_no_cluster(self, cluster, sizes, seed):
         # the first split finds the two groups, and the second splits one
         # of them, half of X or more; a copy of its rows alone passes
-        # 0.5 X, while a segment of the partition is an eighth of X here
+        # 0.5 X, while the permutation that regroups the sides holds one
+        # row aside
         X = self.two_groups(sizes, seed)
         side = _bisect(normalized(X), PCG64(SeedSequence(seed)))
         assert sorted([int(side.sum()), int((~side).sum())]) == sorted(sizes)
@@ -685,6 +685,15 @@ def partition_steps(draw):
     return n, d, steps
 
 
+def regroup(X, rows, start, stop, side):
+    """Regroup the block start:stop of X and rows as bisect_labels does
+    after a split: side 0, then side 1.  Returns where side 1 begins."""
+    order = np.argsort(side, kind="stable")
+    _permute(X[start:stop], order.tolist())
+    rows[start:stop] = rows[start:stop][order]
+    return stop - int(np.count_nonzero(side))
+
+
 class TestPartition:
     @given(case=partition_steps(), seed=st.integers(0, 2**32 - 1))
     def test_sides_stay_blocks_in_original_order_and_restore_is_exact(self, case, seed):
@@ -697,21 +706,36 @@ class TestPartition:
             if start == stop:
                 continue  # a split never picks an empty cluster
             rng = np.random.default_rng(mask_seed)
-            last = rng.random(stop - start) < rng.random()
+            side = rng.random(stop - start) < rng.random()
             before = rows[start:stop].copy()
-            mid = _partition(X, rows, start, stop, last)
-            assert mid == stop - np.count_nonzero(last)
+            mid = regroup(X, rows, start, stop, side)
             # each side a block, in the order it had: ascending original rows
-            np.testing.assert_array_equal(rows[start:mid], before[~last])
-            np.testing.assert_array_equal(rows[mid:stop], before[last])
+            np.testing.assert_array_equal(rows[start:mid], before[~side])
+            np.testing.assert_array_equal(rows[mid:stop], before[side])
             assert (np.diff(rows[start:mid]) > 0).all()
             assert (np.diff(rows[mid:stop]) > 0).all()
             # X permuted as rows, bit for bit
             assert X.tobytes() == X0[rows].tobytes()
             blocks[which % len(blocks)] = (start, mid)
             blocks.append((mid, stop))
-        _restore(X, rows)
+        _permute(X, np.argsort(rows).tolist())
         assert X.tobytes() == X0.tobytes()
+
+    @pytest.mark.parametrize("share", [0.1, 0.5, 0.9])
+    def test_regrouping_holds_one_row_aside(self, share):
+        # the permutation holds one row and the order's indices, about 4
+        # rows here; sorting the sides through a buffer of rows passes 8
+        rng = np.random.default_rng(4)
+        X = rng.random((600, 1201))
+        side = rng.random(600) < share
+        rows = np.arange(600)
+        tracemalloc.start()
+        try:
+            regroup(X, rows, 0, 600, side)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * X[0].nbytes
 
 
 class TestClusteringProperties:

@@ -422,6 +422,38 @@ class TestRun:
         assert a.results_path.read_bytes() == b.results_path.read_bytes()
         assert a.table_path.read_bytes() == b.table_path.read_bytes()
 
+    def test_renaming_every_doc_id_leaves_the_outputs(self, tmp_path):
+        # a second manifest over the same files gives the entries the
+        # doc_ids in reverse order, so every id changes and their sort
+        # order reverses; no output may follow the names
+        manifest = generate_corpus(
+            tmp_path / "corpus", categories=4, docs_per_category=10, seed=3,
+            doc_length=(40, 120), topic_fraction=0.1, with_titles=False,
+        )
+        entries = load_manifest(manifest).entries
+        ids = [e.doc_id for e in entries]
+        renamed = manifest.with_name("renamed.tsv")
+        renamed.write_text(
+            "".join(f"{new}\t{e.path}\t{e.category}\n" for new, e in zip(reversed(ids), entries)),
+            encoding="utf-8",
+        )
+        assert all(a != b for a, b in zip(ids, reversed(ids)))
+        outputs = []
+        for path in (manifest, renamed):
+            report = run(
+                RunConfig(
+                    manifest=path,
+                    representation="efcc",
+                    baselines=("tfidf",),
+                    vector_sizes=(20, 50),
+                    k=4,
+                    n_subsets=3,
+                    out_dir=tmp_path / path.stem,
+                )
+            )
+            outputs.append((report.results_path.read_bytes(), report.table_path.read_bytes()))
+        assert outputs[0] == outputs[1]
+
     def test_dump_flags_write_files(self, small_corpus, tmp_path):
         config = RunConfig(
             manifest=small_corpus / "manifest.tsv",

@@ -303,7 +303,8 @@ class TestTunerProperties:
 def sorted_values_and_q(draw):
     """Ascending values, tied or not, and a q in [0, 1]: anywhere, at an
     end, or where (n - 1) q falls within an ulp of halfway between two
-    values, the point at which numpy's interpolation changes ends."""
+    values, the point at which numpy's interpolation changes ends.  A
+    float q is a Python float, a np.float32 or a np.float16."""
     values = draw(
         st.one_of(
             _pool,
@@ -313,14 +314,16 @@ def sorted_values_and_q(draw):
     )
     values = np.sort(np.array(values, dtype=np.float64))
     n = values.size
+    scalar = draw(st.sampled_from((float, np.float32, np.float16)))
     kind = draw(st.sampled_from(("any", "end", "half") if n > 1 else ("any", "end")))
     if kind == "any":
-        q = draw(st.floats(0.0, 1.0))
+        q = scalar(draw(st.floats(0.0, 1.0)))
     elif kind == "end":
-        q = draw(st.sampled_from((0.0, 1.0, 0, 1)))
+        q = draw(st.sampled_from((scalar(0.0), scalar(1.0), 0, 1)))
     else:
-        half = (draw(st.integers(0, n - 2)) + 0.5) / (n - 1)
-        q = draw(st.sampled_from((half, np.nextafter(half, 0.0), np.nextafter(half, 1.0))))
+        half = scalar((draw(st.integers(0, n - 2)) + 0.5) / (n - 1))
+        ulp = (np.nextafter(half, scalar(0.0)), np.nextafter(half, scalar(1.0)))
+        q = draw(st.sampled_from((half, *ulp)))
     return values, q
 
 
@@ -337,6 +340,7 @@ class TestSortedQuantile:
     @example(case=(np.array([-3.0, -0.0]), 1))
     @example(case=(np.array([-0.0, 2.0]), 0))
     @example(case=(np.array([-0.0]), 1.0))
+    @example(case=(np.array([-1e-300]), np.float32(1.0)))
     def test_equals_numpy(self, case):
         values, q = case
         assert _sorted_quantile(values, q).hex() == float(np.quantile(values, q)).hex()
