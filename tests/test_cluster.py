@@ -728,13 +728,7 @@ class TestPartition:
         rng = np.random.default_rng(4)
         X = rng.random((600, 1201))
         side = rng.random(600) < share
-        rows = np.arange(600)
-        tracemalloc.start()
-        try:
-            regroup(X, rows, 0, 600, side)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = TestMatrixCopies.traced_peak(regroup, X, np.arange(600), 0, 600, side)
         assert peak < 8 * X[0].nbytes
 
 
